@@ -10,7 +10,7 @@
 // byte-for-byte (the tier-2 `bench_matrix_json` ctest entry runs this).
 //
 // The --json trajectory is *self-validated*: before it is written, the
-// harness re-parses its own bytes with the serve JSON reader and checks the
+// harness re-parses its own bytes with stats::json_parse and checks the
 // grid is complete (every coordinate exactly once, in generation order) and
 // the summary totals match a recomputation from the cells. A trajectory
 // that fails its own audit is a harness bug, and the run exits non-zero
@@ -45,7 +45,7 @@
 #include "noise/noise.h"
 #include "runner/json_writer.h"
 #include "runner/runner.h"
-#include "serve/protocol.h"
+#include "stats/json.h"
 #include "uarch/config.h"
 
 using namespace whisper;
@@ -254,16 +254,16 @@ std::string render_json(const MatrixArgs& m, const std::vector<Cell>& cells) {
 /// success, the failure description otherwise.
 std::string validate_matrix_json(const std::string& body,
                                  const MatrixArgs& m) {
-  serve::JsonValue doc;
+  stats::JsonValue doc;
   try {
-    doc = serve::json_parse(body);
+    doc = stats::json_parse(body);
   } catch (const std::exception& e) {
     return std::string("trajectory does not re-parse: ") + e.what();
   }
-  const serve::JsonValue* schema = doc.get("schema");
+  const stats::JsonValue* schema = doc.get("schema");
   if (schema == nullptr || schema->string != "whisper.defense_matrix.v1")
     return "schema tag missing or wrong";
-  const serve::JsonValue* cells = doc.get("cells");
+  const stats::JsonValue* cells = doc.get("cells");
   if (cells == nullptr || !cells->is_array()) return "cells array missing";
   const std::size_t expected =
       m.attacks.size() * m.stacks.size() * m.cpus.size() * m.noise.size();
@@ -284,7 +284,7 @@ std::string validate_matrix_json(const std::string& body,
           defense::format_list(defense::parse_list(stack));
       for (const auto& cpu : m.cpus) {
         for (const auto& nz : m.noise) {
-          const serve::JsonValue& cell = cells->array[i++];
+          const stats::JsonValue& cell = cells->array[i++];
           const std::string where = "cell " + std::to_string(i - 1);
           for (const char* key : kCellKeys)
             if (cell.get(key) == nullptr)
@@ -307,7 +307,7 @@ std::string validate_matrix_json(const std::string& body,
       }
     }
   }
-  const serve::JsonValue* check = doc.get("check");
+  const stats::JsonValue* check = doc.get("check");
   if (check == nullptr || !check->is_object()) return "check block missing";
   if (static_cast<std::uint64_t>(check->get("cells")->number) != expected ||
       static_cast<std::uint64_t>(check->get("successes")->number) !=

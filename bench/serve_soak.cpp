@@ -172,7 +172,7 @@ PhaseResult run_phase(const SoakArgs& args, int jobs) {
       client->close_send();
       std::string line;
       while (client->recv(line)) {
-        const serve::JsonValue doc = serve::json_parse(line);
+        const stats::JsonValue doc = stats::json_parse(line);
         const std::uint64_t id =
             static_cast<std::uint64_t>(doc.get("id")->number);
         collected[c][id].push_back(line);
@@ -219,7 +219,7 @@ PhaseResult run_phase(const SoakArgs& args, int jobs) {
     else if (lines.size() > want)
       out.duplicated += lines.size() - want;
     for (std::size_t i = 0; i < lines.size(); ++i) {
-      const serve::JsonValue doc = serve::json_parse(lines[i]);
+      const stats::JsonValue doc = stats::json_parse(lines[i]);
       const std::string type = doc.get("type")->string;
       if (type == "error") {
         ++out.errors;

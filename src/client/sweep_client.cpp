@@ -6,6 +6,7 @@
 #include <condition_variable>
 #include <deque>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -13,6 +14,7 @@
 #include "client/flaky.h"
 #include "client/wire.h"
 #include "serve/protocol.h"
+#include "stats/json.h"
 #include "stats/rng.h"
 
 namespace whisper::client {
@@ -43,9 +45,12 @@ struct SweepState {
   }
 };
 
-std::uint64_t num_u64(const serve::JsonValue* v) {
-  return v != nullptr && v->is_number() ? static_cast<std::uint64_t>(v->number)
-                                        : 0;
+/// A non-negative integer member of a response; nullopt when absent or
+/// not one.
+std::optional<std::uint64_t> u64_member(const stats::JsonValue& doc,
+                                        const char* key) {
+  const stats::JsonValue* v = doc.get(key);
+  return v != nullptr ? v->as_int<std::uint64_t>() : std::nullopt;
 }
 
 /// One endpoint's worker: claims chunks (home queue first, then orphans),
@@ -183,16 +188,16 @@ class EndpointWorker {
         drop_connection();
         return false;
       }
-      serve::JsonValue doc;
+      stats::JsonValue doc;
       try {
-        doc = serve::json_parse(line);
+        doc = stats::json_parse(line);
       } catch (const std::exception&) {
         // Torn line (a shortread, a daemon crash mid-write): transport
         // failure, not data.
         drop_connection();
         return false;
       }
-      const serve::JsonValue* type = doc.get("type");
+      const stats::JsonValue* type = doc.get("type");
       if (type == nullptr || !type->is_string()) {
         drop_connection();
         return false;
@@ -200,12 +205,12 @@ class EndpointWorker {
       if (type->string == "error") {
         // A refusal is deterministic — every endpoint would refuse the
         // same spec — so retrying elsewhere cannot help.
-        const serve::JsonValue* msg = doc.get("error");
+        const stats::JsonValue* msg = doc.get("error");
         fail_fatal(msg != nullptr && msg->is_string() ? msg->string
                                                       : "server error");
         return false;
       }
-      if (num_u64(doc.get("id")) != id) {
+      if (u64_member(doc, "id") != id) {
         drop_connection();  // stream out of sync with the request
         return false;
       }
@@ -221,19 +226,18 @@ class EndpointWorker {
 
   /// Store one trial line by absolute index; duplicates must match the
   /// stored bytes exactly. Returns false on a fatal determinism breach.
-  bool store_trial(const serve::JsonValue& doc, const std::string& line) {
-    const std::uint64_t index = num_u64(doc.get("index"));
+  bool store_trial(const stats::JsonValue& doc, const std::string& line) {
+    const std::optional<std::uint64_t> index = u64_member(doc, "index");
     std::size_t endpoint_trials = 0;
     bool stored = false;
     {
       std::lock_guard<std::mutex> lock(state_.mu);
-      if (index >= state_.lines.size()) {
-        set_fatal("client: trial index " + std::to_string(index) +
-                  " out of range");
+      if (!index || *index >= state_.lines.size()) {
+        set_fatal("client: trial line without an in-range index");
         return false;
       }
       std::string canonical = normalize_id(line);
-      std::string& slot = state_.lines[static_cast<std::size_t>(index)];
+      std::string& slot = state_.lines[static_cast<std::size_t>(*index)];
       if (slot.empty()) {
         slot = std::move(canonical);
         ++state_.received;
@@ -242,7 +246,7 @@ class EndpointWorker {
       } else {
         ++state_.stats.duplicate_trials;
         if (slot != canonical) {
-          set_fatal("client: trial " + std::to_string(index) +
+          set_fatal("client: trial " + std::to_string(*index) +
                     " differs between endpoints — determinism violation "
                     "(invariant 13)");
           return false;
@@ -398,8 +402,15 @@ SweepResult SweepClient::sweep(
   result.stats = std::move(state.stats);
   result.complete = !state.fatal && state.received == n &&
                     state.chunks_done == state.chunks_total;
-  if (result.complete)
-    result.done_line = fold_done_line(spec, result.trial_lines);
+  if (result.complete) {
+    // The runner's own merge over the decoded trials: the done line is the
+    // bytes a local run would report.
+    runner::RunResult merged;
+    merged.spec = spec;
+    for (const std::string& line : result.trial_lines)
+      runner::fold(merged, serve::decode_trial(line));
+    result.done_line = canonical_done_line(merged);
+  }
   return result;
 }
 

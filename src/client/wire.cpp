@@ -1,62 +1,12 @@
 #include "client/wire.h"
 
 #include <cctype>
-#include <cstdio>
 #include <stdexcept>
 
-#include "defense/defense.h"
 #include "noise/noise.h"
 #include "serve/protocol.h"
-#include "uarch/config.h"
 
 namespace whisper::client {
-
-namespace {
-
-void append_escaped(std::string& out, const std::string& s) {
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
-void append_double(std::string& out, double v) {
-  // %.17g round-trips every finite double through strtod — unlike the
-  // %.9g the response writers use. Requests are inputs, not the identity
-  // surface: the server must reconstruct the client's spec EXACTLY or the
-  // shard would run subtly different physics.
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
-
-const char* bool_str(bool b) { return b ? "true" : "false"; }
-
-std::size_t cpu_index(uarch::CpuModel model) {
-  const auto models = uarch::all_models();
-  for (std::size_t i = 0; i < models.size(); ++i)
-    if (models[i] == model) return i;
-  throw std::invalid_argument(
-      "client: spec.model is not in uarch::all_models()");
-}
-
-}  // namespace
 
 std::string run_request_json(std::uint64_t id, const runner::RunSpec& spec,
                              std::uint64_t trial_first, int trials) {
@@ -69,47 +19,12 @@ std::string run_request_json(std::uint64_t id, const runner::RunSpec& spec,
         "client: noise profile '" + spec.noise.name +
         "' is not a named preset; the wire carries preset name + seed only");
 
-  // Every representable field is spelled explicitly — a request must not
-  // depend on the server's defaults matching the client's.
-  std::string out = "{\"id\":" + std::to_string(id) + ",\"verb\":\"run\"";
-  out += ",\"attack\":";
-  append_escaped(out, spec.attack);
-  out += ",\"cpu\":" + std::to_string(cpu_index(spec.model));
-  out += ",\"trials\":" + std::to_string(trials);
-  out += ",\"trial_first\":" + std::to_string(trial_first);
-  out += ",\"seed\":" + std::to_string(spec.base_seed);
-  out += ",\"noise\":";
-  append_escaped(out, spec.noise.name);
-  out += ",\"noise_seed\":" + std::to_string(spec.noise.seed);
-  out += ",\"defenses\":[";
-  for (std::size_t i = 0; i < spec.defenses.size(); ++i) {
-    if (i) out.push_back(',');
-    append_escaped(out, defense::format(spec.defenses[i]));
-  }
-  out += "]";
-  out += ",\"kpti\":" + std::string(bool_str(spec.kernel.kpti));
-  out += ",\"flare\":" + std::string(bool_str(spec.kernel.flare));
-  out += ",\"fgkaslr\":" + std::string(bool_str(spec.kernel.fgkaslr));
-  out += ",\"docker\":" + std::string(bool_str(spec.docker));
-  out += ",\"rounds\":" + std::to_string(spec.rounds);
-  out += ",\"batches\":" + std::to_string(spec.batches);
-  out += ",\"payload_bytes\":" + std::to_string(spec.payload_bytes);
-  out += ",\"payload_seed\":" + std::to_string(spec.payload_seed);
-  out += ",\"adaptive\":" + std::string(bool_str(spec.adaptive));
-  out += ",\"confidence_threshold\":";
-  append_double(out, spec.confidence_threshold);
-  out += ",\"batch_budget\":" + std::to_string(spec.batch_budget);
-  out += ",\"reuse_machine\":" + std::string(bool_str(spec.reuse_machine));
-  out += ",\"fast_forward\":" + std::string(bool_str(spec.fast_forward));
-  out += ",\"retries\":" + std::to_string(spec.retries);
-  out += ",\"trial_cycle_budget\":" + std::to_string(spec.trial_cycle_budget);
-  out += ",\"trial_wall_budget\":";
-  append_double(out, spec.trial_wall_budget);
-  out += ",\"verify_reset\":" + std::string(bool_str(spec.verify_reset));
-  out += ",\"fault_plan\":";
-  append_escaped(out, spec.fault_plan);
-  out += "}";
-  return out;
+  serve::Request req;
+  req.id = id;
+  req.spec = spec;
+  req.spec.trials = trials;
+  req.trial_first = trial_first;
+  return serve::run_request_line(req);
 }
 
 std::string normalize_id(const std::string& line) {
@@ -138,71 +53,6 @@ std::vector<std::string> canonical_trial_lines(const runner::RunResult& r) {
 
 std::string canonical_done_line(const runner::RunResult& r) {
   return serve::response_done(0, r);
-}
-
-namespace {
-
-std::uint64_t num_u64(const serve::JsonValue* v) {
-  return v != nullptr && v->is_number() ? static_cast<std::uint64_t>(v->number)
-                                        : 0;
-}
-
-bool boolean(const serve::JsonValue* v) {
-  return v != nullptr && v->is_bool() && v->boolean;
-}
-
-std::size_t error_kind_index(const std::string& name) {
-  for (std::size_t k = 0; k < runner::kNumTrialErrorKinds; ++k)
-    if (name == runner::to_string(static_cast<runner::TrialErrorKind>(k)))
-      return k;
-  throw std::runtime_error("client: unknown trial error kind '" + name + "'");
-}
-
-}  // namespace
-
-std::string fold_done_line(const runner::RunSpec& spec,
-                           const std::vector<std::string>& trial_lines) {
-  // Mirror of the fold in Server::execute_run() / runner merge_trials():
-  // the done line must come out byte-identical whether the trials were
-  // executed here, by one daemon, or by four.
-  runner::RunResult merged;
-  merged.spec = spec;
-  merged.trials.resize(trial_lines.size());
-  for (const std::string& line : trial_lines) {
-    serve::JsonValue doc;
-    try {
-      doc = serve::json_parse(line);
-    } catch (const std::exception& e) {
-      throw std::runtime_error(std::string("client: bad trial line: ") +
-                               e.what());
-    }
-    const bool ok = boolean(doc.get("ok"));
-    const std::uint64_t attempts = num_u64(doc.get("attempts"));
-    merged.total_attempts += static_cast<std::size_t>(attempts > 0 ? attempts
-                                                                   : 1);
-    if (boolean(doc.get("quarantined"))) ++merged.quarantined;
-    if (const serve::JsonValue* errors = doc.get("errors");
-        errors != nullptr && errors->is_array()) {
-      for (const serve::JsonValue& e : errors->array) {
-        const serve::JsonValue* kind = e.get("kind");
-        if (kind == nullptr || !kind->is_string())
-          throw std::runtime_error("client: trial error without a kind");
-        ++merged.error_counts[error_kind_index(kind->string)];
-      }
-    }
-    if (ok) {
-      ++merged.completed;
-      if (attempts > 1) ++merged.retried;
-      merged.successes += boolean(doc.get("success")) ? 1 : 0;
-      merged.total_probes += static_cast<std::size_t>(num_u64(doc.get("probes")));
-      merged.total_bytes += static_cast<std::size_t>(num_u64(doc.get("bytes")));
-      merged.total_byte_errors +=
-          static_cast<std::size_t>(num_u64(doc.get("byte_errors")));
-    } else {
-      ++merged.failed;
-    }
-  }
-  return serve::response_done(0, merged);
 }
 
 }  // namespace whisper::client

@@ -7,9 +7,11 @@
 // 0 (request ids are routing, not results): one response_trial(0, i, ...)
 // line per trial in index order, then one response_done(0, merged) line.
 // canonical_trial_lines()/canonical_done_line() build that reference from
-// a local RunResult; normalize_id()/fold_done_line() build the same bytes
-// from the lines a SweepClient gathered off N endpoints. Equality of the
-// two is the invariant.
+// a local RunResult. A SweepClient builds the same bytes from the lines it
+// gathered off N endpoints: normalize_id() on each trial line, and the done
+// line from runner::fold() over serve::decode_trial() of every line — the
+// runner's own merge, not a mirror of it. Equality of the two is the
+// invariant.
 #pragma once
 
 #include <cstdint>
@@ -21,10 +23,12 @@
 namespace whisper::client {
 
 /// Serialize the shard [trial_first, trial_first + trials) of `spec` as a
-/// whisper_serve run-request line. Lossless for everything the wire can
-/// carry; throws std::invalid_argument for specs it cannot represent
-/// (collect_trace, a noise profile that is not a named preset) — those
-/// must fail loudly, not silently run different physics on the server.
+/// whisper_serve run-request line (serve::run_request_line()). Lossless
+/// for everything the wire can carry, 64-bit seeds and doubles included;
+/// throws std::invalid_argument for specs it cannot represent
+/// (collect_trace, a noise profile that is not a named preset, a model
+/// outside uarch::all_models()) — those must fail loudly, not silently run
+/// different physics on the server.
 [[nodiscard]] std::string run_request_json(std::uint64_t id,
                                            const runner::RunSpec& spec,
                                            std::uint64_t trial_first,
@@ -41,12 +45,5 @@ namespace whisper::client {
 [[nodiscard]] std::vector<std::string> canonical_trial_lines(
     const runner::RunResult& r);
 [[nodiscard]] std::string canonical_done_line(const runner::RunResult& r);
-
-/// The distributed side: fold canonical per-trial lines (index order,
-/// all non-empty) into the canonical done line, mirroring the runner's
-/// merge_trials() accounting field for field. Throws std::runtime_error
-/// on a line that does not parse as a trial response.
-[[nodiscard]] std::string fold_done_line(
-    const runner::RunSpec& spec, const std::vector<std::string>& trial_lines);
 
 }  // namespace whisper::client

@@ -368,12 +368,41 @@ ScheduledTrial run_scheduled_trial(const RunSpec& spec, std::size_t i,
   return run;
 }
 
+void fold(RunResult& r, ScheduledTrial t) {
+  const TrialResult& res = t.result;
+  const TrialOutcome& oc = t.outcome;
+  r.total_attempts += static_cast<std::size_t>(std::max(1, oc.attempts));
+  if (oc.quarantined) ++r.quarantined;
+  for (const TrialError& e : oc.errors)
+    ++r.error_counts[static_cast<std::size_t>(e.kind)];
+  if (oc.ok) {
+    ++r.completed;
+    if (oc.attempts > 1) ++r.retried;
+    r.successes += res.success ? 1 : 0;
+    r.total_probes += res.probes;
+    r.total_bytes += res.bytes;
+    r.total_byte_errors += res.byte_errors;
+    r.total_gave_up += res.gave_up;
+    r.cycles.add(static_cast<double>(res.cycles));
+    r.tote.merge(res.tote);
+    for (std::size_t e = 0; e < uarch::kNumPmuEvents; ++e)
+      r.pmu[e] += res.pmu[e];
+    r.topdown.merge(res.topdown);
+    r.events.append(res.events);
+  } else {
+    ++r.failed;
+  }
+  r.trials.push_back(std::move(t.result));
+  r.outcomes.push_back(std::move(t.outcome));
+}
+
 namespace {
 
-/// The merge step: fold per-trial results, strictly in trial index order.
-/// Degraded trials keep their (empty) slot but contribute nothing to the
-/// merged statistics — an all-failed run yields zeroed summaries and an
-/// empty tote histogram, never a throw from empty-histogram accessors.
+/// The merge step: fold per-trial results strictly in trial index order,
+/// then finish the fields a fold cannot keep incrementally. Degraded trials
+/// keep their (empty) slot but contribute nothing to the merged statistics
+/// — an all-failed run yields zeroed summaries and an empty tote
+/// histogram, never a throw from empty-histogram accessors.
 RunResult merge_trials(const RunSpec& spec, int jobs, double wall_seconds,
                        std::vector<ScheduledTrial> runs) {
   RunResult out;
@@ -382,38 +411,14 @@ RunResult merge_trials(const RunSpec& spec, int jobs, double wall_seconds,
   out.wall_seconds = wall_seconds;
   out.trials.reserve(runs.size());
   out.outcomes.reserve(runs.size());
+  for (ScheduledTrial& tr : runs) fold(out, std::move(tr));
+
   std::vector<double> secs;
   std::vector<double> confs;
-  secs.reserve(runs.size());
-  confs.reserve(runs.size());
-  for (ScheduledTrial& tr : runs) {
-    const TrialResult& t = tr.result;
-    const TrialOutcome& oc = tr.outcome;
-    out.total_attempts += static_cast<std::size_t>(std::max(1, oc.attempts));
-    if (oc.quarantined) ++out.quarantined;
-    for (const TrialError& e : oc.errors)
-      ++out.error_counts[static_cast<std::size_t>(e.kind)];
-    if (oc.ok) {
-      ++out.completed;
-      if (oc.attempts > 1) ++out.retried;
-      out.successes += t.success ? 1 : 0;
-      out.total_probes += t.probes;
-      out.total_bytes += t.bytes;
-      out.total_byte_errors += t.byte_errors;
-      out.total_gave_up += t.gave_up;
-      out.cycles.add(static_cast<double>(t.cycles));
-      out.tote.merge(t.tote);
-      for (std::size_t e = 0; e < uarch::kNumPmuEvents; ++e)
-        out.pmu[e] += t.pmu[e];
-      out.topdown.merge(t.topdown);
-      out.events.append(t.events);
-      secs.push_back(t.seconds);
-      confs.push_back(t.confidence);
-    } else {
-      ++out.failed;
-    }
-    out.trials.push_back(std::move(tr.result));
-    out.outcomes.push_back(std::move(tr.outcome));
+  for (std::size_t i = 0; i < out.trials.size(); ++i) {
+    if (!out.outcomes[i].ok) continue;
+    secs.push_back(out.trials[i].seconds);
+    confs.push_back(out.trials[i].confidence);
   }
   out.attempted = out.trials.size();
   out.seconds = stats::summarize(std::span<const double>(secs));

@@ -7,8 +7,8 @@
 // fast path), or a fresh construction with reuse_machine = false — so the
 // trial stream is a pure function of the spec and the results are
 // bit-identical whatever --jobs is, and whichever trial path runs. The
-// merge step folds the per-trial stats::Histogram / per-trial timings into
-// one RunResult, always in trial index order.
+// merge step folds each trial into one RunResult through fold(), always in
+// trial index order.
 //
 //   runner::RunSpec spec{.model = uarch::CpuModel::CometLakeI9_10980XE,
 //                        .attack = "kaslr",
@@ -234,7 +234,7 @@ struct RunResult {
   /// Fault-layer account, index-aligned with `trials`.
   std::vector<TrialOutcome> outcomes;
 
-  // Merge step (always folded in trial index order):
+  // Merge step (fold(), always in trial index order):
   std::size_t successes = 0;
   std::size_t total_probes = 0;
   std::size_t total_bytes = 0;
@@ -314,6 +314,16 @@ struct ScheduledTrial {
     outcome.capture_unhandled(what);
   }
 };
+
+/// The merge step for one trial, and the only place a trial's accounting
+/// lands: the failure counters from its outcome, its counts, ToTE
+/// histogram, PMU deltas, top-down buckets and events when it completed,
+/// then its result and outcome in the next slot. Fold trials in index
+/// order. run()/run_many() finish with `attempted` and the seconds and
+/// confidence summaries; the serve daemon folds each trial it streams, and
+/// the sweep client folds serve::decode_trial() of each received line, so
+/// a done line is the same bytes wherever its trials ran.
+void fold(RunResult& r, ScheduledTrial t);
 
 /// One trial of `spec` exactly as run()/run_many() schedule it: machine
 /// seed and payload stream both derived from the trial `index`, fault

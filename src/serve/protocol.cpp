@@ -1,317 +1,78 @@
 #include "serve/protocol.h"
 
-#include <cctype>
-#include <cmath>
-#include <cstdlib>
+#include <algorithm>
+#include <concepts>
+#include <iterator>
+#include <limits>
+#include <optional>
+#include <type_traits>
 
 #include "core/attacks/registry.h"
 #include "defense/defense.h"
 #include "noise/noise.h"
+#include "os/kernel_layout.h"
 #include "stats/json.h"
 #include "uarch/config.h"
 
 namespace whisper::serve {
 
-const JsonValue* JsonValue::get(std::string_view key) const {
-  if (type != Type::Object) return nullptr;
-  // Last occurrence wins, matching how the members were accumulated.
-  const JsonValue* found = nullptr;
-  for (const auto& [k, v] : object)
-    if (k == key) found = &v;
-  return found;
-}
+using stats::JsonValue;
+using stats::JsonWriter;
 
-// --- Parser ----------------------------------------------------------------
+// --- Field readers ---------------------------------------------------------
 
 namespace {
 
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  JsonValue document() {
-    JsonValue v = value();
-    skip_ws();
-    if (pos_ != text_.size())
-      fail("trailing garbage after JSON document");
-    return v;
+JsonValue parse_json(const std::string& line) {
+  try {
+    return stats::json_parse(line);
+  } catch (const stats::JsonError& e) {
+    throw ProtocolError(e.what());
   }
-
- private:
-  [[noreturn]] void fail(const std::string& why) const {
-    throw ProtocolError("bad JSON at byte " + std::to_string(pos_) + ": " +
-                        why);
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r'))
-      ++pos_;
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c)
-      fail(std::string("expected '") + c + "', got '" + text_[pos_] + "'");
-    ++pos_;
-  }
-
-  bool consume_word(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) return false;
-    pos_ += word.size();
-    return true;
-  }
-
-  JsonValue value() {
-    skip_ws();
-    switch (peek()) {
-      case '{':
-        return object();
-      case '[':
-        return array();
-      case '"': {
-        JsonValue v;
-        v.type = JsonValue::Type::String;
-        v.string = string();
-        return v;
-      }
-      case 't':
-      case 'f': {
-        JsonValue v;
-        v.type = JsonValue::Type::Bool;
-        if (consume_word("true"))
-          v.boolean = true;
-        else if (consume_word("false"))
-          v.boolean = false;
-        else
-          fail("unrecognised literal");
-        return v;
-      }
-      case 'n': {
-        if (!consume_word("null")) fail("unrecognised literal");
-        return JsonValue{};
-      }
-      default:
-        return number();
-    }
-  }
-
-  JsonValue object() {
-    expect('{');
-    JsonValue v;
-    v.type = JsonValue::Type::Object;
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      skip_ws();
-      std::string key = string();
-      skip_ws();
-      expect(':');
-      v.object.emplace_back(std::move(key), value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return v;
-    }
-  }
-
-  JsonValue array() {
-    expect('[');
-    JsonValue v;
-    v.type = JsonValue::Type::Array;
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      v.array.push_back(value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
-  }
-
-  void append_utf8(std::string& out, unsigned cp) {
-    if (cp < 0x80) {
-      out.push_back(static_cast<char>(cp));
-    } else if (cp < 0x800) {
-      out.push_back(static_cast<char>(0xC0 | (cp >> 6)));
-      out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-    } else if (cp < 0x10000) {
-      out.push_back(static_cast<char>(0xE0 | (cp >> 12)));
-      out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-    } else {
-      out.push_back(static_cast<char>(0xF0 | (cp >> 18)));
-      out.push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-    }
-  }
-
-  unsigned hex4() {
-    unsigned v = 0;
-    for (int i = 0; i < 4; ++i) {
-      const char c = peek();
-      ++pos_;
-      v <<= 4;
-      if (c >= '0' && c <= '9')
-        v |= static_cast<unsigned>(c - '0');
-      else if (c >= 'a' && c <= 'f')
-        v |= static_cast<unsigned>(c - 'a' + 10);
-      else if (c >= 'A' && c <= 'F')
-        v |= static_cast<unsigned>(c - 'A' + 10);
-      else
-        fail("bad \\u escape");
-    }
-    return v;
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20)
-        fail("raw control character in string");
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      const char e = text_[pos_++];
-      switch (e) {
-        case '"':  out.push_back('"');  break;
-        case '\\': out.push_back('\\'); break;
-        case '/':  out.push_back('/');  break;
-        case 'b':  out.push_back('\b'); break;
-        case 'f':  out.push_back('\f'); break;
-        case 'n':  out.push_back('\n'); break;
-        case 'r':  out.push_back('\r'); break;
-        case 't':  out.push_back('\t'); break;
-        case 'u': {
-          unsigned cp = hex4();
-          if (cp >= 0xD800 && cp <= 0xDBFF) {
-            // High surrogate: a low surrogate must follow.
-            if (!consume_word("\\u")) fail("lone high surrogate");
-            const unsigned lo = hex4();
-            if (lo < 0xDC00 || lo > 0xDFFF) fail("bad low surrogate");
-            cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-          } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
-            fail("lone low surrogate");
-          }
-          append_utf8(out, cp);
-          break;
-        }
-        default:
-          fail("bad escape character");
-      }
-    }
-  }
-
-  JsonValue number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    // int part: 0, or [1-9][0-9]*
-    if (peek() == '0') {
-      ++pos_;
-    } else if (std::isdigit(static_cast<unsigned char>(peek()))) {
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_])))
-        ++pos_;
-    } else {
-      fail("bad number");
-    }
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      ++pos_;
-      if (pos_ >= text_.size() ||
-          !std::isdigit(static_cast<unsigned char>(text_[pos_])))
-        fail("bad number: digits must follow '.'");
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_])))
-        ++pos_;
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-'))
-        ++pos_;
-      if (pos_ >= text_.size() ||
-          !std::isdigit(static_cast<unsigned char>(text_[pos_])))
-        fail("bad number: empty exponent");
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_])))
-        ++pos_;
-    }
-    JsonValue v;
-    v.type = JsonValue::Type::Number;
-    v.number = std::strtod(std::string(text_.substr(start, pos_ - start)).c_str(),
-                           nullptr);
-    return v;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
-JsonValue json_parse(std::string_view text) { return Parser(text).document(); }
-
-// --- Request schema --------------------------------------------------------
-
-namespace {
-
-double want_number(const JsonValue& v, const char* field) {
-  if (!v.is_number())
-    throw ProtocolError(std::string("field '") + field + "' must be a number");
-  return v.number;
 }
 
-std::uint64_t want_u64(const JsonValue& v, const char* field) {
-  const double d = want_number(v, field);
-  if (d < 0 || d != std::floor(d))
-    throw ProtocolError(std::string("field '") + field +
-                        "' must be a non-negative integer");
-  return static_cast<std::uint64_t>(d);
+[[noreturn]] void bad_field(const char* field, const std::string& want) {
+  throw ProtocolError(std::string("field '") + field + "' must be " + want);
 }
 
-int want_int(const JsonValue& v, const char* field) {
-  const double d = want_number(v, field);
-  if (d != std::floor(d))
-    throw ProtocolError(std::string("field '") + field +
-                        "' must be an integer");
-  return static_cast<int>(d);
+/// The one checked integer read of the wire: exact, in [lo, hi], never a
+/// cast of a double (so "trials":1e10 or "seed":1e30 is refused).
+template <std::integral T>
+T want_int(const JsonValue& v, const char* field, T lo = 0,
+           T hi = std::numeric_limits<T>::max()) {
+  if (const std::optional<T> n = v.as_int<T>(lo, hi)) return *n;
+  bad_field(field, "an integer in " + std::to_string(lo) + ".." +
+                       std::to_string(hi));
 }
 
-bool want_bool(const JsonValue& v, const char* field) {
-  if (!v.is_bool())
-    throw ProtocolError(std::string("field '") + field +
-                        "' must be a boolean");
-  return v.boolean;
+/// Typed read of one field; integers go through want_int() with lo = 0.
+template <typename T>
+T want(const JsonValue& v, const char* field) {
+  if constexpr (std::is_same_v<T, bool>) {
+    if (!v.is_bool()) bad_field(field, "a boolean");
+    return v.boolean;
+  } else if constexpr (std::is_integral_v<T>) {
+    return want_int<T>(v, field);
+  } else if constexpr (std::is_same_v<T, double>) {
+    if (!v.is_number()) bad_field(field, "a number");
+    return v.number;
+  } else {
+    if (!v.is_string()) bad_field(field, "a string");
+    return v.string;
+  }
 }
 
-std::string want_string(const JsonValue& v, const char* field) {
-  if (!v.is_string())
-    throw ProtocolError(std::string("field '") + field + "' must be a string");
-  return v.string;
+const JsonValue& required(const JsonValue& obj, const char* field) {
+  const JsonValue* v = obj.get(field);
+  if (v == nullptr)
+    throw ProtocolError(std::string("missing field '") + field + "'");
+  return *v;
+}
+
+/// want<T>() of a required member of `obj`.
+template <typename T>
+T member(const JsonValue& obj, const char* field) {
+  return want<T>(required(obj, field), field);
 }
 
 std::string join_verbs() {
@@ -323,123 +84,168 @@ std::string join_verbs() {
   return out;
 }
 
-/// Apply one run-request member onto the spec. Returns false for a member
-/// the schema does not know — the caller turns that into an error rather
-/// than silently running a default (a typoed "trails" must not run 1 trial).
-bool apply_run_field(runner::RunSpec& spec, const std::string& key,
-                     const JsonValue& v) {
-  if (key == "attack") {
-    spec.attack = want_string(v, "attack");
-  } else if (key == "cpu") {
-    // Same convention as whisper_cli --cpu: an index into all_models().
-    const auto models = uarch::all_models();
-    const std::uint64_t n = want_u64(v, "cpu");
-    if (n >= models.size())
-      throw ProtocolError("field 'cpu' out of range (0.." +
-                          std::to_string(models.size() - 1) + ")");
-    spec.model = models[static_cast<std::size_t>(n)];
-  } else if (key == "trials") {
-    spec.trials = want_int(v, "trials");
-  } else if (key == "seed") {
-    spec.base_seed = want_u64(v, "seed");
-  } else if (key == "noise") {
-    const std::string name = want_string(v, "noise");
-    const auto profile = noise::NoiseProfile::by_name(name);
-    if (!profile) {
-      std::string known;
-      for (const auto& p : noise::NoiseProfile::preset_names()) {
-        if (!known.empty()) known += ", ";
-        known += p;
-      }
-      throw ProtocolError("unknown noise preset '" + name +
-                          "' (presets: " + known + ")");
-    }
-    const std::uint64_t keep_seed = spec.noise.seed;
-    spec.noise = *profile;
-    if (keep_seed != 0) spec.noise.seed = keep_seed;
-  } else if (key == "noise_seed") {
-    spec.noise.seed = want_u64(v, "noise_seed");
-  } else if (key == "defenses") {
-    // The defense stack: an array of defense::parse() strings
-    // ("kpti", "window:depth=8"). Grammar errors become protocol errors
-    // here; unknown names surface through runner::validate() on the server,
-    // keeping the registry's message contract.
-    if (!v.is_array())
-      throw ProtocolError("field 'defenses' must be an array of strings");
-    spec.defenses.clear();
-    for (const JsonValue& d : v.array) {
-      try {
-        spec.defenses.push_back(defense::parse(want_string(d, "defenses")));
-      } catch (const std::invalid_argument& e) {
-        throw ProtocolError(e.what());
-      }
-    }
-  } else if (key == "kpti") {
-    // Back-compat aliases for the pre-defense-API wire: the bools land on
-    // the kernel options, which runner::normalized_defenses() folds in
-    // ahead of the "defenses" array.
-    spec.kernel.kpti = want_bool(v, "kpti");
-  } else if (key == "flare") {
-    spec.kernel.flare = want_bool(v, "flare");
-  } else if (key == "fgkaslr") {
-    spec.kernel.fgkaslr = want_bool(v, "fgkaslr");
-  } else if (key == "docker") {
-    spec.docker = want_bool(v, "docker");
-  } else if (key == "rounds") {
-    spec.rounds = want_int(v, "rounds");
-  } else if (key == "batches") {
-    spec.batches = want_int(v, "batches");
-  } else if (key == "payload_bytes") {
-    spec.payload_bytes = static_cast<std::size_t>(want_u64(v, "payload_bytes"));
-  } else if (key == "payload_seed") {
-    spec.payload_seed = want_u64(v, "payload_seed");
-  } else if (key == "adaptive") {
-    spec.adaptive = want_bool(v, "adaptive");
-  } else if (key == "confidence_threshold") {
-    spec.confidence_threshold = want_number(v, "confidence_threshold");
-  } else if (key == "batch_budget") {
-    spec.batch_budget = want_int(v, "batch_budget");
-  } else if (key == "reuse_machine") {
-    spec.reuse_machine = want_bool(v, "reuse_machine");
-  } else if (key == "fast_forward") {
-    spec.fast_forward = want_bool(v, "fast_forward");
-  } else if (key == "retries") {
-    spec.retries = want_int(v, "retries");
-  } else if (key == "trial_cycle_budget") {
-    spec.trial_cycle_budget = want_u64(v, "trial_cycle_budget");
-  } else if (key == "trial_wall_budget") {
-    spec.trial_wall_budget = want_number(v, "trial_wall_budget");
-  } else if (key == "verify_reset") {
-    spec.verify_reset = want_bool(v, "verify_reset");
-  } else if (key == "fault_plan") {
-    spec.fault_plan = want_string(v, "fault_plan");
-  } else {
-    return false;
-  }
-  return true;
+// --- The run-request field table -------------------------------------------
+// One row per run-request member, in wire order: its name, how
+// run_request_line() spells it, and how parse_request() applies it. A
+// member with no row is an error on decode — a typoed "trails" must not
+// silently run 1 trial.
+
+struct RunField {
+  const char* name;
+  void (*encode)(JsonWriter& w, const Request& req);
+  void (*decode)(Request& req, const JsonValue& v, const char* name);
+};
+
+template <typename T>
+void put(JsonWriter& w, const T& v) {
+  if constexpr (std::is_same_v<T, double>)
+    w.exact(v);  // requests are inputs: reconstruct them bit for bit
+  else
+    w.value(v);
 }
 
+/// A row for a RunSpec member carried as-is.
+template <auto M>
+constexpr RunField spec_field(const char* name) {
+  return {name, [](JsonWriter& w, const Request& r) { put(w, r.spec.*M); },
+          [](Request& r, const JsonValue& v, const char* n) {
+            r.spec.*M = want<std::remove_cvref_t<decltype(r.spec.*M)>>(v, n);
+          }};
+}
+
+/// A row for a legacy os::KernelOptions bool. These aliases land on the
+/// kernel options, which runner::normalized_defenses() folds in ahead of
+/// the "defenses" array.
+template <bool os::KernelOptions::*M>
+constexpr RunField kernel_field(const char* name) {
+  return {name,
+          [](JsonWriter& w, const Request& r) { w.value(r.spec.kernel.*M); },
+          [](Request& r, const JsonValue& v, const char* n) {
+            r.spec.kernel.*M = want<bool>(v, n);
+          }};
+}
+
+using runner::RunSpec;
+
+const RunField kRunFields[] = {
+    spec_field<&RunSpec::attack>("attack"),
+    // Same convention as whisper_cli --cpu: an index into all_models().
+    {"cpu",
+     [](JsonWriter& w, const Request& r) {
+       const auto models = uarch::all_models();
+       const auto it = std::find(models.begin(), models.end(), r.spec.model);
+       if (it == models.end())
+         throw std::invalid_argument(
+             "run request: spec.model is not in uarch::all_models()");
+       w.value(static_cast<std::uint64_t>(it - models.begin()));
+     },
+     [](Request& r, const JsonValue& v, const char* n) {
+       const auto models = uarch::all_models();
+       const std::optional<std::size_t> i = v.as_int<std::size_t>();
+       if (!i || *i >= models.size())
+         throw ProtocolError(std::string("field '") + n +
+                             "' out of range (0.." +
+                             std::to_string(models.size() - 1) + ")");
+       r.spec.model = models[*i];
+     }},
+    spec_field<&RunSpec::trials>("trials"),
+    // Shard window start (see Request::trial_first): a request member, not
+    // a RunSpec knob.
+    {"trial_first",
+     [](JsonWriter& w, const Request& r) { w.value(r.trial_first); },
+     [](Request& r, const JsonValue& v, const char* n) {
+       r.trial_first = want<std::uint64_t>(v, n);
+     }},
+    spec_field<&RunSpec::base_seed>("seed"),
+    // A named preset; its seed travels separately as "noise_seed".
+    {"noise",
+     [](JsonWriter& w, const Request& r) { w.value(r.spec.noise.name); },
+     [](Request& r, const JsonValue& v, const char* n) {
+       const std::string name = want<std::string>(v, n);
+       const auto profile = noise::NoiseProfile::by_name(name);
+       if (!profile) {
+         std::string known;
+         for (const auto& p : noise::NoiseProfile::preset_names()) {
+           if (!known.empty()) known += ", ";
+           known += p;
+         }
+         throw ProtocolError("unknown noise preset '" + name +
+                             "' (presets: " + known + ")");
+       }
+       const std::uint64_t keep_seed = r.spec.noise.seed;
+       r.spec.noise = *profile;
+       if (keep_seed != 0) r.spec.noise.seed = keep_seed;
+     }},
+    {"noise_seed",
+     [](JsonWriter& w, const Request& r) { w.value(r.spec.noise.seed); },
+     [](Request& r, const JsonValue& v, const char* n) {
+       r.spec.noise.seed = want<std::uint64_t>(v, n);
+     }},
+    // The defense stack: an array of defense::parse() strings ("kpti",
+    // "window:depth=8"). Grammar errors become protocol errors here;
+    // unknown names surface through runner::validate() on the server,
+    // keeping the registry's message contract.
+    {"defenses",
+     [](JsonWriter& w, const Request& r) {
+       w.begin_array();
+       for (const defense::DefenseSpec& d : r.spec.defenses)
+         w.value(defense::format(d));
+       w.end_array();
+     },
+     [](Request& r, const JsonValue& v, const char* n) {
+       if (!v.is_array()) bad_field(n, "an array of strings");
+       r.spec.defenses.clear();
+       for (const JsonValue& d : v.array) {
+         try {
+           r.spec.defenses.push_back(defense::parse(want<std::string>(d, n)));
+         } catch (const std::invalid_argument& e) {
+           throw ProtocolError(e.what());
+         }
+       }
+     }},
+    kernel_field<&os::KernelOptions::kpti>("kpti"),
+    kernel_field<&os::KernelOptions::flare>("flare"),
+    kernel_field<&os::KernelOptions::fgkaslr>("fgkaslr"),
+    spec_field<&RunSpec::docker>("docker"),
+    spec_field<&RunSpec::rounds>("rounds"),
+    spec_field<&RunSpec::batches>("batches"),
+    spec_field<&RunSpec::payload_bytes>("payload_bytes"),
+    spec_field<&RunSpec::payload_seed>("payload_seed"),
+    spec_field<&RunSpec::adaptive>("adaptive"),
+    spec_field<&RunSpec::confidence_threshold>("confidence_threshold"),
+    spec_field<&RunSpec::batch_budget>("batch_budget"),
+    spec_field<&RunSpec::reuse_machine>("reuse_machine"),
+    spec_field<&RunSpec::fast_forward>("fast_forward"),
+    spec_field<&RunSpec::retries>("retries"),
+    spec_field<&RunSpec::trial_cycle_budget>("trial_cycle_budget"),
+    spec_field<&RunSpec::trial_wall_budget>("trial_wall_budget"),
+    spec_field<&RunSpec::verify_reset>("verify_reset"),
+    spec_field<&RunSpec::fault_plan>("fault_plan"),
+};
+
 }  // namespace
+
+// --- Requests --------------------------------------------------------------
 
 Request parse_request(const std::string& line) {
   if (line.size() > kMaxRequestBytes)
     throw ProtocolError("request line exceeds " +
                         std::to_string(kMaxRequestBytes) + " bytes (got " +
                         std::to_string(line.size()) + ")");
-  const JsonValue doc = json_parse(line);
+  const JsonValue doc = parse_json(line);
   if (!doc.is_object()) throw ProtocolError("request must be a JSON object");
 
   Request req;
   const JsonValue* id = doc.get("id");
   if (!id) throw ProtocolError("request missing numeric 'id'");
-  req.id = want_u64(*id, "id");
+  req.id = want<std::uint64_t>(*id, "id");
   if (req.id == 0)
     throw ProtocolError("field 'id' must be positive (0 is reserved for "
                         "unparseable requests)");
 
   const JsonValue* verb = doc.get("verb");
   if (!verb) throw ProtocolError("request missing 'verb'");
-  req.verb = want_string(*verb, "verb");
+  req.verb = want<std::string>(*verb, "verb");
   bool known = false;
   for (const char* v : kVerbs)
     if (req.verb == v) known = true;
@@ -447,28 +253,36 @@ Request parse_request(const std::string& line) {
     throw ProtocolError("unknown verb '" + req.verb +
                         "' (verbs: " + join_verbs() + ")");
 
-  if (req.verb == "run") {
-    for (const auto& [key, v] : doc.object) {
-      if (key == "id" || key == "verb") continue;
-      if (key == "trial_first") {
-        // Shard window start (see Request::trial_first) — a request
-        // member, not a RunSpec knob, so it is handled here rather than
-        // in apply_run_field().
-        req.trial_first = want_u64(v, "trial_first");
-        continue;
-      }
-      if (!apply_run_field(req.spec, key, v))
-        throw ProtocolError("unknown field '" + key + "' in run request");
-    }
-  } else {
-    for (const auto& [key, v] : doc.object) {
-      (void)v;
-      if (key != "id" && key != "verb")
-        throw ProtocolError("field '" + key + "' not allowed with verb '" +
-                            req.verb + "'");
-    }
+  for (const auto& [key, v] : doc.object) {
+    if (key == "id" || key == "verb") continue;
+    if (req.verb != "run")
+      throw ProtocolError("field '" + key + "' not allowed with verb '" +
+                          req.verb + "'");
+    const auto row = std::find_if(
+        std::begin(kRunFields), std::end(kRunFields),
+        [&key](const RunField& f) { return key == f.name; });
+    if (row == std::end(kRunFields))
+      throw ProtocolError("unknown field '" + key + "' in run request");
+    row->decode(req, v, row->name);
   }
+  // The window [trial_first, trial_first + trials) must not wrap.
+  if (req.trial_first > std::numeric_limits<std::uint64_t>::max() -
+                            static_cast<std::uint64_t>(req.spec.trials))
+    throw ProtocolError("field 'trial_first' + trials exceeds 2^64 - 1");
   return req;
+}
+
+std::string run_request_line(const Request& req) {
+  JsonWriter w;
+  w.begin_object();
+  w.field("id", req.id);
+  w.field("verb", "run");
+  for (const RunField& f : kRunFields) {
+    w.key(f.name);
+    f.encode(w, req);
+  }
+  w.end_object();
+  return w.str();
 }
 
 // --- Response writers ------------------------------------------------------
@@ -477,10 +291,8 @@ namespace {
 
 void head(stats::JsonWriter& w, std::uint64_t id, const char* type) {
   w.begin_object();
-  w.key("id");
-  w.value(id);
-  w.key("type");
-  w.value(type);
+  w.field("id", id);
+  w.field("type", type);
 }
 
 }  // namespace
@@ -489,88 +301,98 @@ std::string response_trial(std::uint64_t id, std::size_t index,
                            const runner::ScheduledTrial& t) {
   stats::JsonWriter w;
   head(w, id, "trial");
-  w.key("index");
-  w.value(static_cast<std::uint64_t>(index));
+  w.field("index", static_cast<std::uint64_t>(index));
   // Fault-layer account first, then the result slot — the same key order
   // as runner trajectory files ("trials_detail"), minus anything
   // non-deterministic across worker counts (there is nothing: invariant 8
   // keeps pool identity out of results, and no wall-clock is emitted).
-  w.key("ok");
-  w.value(t.outcome.ok);
-  w.key("attempts");
-  w.value(t.outcome.attempts);
-  w.key("quarantined");
-  w.value(t.outcome.quarantined);
+  w.field("ok", t.outcome.ok);
+  w.field("attempts", t.outcome.attempts);
+  w.field("quarantined", t.outcome.quarantined);
   w.key("errors");
   w.begin_array();
   for (const runner::TrialError& e : t.outcome.errors) {
     w.begin_object();
-    w.key("kind");
-    w.value(std::string(runner::to_string(e.kind)));
-    w.key("attempt");
-    w.value(e.attempt);
-    w.key("what");
-    w.value(e.what);
+    w.field("kind", std::string(runner::to_string(e.kind)));
+    w.field("attempt", e.attempt);
+    w.field("what", e.what);
     w.end_object();
   }
   w.end_array();
-  w.key("seed");
-  w.value(t.result.seed);
-  w.key("success");
-  w.value(t.result.success);
-  w.key("cycles");
-  w.value(t.result.cycles);
-  w.key("seconds");
-  w.value(t.result.seconds);
-  w.key("probes");
-  w.value(static_cast<std::uint64_t>(t.result.probes));
-  w.key("bytes");
-  w.value(static_cast<std::uint64_t>(t.result.bytes));
-  w.key("byte_errors");
-  w.value(static_cast<std::uint64_t>(t.result.byte_errors));
-  w.key("found_slot");
-  w.value(t.result.found_slot);
-  w.key("confidence");
-  w.value(t.result.confidence);
-  w.key("gave_up");
-  w.value(static_cast<std::uint64_t>(t.result.gave_up));
-  w.key("tote_total");
-  w.value(t.result.tote.total());
+  w.field("seed", t.result.seed);
+  w.field("success", t.result.success);
+  w.field("cycles", t.result.cycles);
+  w.field("seconds", t.result.seconds);
+  w.field("probes", static_cast<std::uint64_t>(t.result.probes));
+  w.field("bytes", static_cast<std::uint64_t>(t.result.bytes));
+  w.field("byte_errors", static_cast<std::uint64_t>(t.result.byte_errors));
+  w.field("found_slot", t.result.found_slot);
+  w.field("confidence", t.result.confidence);
+  w.field("gave_up", static_cast<std::uint64_t>(t.result.gave_up));
+  w.field("tote_total", t.result.tote.total());
   w.end_object();
   return w.str();
+}
+
+runner::ScheduledTrial decode_trial(const std::string& line) {
+  const JsonValue doc = parse_json(line);
+  if (member<std::string>(doc, "type") != "trial")
+    throw ProtocolError("not a trial response");
+  runner::ScheduledTrial t;
+  t.outcome.ok = member<bool>(doc, "ok");
+  t.outcome.attempts = member<int>(doc, "attempts");
+  t.outcome.quarantined = member<bool>(doc, "quarantined");
+  const JsonValue& errors = required(doc, "errors");
+  if (!errors.is_array()) bad_field("errors", "an array of objects");
+  for (const JsonValue& e : errors.array) {
+    runner::TrialError err;
+    const std::string kind = member<std::string>(e, "kind");
+    std::size_t k = 0;
+    while (k < runner::kNumTrialErrorKinds &&
+           kind != runner::to_string(static_cast<runner::TrialErrorKind>(k)))
+      ++k;
+    if (k == runner::kNumTrialErrorKinds)
+      throw ProtocolError("unknown trial error kind '" + kind + "'");
+    err.kind = static_cast<runner::TrialErrorKind>(k);
+    err.attempt = member<int>(e, "attempt");
+    err.what = member<std::string>(e, "what");
+    t.outcome.errors.push_back(std::move(err));
+  }
+  runner::TrialResult& r = t.result;
+  r.seed = member<std::uint64_t>(doc, "seed");
+  r.success = member<bool>(doc, "success");
+  r.cycles = member<std::uint64_t>(doc, "cycles");
+  r.seconds = member<double>(doc, "seconds");
+  r.probes = member<std::size_t>(doc, "probes");
+  r.bytes = member<std::size_t>(doc, "bytes");
+  r.byte_errors = member<std::size_t>(doc, "byte_errors");
+  r.found_slot = want_int<int>(required(doc, "found_slot"), "found_slot",
+                               std::numeric_limits<int>::min());
+  r.confidence = member<double>(doc, "confidence");
+  r.gave_up = member<std::size_t>(doc, "gave_up");
+  return t;
 }
 
 std::string response_done(std::uint64_t id, const runner::RunResult& merged) {
   stats::JsonWriter w;
   head(w, id, "done");
-  w.key("attack");
-  w.value(merged.spec.attack);
-  w.key("trials");
-  w.value(static_cast<std::uint64_t>(merged.trials.size()));
-  w.key("successes");
-  w.value(static_cast<std::uint64_t>(merged.successes));
-  w.key("completed");
-  w.value(static_cast<std::uint64_t>(merged.completed));
-  w.key("failed");
-  w.value(static_cast<std::uint64_t>(merged.failed));
-  w.key("retried");
-  w.value(static_cast<std::uint64_t>(merged.retried));
-  w.key("quarantined");
-  w.value(static_cast<std::uint64_t>(merged.quarantined));
-  w.key("total_attempts");
-  w.value(static_cast<std::uint64_t>(merged.total_attempts));
-  w.key("total_probes");
-  w.value(static_cast<std::uint64_t>(merged.total_probes));
-  w.key("total_bytes");
-  w.value(static_cast<std::uint64_t>(merged.total_bytes));
-  w.key("total_byte_errors");
-  w.value(static_cast<std::uint64_t>(merged.total_byte_errors));
+  w.field("attack", merged.spec.attack);
+  w.field("trials", static_cast<std::uint64_t>(merged.trials.size()));
+  w.field("successes", static_cast<std::uint64_t>(merged.successes));
+  w.field("completed", static_cast<std::uint64_t>(merged.completed));
+  w.field("failed", static_cast<std::uint64_t>(merged.failed));
+  w.field("retried", static_cast<std::uint64_t>(merged.retried));
+  w.field("quarantined", static_cast<std::uint64_t>(merged.quarantined));
+  w.field("total_attempts", static_cast<std::uint64_t>(merged.total_attempts));
+  w.field("total_probes", static_cast<std::uint64_t>(merged.total_probes));
+  w.field("total_bytes", static_cast<std::uint64_t>(merged.total_bytes));
+  w.field("total_byte_errors",
+          static_cast<std::uint64_t>(merged.total_byte_errors));
   w.key("errors");
   w.begin_object();
-  for (std::size_t k = 0; k < runner::kNumTrialErrorKinds; ++k) {
-    w.key(runner::to_string(static_cast<runner::TrialErrorKind>(k)));
-    w.value(static_cast<std::uint64_t>(merged.error_counts[k]));
-  }
+  for (std::size_t k = 0; k < runner::kNumTrialErrorKinds; ++k)
+    w.field(runner::to_string(static_cast<runner::TrialErrorKind>(k)),
+            static_cast<std::uint64_t>(merged.error_counts[k]));
   w.end_object();
   w.end_object();
   return w.str();
@@ -579,8 +401,7 @@ std::string response_done(std::uint64_t id, const runner::RunResult& merged) {
 std::string response_error(std::uint64_t id, const std::string& message) {
   stats::JsonWriter w;
   head(w, id, "error");
-  w.key("error");
-  w.value(message);
+  w.field("error", message);
   w.end_object();
   return w.str();
 }
@@ -607,20 +428,15 @@ std::string response_attacks(std::uint64_t id) {
   w.begin_array();
   for (const defense::DefenseInfo& d : defense::registry()) {
     w.begin_object();
-    w.key("name");
-    w.value(d.name);
-    w.key("description");
-    w.value(d.description);
+    w.field("name", d.name);
+    w.field("description", d.description);
     w.key("params");
     w.begin_array();
     for (const defense::DefenseParamInfo& p : d.params) {
       w.begin_object();
-      w.key("name");
-      w.value(p.name);
-      w.key("default");
-      w.value(p.default_value);
-      w.key("description");
-      w.value(p.description);
+      w.field("name", p.name);
+      w.field("default", p.default_value);
+      w.field("description", p.description);
       w.end_object();
     }
     w.end_array();

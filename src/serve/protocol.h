@@ -23,50 +23,24 @@
 // line yields byte-identical responses whatever the daemon's --jobs or
 // client interleaving. Wall-clock lives in the metrics verb and
 // BENCH_serve.json only.
+//
+// Lines are read with stats::json_parse() (nesting-capped, exact 64-bit
+// integers) and written with stats::JsonWriter. A run request's fields are
+// spelled in one table in protocol.cpp that drives both directions:
+// run_request_line() encodes, parse_request() decodes, and every spec the
+// wire can carry round-trips byte for byte. decode_trial() is likewise the
+// inverse of response_trial(), so a client folds received trials with the
+// runner's own runner::fold().
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <string_view>
-#include <vector>
 
 #include "runner/runner.h"
 
 namespace whisper::serve {
-
-// --- Mini JSON parser ------------------------------------------------------
-// The repo deliberately has no third-party JSON dependency; stats/json.h
-// covers writing, this covers the one place we must *read* JSON. Strict
-// RFC 8259 subset: objects, arrays, strings (with escapes), numbers,
-// booleans, null. Duplicate keys keep the last value, like every practical
-// parser.
-
-struct JsonValue {
-  enum class Type : std::uint8_t { Null, Bool, Number, String, Object, Array };
-
-  Type type = Type::Null;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<std::pair<std::string, JsonValue>> object;
-  std::vector<JsonValue> array;
-
-  [[nodiscard]] bool is_null() const { return type == Type::Null; }
-  [[nodiscard]] bool is_bool() const { return type == Type::Bool; }
-  [[nodiscard]] bool is_number() const { return type == Type::Number; }
-  [[nodiscard]] bool is_string() const { return type == Type::String; }
-  [[nodiscard]] bool is_object() const { return type == Type::Object; }
-  [[nodiscard]] bool is_array() const { return type == Type::Array; }
-
-  /// Object member lookup; nullptr when absent (or not an object).
-  [[nodiscard]] const JsonValue* get(std::string_view key) const;
-};
-
-/// Parse one complete JSON document; trailing non-whitespace is an error.
-/// Throws ProtocolError with a pointed message on malformed input.
-[[nodiscard]] JsonValue json_parse(std::string_view text);
 
 /// A request the server refuses: malformed JSON, schema violations,
 /// oversized lines. The message goes straight into the error response.
@@ -107,11 +81,20 @@ struct Request {
 
 /// Parse one request line into a Request. Enforces kMaxRequestBytes, the
 /// JSON grammar, the verb set, and the run-spec field schema (unknown
-/// fields are errors — a typoed knob must not silently run the default).
+/// fields are errors — a typoed knob must not silently run the default;
+/// integers must be exact and in their field's range, and the shard
+/// window must not wrap past 2^64 - 1).
 /// Does NOT call runner::validate(): the server does, so attack/fault-plan
 /// diagnostics keep the runner's message contract ("runner: unknown attack
 /// 'x' (registered: ...)"). Throws ProtocolError.
 [[nodiscard]] Request parse_request(const std::string& line);
+
+/// The "run" request line for `req` (its verb is ignored): every run field
+/// spelled explicitly in table order, doubles with %.17g, so
+/// parse_request() rebuilds the same Request and re-encoding it gives the
+/// same bytes. req.spec.trials is the window size. Throws
+/// std::invalid_argument when req.spec.model is not in uarch::all_models().
+[[nodiscard]] std::string run_request_line(const Request& req);
 
 // --- Responses -------------------------------------------------------------
 // All writers return a complete line (no trailing newline; transports add
@@ -120,6 +103,11 @@ struct Request {
 
 [[nodiscard]] std::string response_trial(std::uint64_t id, std::size_t index,
                                          const runner::ScheduledTrial& t);
+/// The inverse of response_trial() for every field a fold reads: the
+/// outcome, the errors and the result scalars. The ToTE histogram, PMU
+/// deltas and event log do not cross the wire, so they come back empty.
+/// Throws ProtocolError on a line that is not a well-formed trial response.
+[[nodiscard]] runner::ScheduledTrial decode_trial(const std::string& line);
 [[nodiscard]] std::string response_done(std::uint64_t id,
                                         const runner::RunResult& merged);
 [[nodiscard]] std::string response_error(std::uint64_t id,

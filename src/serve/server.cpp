@@ -237,26 +237,7 @@ void Server::execute_run(const RunJob& job) {
         runner::run_scheduled_trial(spec, i, plan, verify, &pool_);
     job.conn->write_line(response_trial(job.id, i, t));
     count("serve.trials");
-    // Fold the fields response_done() reports, mirroring the runner's
-    // merge_trials() accounting.
-    merged.total_attempts +=
-        static_cast<std::size_t>(t.outcome.attempts > 0 ? t.outcome.attempts
-                                                        : 1);
-    if (t.outcome.quarantined) ++merged.quarantined;
-    for (const runner::TrialError& e : t.outcome.errors)
-      ++merged.error_counts[static_cast<std::size_t>(e.kind)];
-    if (t.outcome.ok) {
-      ++merged.completed;
-      if (t.outcome.attempts > 1) ++merged.retried;
-      merged.successes += t.result.success ? 1 : 0;
-      merged.total_probes += t.result.probes;
-      merged.total_bytes += t.result.bytes;
-      merged.total_byte_errors += t.result.byte_errors;
-    } else {
-      ++merged.failed;
-    }
-    merged.trials.push_back(std::move(t.result));
-    merged.outcomes.push_back(std::move(t.outcome));
+    runner::fold(merged, std::move(t));
   }
   job.conn->write_line(response_done(job.id, merged));
   count("serve.runs");

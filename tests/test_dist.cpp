@@ -32,6 +32,7 @@
 #include "serve/transport_loopback.h"
 #include "serve/transport_tcp.h"
 #include "serve/transport_unix.h"
+#include "stats/json.h"
 
 #if WHISPER_HAVE_FD_CONNECTION
 #include <sys/socket.h>
@@ -173,6 +174,18 @@ TEST(DistServe, OversizedRequestRefusedAndConnectionSurvives) {
   ASSERT_TRUE(conn->write_line(R"({"id":10,"verb":"ping"})"));
   ASSERT_EQ(conn->read_line_for(line, 5000), serve::ReadStatus::kLine);
   EXPECT_EQ(line, serve::response_pong(10));
+
+  // A line under the byte cap that nests 65,000 levels deep: the parser's
+  // nesting cap answers it with one id-0 error instead of overflowing the
+  // daemon's stack, and the connection keeps serving.
+  ASSERT_TRUE(conn->write_line(std::string(65000, '[')));
+  ASSERT_EQ(conn->read_line_for(line, 5000), serve::ReadStatus::kLine);
+  EXPECT_EQ(line.rfind(R"({"id":0,"type":"error","error":"serve: bad JSON)", 0),
+            0u)
+      << line;
+  ASSERT_TRUE(conn->write_line(R"({"id":11,"verb":"ping"})"));
+  ASSERT_EQ(conn->read_line_for(line, 5000), serve::ReadStatus::kLine);
+  EXPECT_EQ(line, serve::response_pong(11));
   conn->close();
   server.stop();
 }
@@ -345,7 +358,7 @@ TEST(DistWire, TrialFirstRunsAnAbsoluteWindowOfTheSchedule) {
   EXPECT_EQ(normalize_id(lines[0]), want[2]);
   EXPECT_EQ(normalize_id(lines[1]), want[3]);
   EXPECT_EQ(normalize_id(lines[2]), want[4]);
-  const serve::JsonValue done = serve::json_parse(lines[3]);
+  const stats::JsonValue done = stats::json_parse(lines[3]);
   EXPECT_EQ(done.get("type")->string, "done");
   EXPECT_EQ(done.get("trials")->number, 3.0);
 }
@@ -397,6 +410,20 @@ TEST(DistSweep, ByteIdenticalAcrossEndpointCounts) {
     EXPECT_EQ(r.done_line, want_done) << n << " endpoints";
     EXPECT_EQ(r.stats.duplicate_trials, 0u);
   }
+}
+
+TEST(DistSweep, SixtyFourBitSeedMatchesTheLocalRun) {
+  // 2^53 + 1 has no double: a wire that read integers through a double ran
+  // seed 2^53 on the daemons and a different trial stream than local.
+  const runner::RunSpec spec = cheap_spec(4, (std::uint64_t{1} << 53) + 1);
+  const runner::RunResult local = runner::run(spec, 1);
+
+  LoopbackCluster cluster(2);
+  SweepClient sweeper(fast_opts());
+  const SweepResult r = sweeper.sweep(spec, cluster.endpoints);
+  ASSERT_TRUE(r.complete) << r.error;
+  EXPECT_EQ(r.trial_lines, canonical_trial_lines(local));
+  EXPECT_EQ(r.done_line, canonical_done_line(local));
 }
 
 TEST(DistSweep, KillMidSweepReassignsAndStaysByteIdentical) {

@@ -623,6 +623,15 @@ TEST(JsonValidator, AcceptsAndRejects) {
   EXPECT_FALSE(json_is_valid("{\"a\":01}"));
   EXPECT_FALSE(json_is_valid("\"unterminated"));
   EXPECT_FALSE(json_is_valid("{} extra"));
+  // Nesting is capped at kMaxJsonDepth: at the cap is fine, one deeper not.
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_TRUE(json_is_valid(nested(stats::kMaxJsonDepth)));
+  EXPECT_FALSE(json_is_valid(nested(stats::kMaxJsonDepth + 1)));
+  // A lone surrogate escape encodes no character.
+  EXPECT_FALSE(json_is_valid("\"\\ud800\""));
 }
 
 // ---------------------------------------------------------------------------

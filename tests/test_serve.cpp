@@ -56,8 +56,8 @@ std::map<std::uint64_t, std::vector<std::string>> by_id(
     const std::vector<std::string>& lines) {
   std::map<std::uint64_t, std::vector<std::string>> out;
   for (const auto& line : lines) {
-    const JsonValue doc = json_parse(line);
-    const JsonValue* id = doc.get("id");
+    const stats::JsonValue doc = stats::json_parse(line);
+    const stats::JsonValue* id = doc.get("id");
     EXPECT_NE(id, nullptr) << line;
     out[static_cast<std::uint64_t>(id->number)].push_back(line);
   }
@@ -78,7 +78,7 @@ std::string run_request(std::uint64_t id, const std::string& attack,
 // JSON parser.
 
 TEST(ServeJson, ParsesScalarsObjectsAndArrays) {
-  const JsonValue v = json_parse(
+  const stats::JsonValue v = stats::json_parse(
       R"({"a":1,"b":-2.5e2,"c":"x\ny","d":[true,false,null],"e":{"f":0}})");
   ASSERT_TRUE(v.is_object());
   EXPECT_EQ(v.get("a")->number, 1.0);
@@ -93,22 +93,22 @@ TEST(ServeJson, ParsesScalarsObjectsAndArrays) {
 }
 
 TEST(ServeJson, DecodesUnicodeEscapes) {
-  EXPECT_EQ(json_parse(R"("Aé")").string, "A\xc3\xa9");
+  EXPECT_EQ(stats::json_parse(R"("Aé")").string, "A\xc3\xa9");
   // Surrogate pair: U+1F600.
-  EXPECT_EQ(json_parse(R"("😀")").string, "\xf0\x9f\x98\x80");
-  EXPECT_THROW((void)json_parse(R"("\ud83d")"), ProtocolError);
+  EXPECT_EQ(stats::json_parse(R"("😀")").string, "\xf0\x9f\x98\x80");
+  EXPECT_THROW((void)stats::json_parse(R"("\ud83d")"), stats::JsonError);
 }
 
 TEST(ServeJson, RejectsMalformedDocuments) {
   for (const char* bad :
        {"{nope", "{\"a\":}", "[1,]", "{\"a\":1} trailing", "01", "1.",
         "+1", "\"unterminated", "{\"a\" 1}", "tru", ""}) {
-    EXPECT_THROW((void)json_parse(bad), ProtocolError) << bad;
+    EXPECT_THROW((void)stats::json_parse(bad), stats::JsonError) << bad;
   }
 }
 
 TEST(ServeJson, DuplicateKeysKeepTheLastValue) {
-  EXPECT_EQ(json_parse(R"({"a":1,"a":2})").get("a")->number, 2.0);
+  EXPECT_EQ(stats::json_parse(R"({"a":1,"a":2})").get("a")->number, 2.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -148,6 +148,16 @@ TEST(ServeProtocol, RejectsSchemaViolations) {
        "field 'cpu' out of range"},
       {R"({"id":1,"verb":"run","attack":"cc","noise":"hurricane"})",
        "unknown noise preset 'hurricane'"},
+      // Integers outside a field's range are refused by name, never cast
+      // from a double into something that silently runs.
+      {R"({"id":1,"verb":"run","trials":1e10})", "field 'trials'"},
+      {R"({"id":1,"verb":"run","seed":-1})", "field 'seed'"},
+      {R"({"id":1,"verb":"run","seed":1e30})", "field 'seed'"},
+      {R"({"id":1,"verb":"run","trial_first":18446744073709551616})",
+       "field 'trial_first'"},
+      {R"({"id":1,"verb":"run","trials":2,)"
+       R"("trial_first":18446744073709551615})",
+       "field 'trial_first' + trials"},
   };
   for (const auto& [line, want] : cases) {
     try {
@@ -158,6 +168,17 @@ TEST(ServeProtocol, RejectsSchemaViolations) {
           << e.what();
     }
   }
+}
+
+TEST(ServeProtocol, ReadsSixtyFourBitIntegersExactly) {
+  // Neither value has a double: both must arrive digit for digit.
+  EXPECT_EQ(parse_request(R"({"id":1,"verb":"run","seed":9007199254740993})")
+                .spec.base_seed,
+            9007199254740993ULL);
+  EXPECT_EQ(
+      parse_request(R"({"id":1,"verb":"run","seed":18446744073709551615})")
+          .spec.base_seed,
+      18446744073709551615ULL);
 }
 
 TEST(ServeProtocol, RejectsOversizedRequestLines) {
@@ -236,14 +257,19 @@ TEST(ServeGolden, MalformedJsonAnswersWithErrorIdZero) {
   LoopbackTransport transport;
   Server server(transport, {});
   server.start();
-  const auto lines =
-      transact(transport, {"{nope", R"({"id":4,"verb":"ping"})"});
-  ASSERT_EQ(lines.size(), 2u);
-  // Unattributable request: id 0. The connection survives — the next
+  // The second line nests 65,000 levels deep, under the byte cap: it must
+  // hit the parser's nesting cap, not overflow the daemon's stack.
+  const auto lines = transact(
+      transport,
+      {"{nope", std::string(65000, '['), R"({"id":4,"verb":"ping"})"});
+  ASSERT_EQ(lines.size(), 3u);
+  // Unattributable requests: id 0. The connection survives — the next
   // request on the same connection is answered normally.
-  EXPECT_NE(lines[0].find(R"("id":0,"type":"error")"), std::string::npos);
-  EXPECT_NE(lines[0].find("bad JSON"), std::string::npos);
-  EXPECT_EQ(lines[1], R"({"id":4,"type":"pong"})");
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_NE(lines[i].find(R"("id":0,"type":"error")"), std::string::npos);
+    EXPECT_NE(lines[i].find("bad JSON"), std::string::npos);
+  }
+  EXPECT_EQ(lines[2], R"({"id":4,"type":"pong"})");
   server.stop();
 }
 
@@ -272,10 +298,10 @@ TEST(ServeGolden, MetricsVerbReturnsAValidRegistryDocument) {
   ASSERT_EQ(groups.at(2).size(), 1u);
   const std::string& m = groups.at(2)[0];
   EXPECT_TRUE(stats::json_is_valid(m)) << m;
-  const JsonValue doc = json_parse(m);
-  const JsonValue* metrics = doc.get("metrics");
+  const stats::JsonValue doc = stats::json_parse(m);
+  const stats::JsonValue* metrics = doc.get("metrics");
   ASSERT_NE(metrics, nullptr);
-  const JsonValue* counters = metrics->get("counters");
+  const stats::JsonValue* counters = metrics->get("counters");
   ASSERT_NE(counters, nullptr);
   // Pool and queue accounting are folded into the registry snapshot.
   EXPECT_NE(counters->get("serve.requests"), nullptr);
