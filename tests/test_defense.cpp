@@ -21,6 +21,7 @@
 #include "runner/machine_pool.h"
 #include "runner/runner.h"
 #include "serve/protocol.h"
+#include "support/sim_pin.h"
 #include "uarch/config.h"
 #include "uarch/pmu.h"
 
@@ -385,6 +386,9 @@ TEST_P(DefenseIdentityTest, FastForwardMatchesStructuralForEveryAttack) {
 
     expect_identical(a.result, b.result, what);
     EXPECT_EQ(a.pmu, b.pmu) << "PMU deltas diverged: " << what;
+    EXPECT_TRUE(test_support::matches_pin(
+        test_support::pin_key(info.name),
+        test_support::PinText().attack(a.result).pmu("pmu", a.pmu).str()));
   }
 }
 

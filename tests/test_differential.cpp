@@ -10,6 +10,7 @@
 #include "os/machine.h"
 #include "stats/rng.h"
 #include "support/program_generator.h"
+#include "support/sim_pin.h"
 #include "uarch/pmu.h"
 
 namespace whisper {
@@ -159,6 +160,13 @@ TEST_P(FastForwardDifferentialTest, FastForwardIsCycleIdenticalToStructural) {
               structural.core().pmu().snapshot())
         << "PMU image diverged (seed " << GetParam() << " round " << round
         << ")";
+    EXPECT_TRUE(test_support::matches_pin(
+        test_support::pin_key("round" + std::to_string(round)),
+        test_support::PinText()
+            .u("cycles", slow.cycles())
+            .words("regs", {slow.t0().regs.begin(), slow.t0().regs.end()})
+            .pmu("pmu", structural.core().pmu().snapshot())
+            .str()));
   }
 }
 

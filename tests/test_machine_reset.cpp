@@ -22,6 +22,7 @@
 #include "obs/chrome_trace.h"
 #include "os/machine.h"
 #include "runner/runner.h"
+#include "support/sim_pin.h"
 #include "uarch/config.h"
 #include "uarch/pmu.h"
 
@@ -260,6 +261,11 @@ TEST_P(FastForwardIdentityTest, FastForwardMatchesStructuralForEveryAttack) {
 
     expect_identical(a.result, b.result, what);
     EXPECT_EQ(a.pmu, b.pmu) << "PMU deltas diverged: " << what;
+    // The structural side must also match the recorded simulation, so a
+    // change that moves both modes alike cannot pass unnoticed.
+    EXPECT_TRUE(test_support::matches_pin(
+        test_support::pin_key(info.name),
+        test_support::PinText().attack(a.result).pmu("pmu", a.pmu).str()));
   }
 }
 

@@ -2,7 +2,7 @@
 //
 // This binary is standalone (its own main, not gtest_main) so it can take
 //
-//   --update-golden    rewrite tests/golden/*.golden from current behaviour
+//   --update-golden    rewrite tests/golden/ from current behaviour
 //
 // alongside the usual gtest flags. It locks down four contracts:
 //
@@ -41,16 +41,11 @@
 #include "runner/json_writer.h"
 #include "runner/runner.h"
 #include "stats/json.h"
+#include "support/sim_pin.h"
 #include "uarch/trace.h"
 
 namespace whisper {
 namespace {
-
-bool g_update_golden = false;
-
-#ifndef WHISPER_GOLDEN_DIR
-#define WHISPER_GOLDEN_DIR "tests/golden"
-#endif
 
 // ---------------------------------------------------------------------------
 // Golden-file machinery
@@ -70,7 +65,7 @@ std::vector<std::string> split_lines(const std::string& text) {
 testing::AssertionResult matches_golden(const std::string& name,
                                         const std::string& actual) {
   const std::string path = std::string(WHISPER_GOLDEN_DIR) + "/" + name;
-  if (g_update_golden) {
+  if (test_support::update_golden()) {
     std::ofstream out(path, std::ios::trunc);
     if (!out) {
       return testing::AssertionFailure()
@@ -294,6 +289,30 @@ TEST(GoldenTrace, RewindStreamShowsTheDividerStall) {
   // The stall survives into the Chrome export: the fdiv slices are there.
   const std::string json = obs::to_chrome_trace(log);
   EXPECT_NE(json.find("fdiv"), std::string::npos);
+}
+
+// The two squash paths the fig1 and rewind goldens do not reach: a Jcc
+// resolving inside a Spectre-V1 window, and a Ret whose completion finds a
+// wrong RSB prediction. One runner trial each; the Chrome export's bytes
+// are pinned by digest in tests/golden/simulation.pin.
+TEST(GoldenTrace, V1AndRsbRunnerTraceDigests) {
+  for (const char* attack : {"v1", "rsb"}) {
+    runner::RunSpec spec;
+    spec.model = uarch::CpuModel::KabyLakeI7_7700;
+    spec.attack = attack;
+    spec.trials = 1;
+    spec.batches = 1;
+    spec.payload_bytes = 1;
+    spec.base_seed = 0x71ace;
+    spec.collect_trace = true;
+    const runner::RunResult r = runner::run(spec, /*jobs=*/1);
+    bool squashed = false;
+    for (const uarch::TraceRecord& rec : r.events.records())
+      squashed |= rec.event == uarch::TraceEvent::SquashYounger;
+    EXPECT_TRUE(squashed) << attack << " trace shows no wrong-path squash";
+    EXPECT_TRUE(test_support::matches_pin(test_support::pin_key(attack),
+                                          obs::to_chrome_trace(r.events)));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -762,9 +781,6 @@ TEST(ThreadNames, ExecutorWorkersFollowTheNamingConvention) {
 
 int main(int argc, char** argv) {
   ::testing::InitGoogleTest(&argc, argv);
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--update-golden")
-      whisper::g_update_golden = true;
-  }
+  whisper::test_support::parse_golden_flag(argc, argv);
   return RUN_ALL_TESTS();
 }
