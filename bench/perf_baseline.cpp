@@ -11,7 +11,10 @@
 //                  default path)
 //   reset_jobsN  — pooled reset + fast-forward at the requested --jobs
 // and reports host trials/sec, simulated cycles/sec, the reset-vs-fresh
-// speedup and the fast-forward-vs-reset speedup. Results (bytes decoded,
+// speedup and the fast-forward-vs-reset speedup. The ff_jobs1 cell also
+// carries the core's fast-forward counters (Core::fast_forward_stats()),
+// taken by replaying its trials on one private machine: spans, cycles
+// skipped vs stepped, and bail-outs by the stage that could act. Results (bytes decoded,
 // probes, ToTE, PMU) are bit-identical across every cell —
 // tests/test_machine_reset.cpp and tests/test_fast_forward.cpp pin that —
 // so this table is purely about host throughput; the --json trajectory
@@ -33,6 +36,7 @@
 
 #include "bench/bench_util.h"
 #include "core/attacks/registry.h"
+#include "os/machine.h"
 #include "runner/json_writer.h"
 #include "runner/runner.h"
 #include "stats/json.h"
@@ -105,12 +109,64 @@ Measurement measure(runner::RunSpec spec, bool reuse, bool ff, int jobs,
   return m;
 }
 
+using FastForwardStats = uarch::Core::FastForwardStats;
+
+/// Fast-forward counters over the trials of `spec`, replayed in order on
+/// one pooled-style machine (construct, snapshot, reset per trial) — the
+/// same trials the ff_jobs1 cell times.
+FastForwardStats ff_counters(runner::RunSpec spec, bool ff) {
+  spec.fast_forward = ff;
+  os::Machine m(runner::machine_options(spec, spec.base_seed));
+  m.snapshot();
+  const FastForwardStats before = m.core().fast_forward_stats();
+  for (int i = 0; i < spec.trials; ++i)
+    (void)runner::run_trial(
+        spec, runner::trial_seed(spec.base_seed, static_cast<std::uint64_t>(i)),
+        m);
+  const FastForwardStats& a = m.core().fast_forward_stats();
+  return {a.attempts - before.attempts,
+          a.spans - before.spans,
+          a.cycles_skipped - before.cycles_skipped,
+          a.cycles_stepped - before.cycles_stepped,
+          a.cycles_advanced - before.cycles_advanced,
+          a.bail_retire - before.bail_retire,
+          a.bail_complete - before.bail_complete,
+          a.bail_issue - before.bail_issue,
+          a.bail_alloc - before.bail_alloc,
+          a.bail_fetch - before.bail_fetch,
+          a.bail_noise - before.bail_noise,
+          a.bail_smt - before.bail_smt};
+}
+
+void json_ff_counters(runner::JsonWriter& w, const FastForwardStats& s) {
+  const std::pair<const char*, std::uint64_t> fields[] = {
+      {"attempts", s.attempts},
+      {"spans", s.spans},
+      {"cycles_skipped", s.cycles_skipped},
+      {"cycles_stepped", s.cycles_stepped},
+      {"cycles_advanced", s.cycles_advanced},
+      {"bail_retire", s.bail_retire},
+      {"bail_complete", s.bail_complete},
+      {"bail_issue", s.bail_issue},
+      {"bail_alloc", s.bail_alloc},
+      {"bail_fetch", s.bail_fetch},
+      {"bail_noise", s.bail_noise},
+      {"bail_smt", s.bail_smt}};
+  w.begin_object();
+  for (const auto& [name, value] : fields) {
+    w.key(name);
+    w.value(value);
+  }
+  w.end_object();
+}
+
 struct Row {
   std::string attack;
   Measurement fresh1;   // fresh construction, ff off, --jobs 1
   Measurement reset1;   // pooled reset, ff off, --jobs 1
   Measurement ff1;      // pooled reset + fast-forward, --jobs 1
   Measurement reset_n;  // pooled reset + fast-forward, --jobs N
+  FastForwardStats ff1_counters;  // the ff_jobs1 trials, replayed
   [[nodiscard]] double speedup() const {
     return fresh1.trials_per_sec > 0.0
                ? reset1.trials_per_sec / fresh1.trials_per_sec
@@ -123,7 +179,8 @@ struct Row {
   }
 };
 
-void json_measurement(runner::JsonWriter& w, const Measurement& m) {
+void json_measurement(runner::JsonWriter& w, const Measurement& m,
+                      const FastForwardStats* counters = nullptr) {
   w.begin_object();
   w.key("wall_seconds");
   w.value(m.wall_seconds);
@@ -131,6 +188,10 @@ void json_measurement(runner::JsonWriter& w, const Measurement& m) {
   w.value(m.trials_per_sec);
   w.key("sim_cycles_per_sec");
   w.value(m.sim_cycles_per_sec);
+  if (counters) {
+    w.key("fast_forward");
+    json_ff_counters(w, *counters);
+  }
   w.end_object();
 }
 
@@ -172,6 +233,7 @@ int main(int argc, char** argv) {
                          args.progress);
     row.ff1 = measure(spec, /*reuse=*/true, perf.fast_forward, /*jobs=*/1,
                       args.progress);
+    row.ff1_counters = ff_counters(spec, perf.fast_forward);
     row.reset_n = jobs_n == 1
                       ? row.ff1
                       : measure(spec, /*reuse=*/true, perf.fast_forward,
@@ -221,7 +283,7 @@ int main(int argc, char** argv) {
       w.key("reset_jobs1");
       json_measurement(w, r.reset1);
       w.key("ff_jobs1");
-      json_measurement(w, r.ff1);
+      json_measurement(w, r.ff1, &r.ff1_counters);
       w.key("reset_jobsN");
       json_measurement(w, r.reset_n);
       w.key("speedup");

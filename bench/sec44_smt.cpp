@@ -6,10 +6,16 @@
 // lower than 5% in Core i7-7700. Using the evaluate tools from SecSMT, the
 // preliminary throughput could achieve 268 KB/s though with a 28% error
 // rate."
+//
+// Exits 1 unless the three shapes the README claims hold: a '1' bit slows
+// the spy more than a '0' on average, the prototype configuration stays
+// under 5% byte errors, and the aggressive configuration is faster than the
+// prototype at a higher error rate.
 #include <cstdio>
 
 #include "bench/bench_util.h"
 #include "core/attacks/smt_channel.h"
+#include "stats/error_rate.h"
 #include "stats/summary.h"
 #include "os/machine.h"
 
@@ -17,6 +23,8 @@ using namespace whisper;
 
 int main() {
   bench::heading("Section 4.4 — Covert channel for SMT (i7-7700 model)");
+  bool separable = false;
+  stats::ChannelReport prototype, aggressive;
 
   // Bit-separation calibration plot.
   {
@@ -34,6 +42,7 @@ int main() {
                 "frontend stall)\n",
                 ones.mean(), ones.stdev());
     std::printf("  separation: %+.1f cycles\n", ones.mean() - zeros.mean());
+    separable = ones.mean() > zeros.mean();
   }
 
   // Conservative "prototype" configuration: long spy slots.
@@ -42,6 +51,7 @@ int main() {
     core::SmtCovertChannel ch(m, {.spy_iters = 96, .calibration_bits = 32});
     const auto payload = bench::random_bytes(256, 0x44);
     const auto rep = ch.transmit(payload);
+    prototype = rep;
     std::printf("\nprototype config  (96-iter slots): %s\n",
                 rep.to_string().c_str());
     std::printf("                                   (paper prototype: "
@@ -55,6 +65,7 @@ int main() {
         m, {.spy_iters = 8, .calibration_bits = 16, .start_skew_max = 24});
     const auto payload = bench::random_bytes(512, 0x45);
     const auto rep = ch.transmit(payload);
+    aggressive = rep;
     std::printf("\naggressive config (8-iter slots, imperfect sync): %s\n",
                 rep.to_string().c_str());
     std::printf("                                   bit error rate: %.1f%%\n",
@@ -63,7 +74,17 @@ int main() {
                 "harness: 268 KB/s at 28%% err)\n");
   }
 
+  const bool prototype_clean = prototype.byte_error_rate < 0.05;
+  const bool trade_off =
+      aggressive.bytes_per_second > prototype.bytes_per_second &&
+      aggressive.byte_error_rate > prototype.byte_error_rate;
   std::printf("\nShape check: shrinking the spy slot trades error rate for "
               "throughput, exactly the paper's two operating points.\n");
-  return 0;
+  std::printf("  %s trojan-1 mean above trojan-0 mean\n",
+              bench::mark(separable));
+  std::printf("  %s prototype under 5%% byte errors\n",
+              bench::mark(prototype_clean));
+  std::printf("  %s aggressive config faster and noisier than prototype\n",
+              bench::mark(trade_off));
+  return separable && prototype_clean && trade_off ? 0 : 1;
 }

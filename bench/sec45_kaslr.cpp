@@ -6,6 +6,9 @@
 // out through the whisper::runner Executor (`--jobs N`), each on a private
 // os::Machine built from the scenario's fixed seed, so the table is
 // bit-identical at any job count.
+//
+// Exits 1 unless every TET-KASLR cell breaks or fails as the paper column
+// says and the prefetch baseline fails under FLARE.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -25,6 +28,12 @@ struct Scenario {
   os::MachineOptions options;
   const char* paper_tet;       // paper's claim for TET-KASLR
   const char* paper_prefetch;  // expected for the baseline
+  bool tet_breaks;             // the paper column, as a verdict
+};
+
+struct Cell {
+  std::string text;
+  bool success = false;
 };
 
 }  // namespace
@@ -35,23 +44,27 @@ int main(int argc, char** argv) {
 
   const uarch::CpuModel cml = uarch::CpuModel::CometLakeI9_10980XE;
   const std::vector<Scenario> scenarios = {
-      {"KASLR (i9-10980XE)", {.model = cml, .seed = 11}, "breaks", "breaks"},
+      {"KASLR (i9-10980XE)", {.model = cml, .seed = 11}, "breaks", "breaks", true},
       {"KASLR + KPTI",
        {.model = cml, .kernel = {.kpti = true}, .seed = 22},
        "breaks (<1 s, 512 offsets)",
-       "breaks (EntryBleed)"},
+       "breaks (EntryBleed)",
+       true},
       {"KASLR + KPTI + FLARE",
        {.model = cml, .kernel = {.kpti = true, .flare = true}, .seed = 33},
        "breaks (bypasses FLARE)",
-       "defeated by FLARE"},
+       "defeated by FLARE",
+       true},
       {"KASLR + KPTI, Docker",
        {.model = cml, .kernel = {.kpti = true}, .docker = true, .seed = 44},
        "breaks (Docker 24.0.1)",
-       "-"},
+       "-",
+       true},
       {"KASLR (AMD Zen 3)",
        {.model = uarch::CpuModel::Zen3Ryzen5_5600G, .seed = 55},
        "fails (Table 2: no TLB fill on fault)",
-       "-"},
+       "-",
+       false},
   };
 
   // Cell k: scenario k/2, TET-KASLR when k is even, prefetch baseline when
@@ -59,25 +72,28 @@ int main(int argc, char** argv) {
   runner::Executor ex(args.jobs);
   runner::Progress meter("sec45_kaslr", scenarios.size() * 2, args.progress);
   runner::WallTimer timer;
-  const std::vector<std::string> cells = ex.map(
+  const std::vector<Cell> cells = ex.map(
       scenarios.size() * 2,
       [&scenarios](std::size_t k) {
         const Scenario& sc = scenarios[k / 2];
         os::Machine m(sc.options);
         char buf[96];
+        bool success = false;
         if (k % 2 == 0) {
           core::TetKaslr atk(m, {.rounds = 3});
           const auto r = atk.run();
           std::snprintf(buf, sizeof buf, "%s slot %3d, %.4f s, %zu probes",
                         bench::mark(r.success), r.found_slot, r.seconds,
                         r.probes);
+          success = r.success;
         } else {
           baseline::PrefetchKaslr atk(m, {.rounds = 3});
           const auto r = atk.run();
           std::snprintf(buf, sizeof buf, "%s slot %3d, %.4f s",
                         bench::mark(r.success), r.found_slot, r.seconds);
+          success = r.success;
         }
-        return std::string(buf);
+        return Cell{buf, success};
       },
       &meter);
   meter.finish(timer.seconds(), ex.jobs());
@@ -86,10 +102,21 @@ int main(int argc, char** argv) {
               "TET-KASLR (model)", "prefetch baseline (model)");
   std::printf("%s\n", std::string(90, '-').c_str());
 
+  bool ok = true;
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
     const Scenario& sc = scenarios[i];
     std::printf("%-24s | %-28s | %-28s\n", sc.name.c_str(),
-                cells[2 * i].c_str(), cells[2 * i + 1].c_str());
+                cells[2 * i].text.c_str(), cells[2 * i + 1].text.c_str());
+    if (cells[2 * i].success != sc.tet_breaks) {
+      std::printf("%-24s |   MISMATCH: TET-KASLR should %s\n", "",
+                  sc.tet_breaks ? "break KASLR here" : "fail here");
+      ok = false;
+    }
+    if (sc.options.kernel.flare && cells[2 * i + 1].success) {
+      std::printf("%-24s |   MISMATCH: the prefetch baseline should fail "
+                  "under FLARE\n", "");
+      ok = false;
+    }
     std::printf("%-24s |   paper: %-36s baseline expectation: %s\n", "",
                 sc.paper_tet, sc.paper_prefetch);
   }
@@ -98,5 +125,6 @@ int main(int argc, char** argv) {
               "remnant at +0xe00000), survives FLARE via the\nTLB-fill "
               "double probe, works in Docker, and fails on Zen 3; the "
               "walk-timing baseline dies at FLARE.\n");
-  return 0;
+  std::printf("%s every cell matches its paper column\n", bench::mark(ok));
+  return ok ? 0 : 1;
 }

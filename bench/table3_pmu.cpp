@@ -2,6 +2,10 @@
 // analysis scene, measured against the model and printed next to the
 // paper's numbers. The contract is the *sign and rough magnitude* of each
 // delta, not the absolute counts (different microcode, different silicon).
+//
+// Exits 1 unless the rows whose sign differs from the paper are exactly the
+// two EXPERIMENTS.md documents (Zen 3 de_dis_uop_queue_empty_di0, and
+// INT_MISC.RECOVERY_CYCLES in the §5.2.5 flow scene).
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -20,7 +24,14 @@ struct PaperEntry {
   double paper_variant;   // "Jcc Trigger" / "mapped"
 };
 
-void run_scene(const std::string& title, os::Machine& m,
+struct SignCount {
+  int rows = 0;
+  /// "<scene>: <event>" for every row whose delta sign differs.
+  std::vector<std::string> differs;
+};
+
+void run_scene(SignCount& count, const std::string& scene,
+               const std::string& title, os::Machine& m,
                const core::PmuToolset::Scenario& baseline,
                const core::PmuToolset::Scenario& variant,
                const char* base_name, const char* var_name,
@@ -45,6 +56,9 @@ void run_scene(const std::string& title, os::Machine& m,
                 uarch::to_string(e.event).c_str(), r.baseline, r.variant,
                 e.paper_baseline, e.paper_variant,
                 same_sign ? "matches" : "DIFFERS");
+    ++count.rows;
+    if (!same_sign)
+      count.differs.push_back(scene + ": " + uarch::to_string(e.event));
   }
 }
 
@@ -53,10 +67,12 @@ void run_scene(const std::string& title, os::Machine& m,
 int main() {
   bench::heading("Table 3 — Key performance monitor counter values");
   std::printf("model counts | paper counts; 'matches' = same delta sign\n");
+  SignCount count;
 
   {
     os::Machine m({.model = uarch::CpuModel::SkylakeI7_6700});
-    run_scene("Core i7-6700, TET-CC (Jcc not-trigger vs trigger)", m,
+    run_scene(count, "skylake-cc",
+              "Core i7-6700, TET-CC (Jcc not-trigger vs trigger)", m,
               core::scenario_tet_cc(false), core::scenario_tet_cc(true),
               "not-trig", "trig",
               {{uarch::PmuEvent::BR_MISP_EXEC_INDIRECT, 0, 1},
@@ -65,7 +81,8 @@ int main() {
   }
   {
     os::Machine m({.model = uarch::CpuModel::KabyLakeI7_7700});
-    run_scene("Core i7-7700, TET-CC (frontend delivery)", m,
+    run_scene(count, "kabylake-cc",
+              "Core i7-7700, TET-CC (frontend delivery)", m,
               core::scenario_tet_cc(false), core::scenario_tet_cc(true),
               "not-trig", "trig",
               {{uarch::PmuEvent::BR_MISP_EXEC_INDIRECT, 0, 1},
@@ -81,7 +98,8 @@ int main() {
   }
   {
     os::Machine m({.model = uarch::CpuModel::KabyLakeI7_7700});
-    run_scene("Core i7-7700, TET-MD (pipeline & backend)", m,
+    run_scene(count, "kabylake-md",
+              "Core i7-7700, TET-MD (pipeline & backend)", m,
               core::scenario_tet_md(false), core::scenario_tet_md(true),
               "not-trig", "trig",
               {{uarch::PmuEvent::RESOURCE_STALLS_ANY, 15, 21},
@@ -96,7 +114,8 @@ int main() {
   }
   {
     os::Machine m({.model = uarch::CpuModel::Zen3Ryzen5_5600G});
-    run_scene("Ryzen 5 5600G, TET-CC (AMD events)", m,
+    run_scene(count, "zen3-cc",
+              "Ryzen 5 5600G, TET-CC (AMD events)", m,
               core::scenario_tet_cc(false), core::scenario_tet_cc(true),
               "not-trig", "trig",
               {{uarch::PmuEvent::BP_L1_BTB_CORRECT, 493, 511},
@@ -109,7 +128,8 @@ int main() {
   }
   {
     os::Machine m({.model = uarch::CpuModel::SkylakeI7_6700});
-    run_scene("Core i7-6700, Transient Execution Flow (§5.2.5, padded "
+    run_scene(count, "skylake-flow",
+              "Core i7-6700, Transient Execution Flow (§5.2.5, padded "
               "configuration)", m,
               core::scenario_flow(false, 128), core::scenario_flow(true, 128),
               "not-trig", "trig",
@@ -119,7 +139,8 @@ int main() {
   }
   {
     os::Machine m({.model = uarch::CpuModel::CometLakeI9_10980XE});
-    run_scene("Core i9-10980XE, TET-KASLR (unmapped vs mapped)", m,
+    run_scene(count, "cometlake-kaslr",
+              "Core i9-10980XE, TET-KASLR (unmapped vs mapped)", m,
               core::scenario_kaslr(false), core::scenario_kaslr(true),
               "unmapped", "mapped",
               {{uarch::PmuEvent::DTLB_LOAD_MISSES_MISS_CAUSES_A_WALK, 2, 0},
@@ -131,5 +152,19 @@ int main() {
       "\nNote: paper 'mapped' columns are 0 because the probe hits the "
       "fault before the walker engages;\nthe model reports the same sign "
       "(mapped << unmapped) with its own magnitudes.\n");
-  return 0;
+
+  const std::vector<std::string> documented = {
+      "zen3-cc: " + uarch::to_string(
+                        uarch::PmuEvent::DE_DIS_UOP_QUEUE_EMPTY_DI0),
+      "skylake-flow: " +
+          uarch::to_string(uarch::PmuEvent::INT_MISC_RECOVERY_CYCLES)};
+  const bool ok = count.differs == documented;
+  std::printf("\n%d of %d rows match the paper's delta sign; the mismatches "
+              "%s the two EXPERIMENTS.md documents.\n",
+              count.rows - static_cast<int>(count.differs.size()), count.rows,
+              ok ? "are exactly" : "are NOT");
+  if (!ok)
+    for (const std::string& d : count.differs)
+      std::printf("  differs: %s\n", d.c_str());
+  return ok ? 0 : 1;
 }

@@ -13,6 +13,8 @@
 // out byte-identical every time.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -33,6 +35,7 @@
 #include "serve/transport_tcp.h"
 #include "serve/transport_unix.h"
 #include "stats/json.h"
+#include "stats/rng.h"
 
 #if WHISPER_HAVE_FD_CONNECTION
 #include <sys/socket.h>
@@ -142,6 +145,104 @@ TEST(DistFdConnection, TruncatesOversizedLineAndResynchronizes) {
   ASSERT_TRUE(a->read_line(line));
   EXPECT_EQ(line, "after");
   writer.join();
+}
+
+// Fuzz of the line reader: seeded random streams — short, empty and
+// at-the-cap lines, a final fragment without a newline — written in random
+// chunks while the reader polls with random read_line_for timeouts. Thread
+// timing varies run to run; the properties must hold for every
+// interleaving:
+//   * a line up to the cap comes back exactly;
+//   * a line over the cap comes back whole, or as one prefix longer than
+//     the cap and at most one recv chunk (4096 bytes) past it;
+//   * the line after a truncated one is the one after its newline;
+//   * a timeout neither loses nor duplicates a byte (the lockstep match).
+TEST(DistFdConnection, FuzzedStreamsFrameLinesExactly) {
+  constexpr std::size_t kCap = serve::FdConnection::kMaxLineBytes;
+  constexpr std::size_t kChunk = 4096;
+  stats::Xoshiro256 rng(0xfd11e5);
+  int truncated = 0;
+  for (int stream = 0; stream < 6; ++stream) {
+    std::vector<std::string> lines;
+    const int count = 8 + static_cast<int>(rng.next_below(24));
+    for (int i = 0; i < count; ++i) {
+      std::size_t len = 0;
+      switch (rng.next_below(8)) {
+        case 0: len = 0; break;  // empty line
+        case 1: len = kCap - 1 + rng.next_below(3); break;  // around the cap
+        case 2:
+          if (rng.next_below(2) == 0) {
+            len = kCap + kChunk - 1 + rng.next_below(3);  // chunk edge
+          } else {
+            len = kCap + 1 + rng.next_below(20000);  // over the cap
+          }
+          break;
+        default: len = 1 + rng.next_below(200); break;  // short
+      }
+      std::string line(len, '\0');
+      for (std::size_t j = 0; j < len; ++j)
+        line[j] = static_cast<char>('a' + (j * 7 + i + len) % 26);
+      lines.push_back(std::move(line));
+    }
+    // Every line but the last ends in a newline; the last half the time
+    // does not — the unterminated fragment delivered at EOF.
+    const bool fragment = rng.next_below(2) == 0 && !lines.back().empty();
+    std::string bytes;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      bytes += lines[i];
+      if (i + 1 < lines.size() || !fragment) bytes += '\n';
+    }
+
+    int fds[2] = {-1, -1};
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    serve::FdConnection reader(fds[0], "reader");
+    const std::uint64_t writer_seed = rng.next();
+    std::thread writer([&bytes, fd = fds[1], writer_seed] {
+      stats::Xoshiro256 wr(writer_seed);
+      std::size_t off = 0;
+      while (off < bytes.size()) {
+        const std::size_t want = std::min<std::size_t>(
+            bytes.size() - off, 1 + wr.next_below(wr.next_below(4) == 0
+                                                      ? 70000
+                                                      : 600));
+        const ssize_t n = ::send(fd, bytes.data() + off, want, MSG_NOSIGNAL);
+        if (n <= 0) break;
+        off += static_cast<std::size_t>(n);
+        if (wr.next_below(16) == 0)
+          std::this_thread::sleep_for(std::chrono::microseconds(300));
+      }
+      ::close(fd);
+    });
+
+    std::vector<std::string> got;
+    std::string line;
+    for (;;) {
+      const int timeout = static_cast<int>(rng.next_below(4)) - 1;  // -1..2
+      const serve::ReadStatus st = reader.read_line_for(line, timeout);
+      if (st == serve::ReadStatus::kClosed) break;
+      if (st == serve::ReadStatus::kLine) got.push_back(line);
+    }
+    writer.join();
+
+    ASSERT_EQ(got.size(), lines.size()) << "stream " << stream;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      const std::string& want = lines[i];
+      const std::string& have = got[i];
+      if (want.size() <= kCap || have.size() == want.size()) {
+        EXPECT_EQ(have, want) << "stream " << stream << " line " << i;
+      } else {
+        ++truncated;
+        EXPECT_GT(have.size(), kCap) << "stream " << stream << " line " << i;
+        EXPECT_LE(have.size(), kCap + kChunk)
+            << "stream " << stream << " line " << i;
+        EXPECT_EQ(want.compare(0, have.size(), have), 0)
+            << "truncated line " << i << " is not a prefix (stream "
+            << stream << ")";
+      }
+    }
+  }
+  // Lines longer than cap + one chunk can only arrive truncated.
+  EXPECT_GT(truncated, 0);
 }
 
 // ---------------------------------------------------------------------------
