@@ -5,11 +5,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "isa/isa.h"
 #include "obs/metrics.h"
+#include "stats/parse.h"
 #include "stats/rng.h"
 
 namespace whisper::bench {
@@ -76,13 +78,24 @@ struct HarnessArgs {
   std::string fault_plan;
 };
 
+/// The value of integer flag `flag` (stats::parse_uint: the whole token,
+/// decimal or 0x hex); anything else exits with status 2.
+template <typename T>
+inline T number_arg(const char* prog, const std::string& flag,
+                    const char* text) {
+  if (const std::optional<T> v = stats::parse_uint<T>(text)) return *v;
+  std::fprintf(stderr, "%s: %s takes a decimal or 0x-hex integer, got '%s'\n",
+               prog, flag.c_str(), text);
+  std::exit(2);
+}
+
 inline HarnessArgs parse_harness_args(int argc, char** argv) {
   HarnessArgs out;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--jobs" && i + 1 < argc) {
       const std::string v = argv[++i];
-      out.jobs = (v == "auto") ? 0 : std::atoi(v.c_str());
+      out.jobs = (v == "auto") ? 0 : number_arg<int>(argv[0], a, argv[i]);
     } else if (a == "--progress") {
       out.progress = true;
     } else if (a == "--json" && i + 1 < argc) {
@@ -92,9 +105,10 @@ inline HarnessArgs parse_harness_args(int argc, char** argv) {
     } else if (a == "--metrics-out" && i + 1 < argc) {
       out.metrics_out = argv[++i];
     } else if (a == "--retries" && i + 1 < argc) {
-      out.retries = std::atoi(argv[++i]);
+      out.retries = number_arg<int>(argv[0], a, argv[++i]);
     } else if (a == "--trial-cycle-budget" && i + 1 < argc) {
-      out.trial_cycle_budget = std::strtoull(argv[++i], nullptr, 10);
+      out.trial_cycle_budget =
+          number_arg<std::uint64_t>(argv[0], a, argv[++i]);
     } else if (a == "--trial-wall-budget" && i + 1 < argc) {
       out.trial_wall_budget = std::atof(argv[++i]);
     } else if (a == "--verify-reset") {

@@ -484,7 +484,7 @@ int main(int argc, char** argv) {
           spec.noise = noise_by_key(nz, &ok);
           spec.payload_bytes = m.bytes;
           spec.payload_seed = 0xbeefULL;
-          spec.rounds = 2;
+          if (attack == "kaslr") spec.batches = 2;  // sweep rounds
           bench::apply_fault_args(spec, args);
           cells.push_back(
               {attack, defense::format_list(defenses), cpu, nz, {}});

@@ -204,7 +204,6 @@ int main(int argc, char** argv) {
       c.spec.attack = attack;
       c.spec.trials = args.trials;
       c.spec.base_seed = 0xd157ULL;
-      c.spec.rounds = 1;
       c.spec.batches = 2;
       c.spec.payload_bytes = 2;
       if (std::string(def) != "none")

@@ -12,9 +12,9 @@
 #include "core/attacks/common.h"
 #include "core/gadgets.h"
 #include "obs/chrome_trace.h"
-#include "obs/event_log.h"
 #include "obs/topdown.h"
 #include "os/machine.h"
+#include "uarch/trace.h"
 
 using namespace whisper;
 
@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   // secret) before the sweep — the Fig. 1 event stream the golden-trace
   // test pins down, exported as a Chrome/Perfetto trace.
   if (!args.trace_out.empty()) {
-    obs::EventLog log;
+    uarch::EventLog log;
     regs[static_cast<std::size_t>(isa::Reg::RBX)] = kSecret;
     m.core().set_trace(&log);
     (void)core::run_tote(m, g, regs);

@@ -16,10 +16,10 @@
 #include "bench/bench_util.h"
 #include "core/pmu_toolset.h"
 #include "obs/chrome_trace.h"
-#include "obs/event_log.h"
 #include "obs/topdown.h"
 #include "os/machine.h"
 #include "runner/executor.h"
+#include "uarch/trace.h"
 
 using namespace whisper;
 
@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
   // clear are all visible as spans/markers in the exported trace.
   if (!args.trace_out.empty()) {
     os::Machine m({.model = uarch::CpuModel::SkylakeI7_6700});
-    obs::EventLog log;
+    uarch::EventLog log;
     m.core().set_trace(&log);
     core::scenario_flow(true, 0)(m);
     m.core().set_trace(nullptr);

@@ -143,7 +143,7 @@ int main(int argc, char** argv) {
         spec.noise = base->scaled(factor);
         spec.payload_bytes = sweep.bytes;
         spec.payload_seed = 0xbeefULL;
-        spec.rounds = 2;
+        if (attack == "kaslr") spec.batches = 2;  // sweep rounds
         spec.adaptive = adaptive;
         spec.confidence_threshold = sweep.threshold;
         spec.batch_budget = sweep.budget;

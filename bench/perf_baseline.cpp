@@ -223,7 +223,6 @@ int main(int argc, char** argv) {
     spec.base_seed = 0xbe9cULL;
     spec.payload_bytes = perf.bytes;
     spec.batches = perf.batches;
-    spec.rounds = perf.batches;
 
     Row row;
     row.attack = attack;

@@ -18,6 +18,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "defense/defense.h"
 #include "obs/chrome_trace.h"
 #include "runner/json_writer.h"
 #include "runner/runner.h"
@@ -53,9 +54,9 @@ int main(int argc, char** argv) {
   runner::RunSpec kaslr;
   kaslr.model = uarch::CpuModel::CometLakeI9_10980XE;
   kaslr.attack = "kaslr";
-  kaslr.kernel.kpti = true;
+  kaslr.defenses = {defense::parse("kpti")};
   kaslr.trials = 3;  // the paper's n=3
-  kaslr.rounds = 3;
+  kaslr.batches = 3;  // sweep rounds
   kaslr.base_seed = 101;
 
   for (runner::RunSpec* spec : {&cc, &md, &rsb, &kaslr})

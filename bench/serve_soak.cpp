@@ -108,7 +108,7 @@ Shape shape_for(std::uint64_t r) {
            ",\"verb\":\"run\",\"attack\":\"" + attack +
            "\",\"seed\":" + std::to_string(0x50a0 + r) +
            ",\"trials\":" + std::to_string(s.trials) +
-           ",\"batches\":2,\"payload_bytes\":2,\"rounds\":1" +
+           ",\"batches\":2,\"payload_bytes\":2" +
            ",\"retries\":2,\"trial_cycle_budget\":20000000" +
            ",\"fault_plan\":\"" + plan + "\"}";
   return s;

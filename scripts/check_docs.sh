@@ -17,7 +17,11 @@
 #   6. Same for the extra flags bench/perf_baseline.cpp parses
 #      (--attacks, --trials, ...).
 #   7. Same for every flag examples/whisper_cli.cpp parses (--fault-plan,
-#      --retries, ...) — the CLI is the guide's primary entry point.
+#      --retries, ...) — the CLI is the guide's primary entry point. And
+#      the reverse: every --flag on a `whisper_cli` command line in
+#      README.md, docs/REPRODUCING.md and the skill notes
+#      (.*/skills/*/SKILL.md) must be one whisper_cli.cpp parses, so a retired flag cannot
+#      survive in an example.
 #   8. docs/PERFORMANCE.md must exist and document every measurement-cell
 #      and speedup key bench/perf_baseline.cpp writes into BENCH_perf.json
 #      (fresh_jobs1, reset_jobs1, ff_jobs1, reset_jobsN, speedup,
@@ -132,6 +136,25 @@ for flag in $cli_flags; do
          "docs/REPRODUCING.md does not document it"
     fail=1
   fi
+done
+
+# The reverse: every flag on a documented whisper_cli command line must be
+# one the CLI parses. A command line runs from "whisper_cli" to the end of
+# its code span, its "#" comment or its line, with backslash continuations
+# joined first.
+for doc in "$root/README.md" "$guide" "$root"/.[!.]*/skills/*/SKILL.md; do
+  [[ -f "$doc" ]] || continue
+  used=$(sed -e ':a' -e '/\\$/{N;s/\\\n//;ba' -e '}' "$doc" |
+         grep -oE 'whisper_cli [a-z][^`#]*' |
+         grep -oE '(^|[[:space:]])--[a-z][a-z-]*' |
+         sed 's/^[[:space:]]*//' | sort -u)
+  for flag in $used; do
+    if ! grep -qx -- "$flag" <<<"$cli_flags"; then
+      echo "FAIL: ${doc#"$root"/} runs whisper_cli with $flag, which" \
+           "examples/whisper_cli.cpp does not parse"
+      fail=1
+    fi
+  done
 done
 
 # The BENCH_perf.json column glossary in docs/PERFORMANCE.md must cover

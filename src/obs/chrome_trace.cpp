@@ -125,7 +125,7 @@ void write_metadata(stats::JsonWriter& w, const std::string& name,
 
 }  // namespace
 
-std::string to_chrome_trace(const EventLog& log,
+std::string to_chrome_trace(const uarch::EventLog& log,
                             const ChromeTraceOptions& opt) {
   const std::vector<TraceRecord>& recs = log.records();
   const std::uint64_t last_cycle = recs.empty() ? 0 : recs.back().cycle;
@@ -334,7 +334,7 @@ std::string to_chrome_trace(const EventLog& log,
   return w.str();
 }
 
-bool write_chrome_trace(const EventLog& log, const std::string& path,
+bool write_chrome_trace(const uarch::EventLog& log, const std::string& path,
                         const ChromeTraceOptions& opt) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) {

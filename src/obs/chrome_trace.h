@@ -1,6 +1,6 @@
 // Chrome trace-event exporter.
 //
-// Renders an EventLog as a JSON document loadable in chrome://tracing,
+// Renders a uarch::EventLog as a JSON document loadable in chrome://tracing,
 // Perfetto (ui.perfetto.dev) or speedscope: per-instruction lifecycle
 // slices, transient-window spans, and instant markers for resteers,
 // mispredicts and machine clears. One simulated cycle maps to one
@@ -22,7 +22,7 @@
 
 #include <string>
 
-#include "obs/event_log.h"
+#include "uarch/trace.h"
 
 namespace whisper::obs {
 
@@ -35,12 +35,12 @@ struct ChromeTraceOptions {
 
 /// Render the log as a complete Chrome trace JSON document
 /// (object form: {"traceEvents": [...], ...}).
-[[nodiscard]] std::string to_chrome_trace(const EventLog& log,
+[[nodiscard]] std::string to_chrome_trace(const uarch::EventLog& log,
                                           const ChromeTraceOptions& opt = {});
 
 /// Write to_chrome_trace() to `path`; returns false (and prints to stderr)
 /// on I/O failure.
-bool write_chrome_trace(const EventLog& log, const std::string& path,
+bool write_chrome_trace(const uarch::EventLog& log, const std::string& path,
                         const ChromeTraceOptions& opt = {});
 
 }  // namespace whisper::obs

@@ -56,6 +56,35 @@ void write_topdown(JsonWriter& w, const obs::TopDown& td) {
 
 }  // namespace
 
+void write_trial_record(JsonWriter& w, const TrialResult& t,
+                        const TrialOutcome* outcome) {
+  if (outcome != nullptr) {
+    w.field("ok", outcome->ok);
+    w.field("attempts", outcome->attempts);
+    w.field("quarantined", outcome->quarantined);
+    w.key("errors");
+    w.begin_array();
+    for (const TrialError& e : outcome->errors) {
+      w.begin_object();
+      w.field("kind", std::string(to_string(e.kind)));
+      w.field("attempt", e.attempt);
+      w.field("what", e.what);
+      w.end_object();
+    }
+    w.end_array();
+  }
+  w.field("seed", t.seed);
+  w.field("success", t.success);
+  w.field("cycles", t.cycles);
+  w.field("seconds", t.seconds);
+  w.field("probes", static_cast<std::uint64_t>(t.probes));
+  w.field("bytes", static_cast<std::uint64_t>(t.bytes));
+  w.field("byte_errors", static_cast<std::uint64_t>(t.byte_errors));
+  w.field("found_slot", t.found_slot);
+  w.field("confidence", t.confidence);
+  w.field("gave_up", static_cast<std::uint64_t>(t.gave_up));
+}
+
 std::string to_json(const RunResult& r) {
   JsonWriter w;
   w.begin_object();
@@ -70,19 +99,13 @@ std::string to_json(const RunResult& r) {
   w.value(r.spec.trials);
   w.key("base_seed");
   w.value(r.spec.base_seed);
-  // The defense stack replaces the old kpti/flare/fgkaslr bool keys: one
-  // "defenses" array of canonical defense::format() strings, derived from
-  // normalized_defenses() so legacy-bool specs and DefenseSpec specs emit
-  // identical trajectories.
   w.key("defenses");
   w.begin_array();
-  for (const defense::DefenseSpec& d : normalized_defenses(r.spec))
+  for (const defense::DefenseSpec& d : r.spec.defenses)
     w.value(defense::format(d));
   w.end_array();
   w.key("docker");
   w.value(r.spec.docker);
-  w.key("rounds");
-  w.value(r.spec.rounds);
   w.key("batches");
   w.value(r.spec.batches);
   w.key("payload_bytes");
@@ -175,50 +198,9 @@ std::string to_json(const RunResult& r) {
   for (std::size_t i = 0; i < r.trials.size(); ++i) {
     const TrialResult& t = r.trials[i];
     w.begin_object();
-    // Fault-layer account (outcomes is index-aligned with trials when the
-    // result came from run()/run_many(); hand-built results may omit it).
-    if (i < r.outcomes.size()) {
-      const TrialOutcome& oc = r.outcomes[i];
-      w.key("ok");
-      w.value(oc.ok);
-      w.key("attempts");
-      w.value(oc.attempts);
-      w.key("quarantined");
-      w.value(oc.quarantined);
-      w.key("errors");
-      w.begin_array();
-      for (const TrialError& e : oc.errors) {
-        w.begin_object();
-        w.key("kind");
-        w.value(std::string(to_string(e.kind)));
-        w.key("attempt");
-        w.value(e.attempt);
-        w.key("what");
-        w.value(e.what);
-        w.end_object();
-      }
-      w.end_array();
-    }
-    w.key("seed");
-    w.value(t.seed);
-    w.key("success");
-    w.value(t.success);
-    w.key("cycles");
-    w.value(t.cycles);
-    w.key("seconds");
-    w.value(t.seconds);
-    w.key("probes");
-    w.value(static_cast<std::uint64_t>(t.probes));
-    w.key("bytes");
-    w.value(static_cast<std::uint64_t>(t.bytes));
-    w.key("byte_errors");
-    w.value(static_cast<std::uint64_t>(t.byte_errors));
-    w.key("found_slot");
-    w.value(t.found_slot);
-    w.key("confidence");
-    w.value(t.confidence);
-    w.key("gave_up");
-    w.value(static_cast<std::uint64_t>(t.gave_up));
+    // outcomes is index-aligned with trials when the result came from
+    // run()/run_many(); hand-built results may omit it.
+    write_trial_record(w, t, i < r.outcomes.size() ? &r.outcomes[i] : nullptr);
     w.key("tote");
     write_histogram(w, t.tote);
     w.key("topdown");

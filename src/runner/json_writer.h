@@ -20,6 +20,13 @@ using JsonWriter = stats::JsonWriter;
 /// ToTE histogram buckets).
 [[nodiscard]] std::string to_json(const RunResult& r);
 
+/// The members of one trial record, `ok` through `gave_up`, into an open
+/// object: the fault-layer account first (skipped when `outcome` is null),
+/// then the result slot. The one spelling shared by the trajectory's
+/// "trials_detail" entries and the serve daemon's trial responses.
+void write_trial_record(JsonWriter& w, const TrialResult& t,
+                        const TrialOutcome* outcome);
+
 /// Write to_json(r) to `path`; returns false (and prints to stderr) on I/O
 /// failure.
 bool write_json_file(const RunResult& r, const std::string& path);

@@ -14,14 +14,8 @@ std::string machine_key(const RunSpec& spec) {
   std::string k = std::to_string(static_cast<int>(spec.model));
   k += '|';
   // The defense fragment is the canonical combo string — one format path
-  // (defense::format_list), shared with the JSON writer and the wire, so
-  // {.kernel = {.kpti = true}} and {.defenses = {parse("kpti")}} pool
-  // together.
-  k += defense::format_list(normalized_defenses(spec));
-  k += '.';
-  k += std::to_string(spec.kernel.kaslr_slot);
-  k += '.';
-  k += std::to_string(spec.kernel.seed);
+  // (defense::format_list), shared with the JSON writer and the wire.
+  k += defense::format_list(spec.defenses);
   k += '|';
   k += spec.docker ? '1' : '0';
   k += '|';

@@ -69,30 +69,9 @@ void TrialOutcome::capture_unhandled(const std::string& what) {
                               0});
 }
 
-std::vector<defense::DefenseSpec> normalized_defenses(const RunSpec& spec) {
-  std::vector<defense::DefenseSpec> out;
-  const auto add = [&out](defense::DefenseSpec d) {
-    for (defense::DefenseSpec& have : out)
-      if (have.name == d.name) {
-        have = std::move(d);  // explicit spec wins over the bool alias
-        return;
-      }
-    out.push_back(std::move(d));
-  };
-  if (spec.kernel.kpti) add({.name = "kpti"});
-  if (spec.kernel.flare) add({.name = "flare"});
-  if (spec.kernel.fgkaslr) add({.name = "fgkaslr"});
-  for (const defense::DefenseSpec& d : spec.defenses) add(d);
-  return out;
-}
-
 void validate(const RunSpec& spec) {
   (void)attack_info_or_throw(spec.attack);
-  // Duplicates *within* spec.defenses are a caller error; duplicates
-  // against the legacy kernel bools are the aliasing normalized_defenses()
-  // exists to collapse.
   defense::validate(spec.defenses);
-  defense::validate(normalized_defenses(spec));
   if (spec.retries < 0)
     throw std::invalid_argument("runner: retries must be >= 0");
   if (spec.trial_wall_budget < 0.0)
@@ -120,9 +99,9 @@ std::string RunSpec::label() const {
   out += attack;
   out += " @ ";
   out += uarch::make_config(model).name;
-  // Derived from the normalized defense list, so +FGKASLR (and every future
-  // defense) shows up — the hand-rolled kpti/flare pair silently dropped it.
-  for (const defense::DefenseSpec& d : normalized_defenses(*this)) {
+  // Derived from the defense list, so +FGKASLR (and every future defense)
+  // shows up — the hand-rolled kpti/flare pair silently dropped it.
+  for (const defense::DefenseSpec& d : defenses) {
     out += " +";
     for (const char c : defense::format(d))
       out += (c >= 'a' && c <= 'z') ? static_cast<char>(c - 'a' + 'A') : c;
@@ -142,15 +121,13 @@ std::uint64_t trial_seed(std::uint64_t base_seed, std::uint64_t index) {
 os::MachineOptions machine_options(const RunSpec& spec, std::uint64_t seed) {
   os::MachineOptions mo;
   mo.model = spec.model;
-  mo.kernel = spec.kernel;
   mo.docker = spec.docker;
   mo.seed = seed;
   mo.noise = spec.noise;
   // Install the defense stack last, over the fields it rewrites. An empty
   // stack leaves mo untouched (mo.config stays unset), so defense-free
   // specs build byte-identical machines to the pre-defense-API ones.
-  const std::vector<defense::DefenseSpec> stack = normalized_defenses(spec);
-  if (!stack.empty()) defense::apply(stack, mo);
+  if (!spec.defenses.empty()) defense::apply(spec.defenses, mo);
   return mo;
 }
 
@@ -160,7 +137,7 @@ namespace {
 /// breach must not leave the core tracing into a dead TrialResult.
 class TraceGuard {
  public:
-  TraceGuard(os::Machine& m, obs::EventLog* log) : m_(m), attached_(log) {
+  TraceGuard(os::Machine& m, uarch::EventLog* log) : m_(m), attached_(log) {
     if (attached_) m_.core().set_trace(attached_);
   }
   ~TraceGuard() {
@@ -171,7 +148,7 @@ class TraceGuard {
 
  private:
   os::Machine& m_;
-  obs::EventLog* attached_;
+  uarch::EventLog* attached_;
 };
 
 /// The attack phase shared by both trial paths: `m` is either freshly
@@ -197,10 +174,7 @@ TrialResult attack_phase(const RunSpec& spec, const core::AttackInfo& info,
   const uarch::PmuSnapshot pmu_before = m.core().pmu().snapshot();
 
   core::AttackOptions opt;
-  if (spec.batches > 0)
-    opt.batches = spec.batches;
-  else if (!info.channel && spec.rounds > 0)
-    opt.batches = spec.rounds;  // KASLR spells its batch knob "rounds"
+  if (spec.batches > 0) opt.batches = spec.batches;
   opt.adaptive = spec.adaptive;
   opt.confidence_threshold = spec.confidence_threshold;
   opt.batch_budget = spec.batch_budget;

@@ -13,7 +13,7 @@
 //   runner::RunSpec spec{.model = uarch::CpuModel::CometLakeI9_10980XE,
 //                        .attack = "kaslr",
 //                        .trials = 32,
-//                        .kernel = {.kpti = true}};
+//                        .defenses = {defense::parse("kpti")}};
 //   runner::Executor ex(/*jobs=*/8);
 //   const runner::RunResult r = runner::run(spec, ex);
 //
@@ -32,16 +32,15 @@
 
 #include "defense/defense.h"
 #include "noise/noise.h"
-#include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/topdown.h"
-#include "os/kernel_layout.h"
 #include "os/machine.h"
 #include "runner/executor.h"
 #include "stats/histogram.h"
 #include "stats/summary.h"
 #include "uarch/config.h"
 #include "uarch/pmu.h"
+#include "uarch/trace.h"
 
 namespace whisper::fault {
 class FaultPlan;
@@ -60,16 +59,12 @@ struct RunSpec {
   std::string attack = "kaslr";
   int trials = 1;
   std::uint64_t base_seed = 1;
-  os::KernelOptions kernel{};
   bool docker = false;
 
   /// The defense stack (defense::registry() keys + params) this cell runs
-  /// under, applied to every trial's MachineOptions in list order. The
-  /// legacy kernel.kpti/flare/fgkaslr bools still work — they are aliases:
-  /// normalized_defenses() folds them in ahead of this list, and every
-  /// consumer (label, pool key, JSON, wire) goes through it, so
-  /// {.kernel = {.kpti = true}} and {.defenses = {parse("kpti")}} name the
-  /// same cell everywhere.
+  /// under, applied to every trial's MachineOptions in list order. Every
+  /// consumer — label(), machine_key(), machine_options(), validate(), the
+  /// JSON trajectory and the wire — reads this one list.
   std::vector<defense::DefenseSpec> defenses;
 
   /// Interference profile each trial's Machine runs under (noise.off() by
@@ -77,8 +72,7 @@ struct RunSpec {
   noise::NoiseProfile noise{};
 
   // Attack knobs. 0 / default means "use the attack's own default".
-  int rounds = 3;     // TET-KASLR sweep rounds (alias of `batches` for kaslr)
-  int batches = 0;    // argmax batches per byte (channel attacks)
+  int batches = 0;  // argmax batches per byte (TET-KASLR: sweep rounds)
   std::size_t payload_bytes = 8;     // bytes moved per channel trial
   std::uint64_t payload_seed = 0x5eedULL;  // RNG stream for the payload
 
@@ -89,7 +83,7 @@ struct RunSpec {
   double confidence_threshold = 0.5;
   int batch_budget = 0;  // 0 = 8× the initial batch count
 
-  /// Attach an obs::EventLog to each trial's core and keep the records in
+  /// Attach a uarch::EventLog to each trial's core and keep the records in
   /// the TrialResult (and, merged in index order, in RunResult::events).
   /// Off by default: full event capture is memory-heavy, and with it off
   /// the core's trace hooks stay a branch on a null pointer.
@@ -144,15 +138,6 @@ struct RunSpec {
 /// this before the fan-out, so a bad spec fails fast with zero trials
 /// spawned.
 void validate(const RunSpec& spec);
-
-/// The spec's effective defense stack: the legacy kernel bools (kpti, flare,
-/// fgkaslr — in that order) folded in ahead of spec.defenses, with
-/// duplicates against the bools collapsed. This is the single list every
-/// defense consumer derives from — label(), machine_key(), the JSON
-/// trajectory writer and machine_options() — so the two spellings of the
-/// same cell are indistinguishable downstream.
-[[nodiscard]] std::vector<defense::DefenseSpec> normalized_defenses(
-    const RunSpec& spec);
 
 /// Why a trial attempt failed. One TrialError is recorded per failed
 /// attempt; the enum is the JSON/metrics vocabulary ("run.errors.<name>").
@@ -217,7 +202,7 @@ struct TrialResult {
   uarch::PmuSnapshot pmu{};
   obs::TopDown topdown;
   /// Pipeline events of the trial; empty unless spec.collect_trace.
-  obs::EventLog events;
+  uarch::EventLog events;
 };
 
 /// A finished RunSpec: the ordered per-trial results plus the merged view.
@@ -246,7 +231,7 @@ struct RunResult {
   stats::Histogram tote;      // all trials' ToTE observations merged
   uarch::PmuSnapshot pmu{};   // per-trial PMU deltas, summed
   obs::TopDown topdown;       // per-trial attributions, bucket-summed
-  obs::EventLog events;       // per-trial logs, appended in index order
+  uarch::EventLog events;       // per-trial logs, appended in index order
 
   // Failure accounting (folded from `outcomes`):
   std::size_t attempted = 0;      // trials scheduled (== trials.size())

@@ -10,7 +10,7 @@
 #include "core/attacks/registry.h"
 #include "defense/defense.h"
 #include "noise/noise.h"
-#include "os/kernel_layout.h"
+#include "runner/json_writer.h"
 #include "stats/json.h"
 #include "uarch/config.h"
 
@@ -113,18 +113,6 @@ constexpr RunField spec_field(const char* name) {
           }};
 }
 
-/// A row for a legacy os::KernelOptions bool. These aliases land on the
-/// kernel options, which runner::normalized_defenses() folds in ahead of
-/// the "defenses" array.
-template <bool os::KernelOptions::*M>
-constexpr RunField kernel_field(const char* name) {
-  return {name,
-          [](JsonWriter& w, const Request& r) { w.value(r.spec.kernel.*M); },
-          [](Request& r, const JsonValue& v, const char* n) {
-            r.spec.kernel.*M = want<bool>(v, n);
-          }};
-}
-
 using runner::RunSpec;
 
 const RunField kRunFields[] = {
@@ -203,11 +191,7 @@ const RunField kRunFields[] = {
          }
        }
      }},
-    kernel_field<&os::KernelOptions::kpti>("kpti"),
-    kernel_field<&os::KernelOptions::flare>("flare"),
-    kernel_field<&os::KernelOptions::fgkaslr>("fgkaslr"),
     spec_field<&RunSpec::docker>("docker"),
-    spec_field<&RunSpec::rounds>("rounds"),
     spec_field<&RunSpec::batches>("batches"),
     spec_field<&RunSpec::payload_bytes>("payload_bytes"),
     spec_field<&RunSpec::payload_seed>("payload_seed"),
@@ -302,33 +286,11 @@ std::string response_trial(std::uint64_t id, std::size_t index,
   stats::JsonWriter w;
   head(w, id, "trial");
   w.field("index", static_cast<std::uint64_t>(index));
-  // Fault-layer account first, then the result slot — the same key order
-  // as runner trajectory files ("trials_detail"), minus anything
-  // non-deterministic across worker counts (there is nothing: invariant 8
-  // keeps pool identity out of results, and no wall-clock is emitted).
-  w.field("ok", t.outcome.ok);
-  w.field("attempts", t.outcome.attempts);
-  w.field("quarantined", t.outcome.quarantined);
-  w.key("errors");
-  w.begin_array();
-  for (const runner::TrialError& e : t.outcome.errors) {
-    w.begin_object();
-    w.field("kind", std::string(runner::to_string(e.kind)));
-    w.field("attempt", e.attempt);
-    w.field("what", e.what);
-    w.end_object();
-  }
-  w.end_array();
-  w.field("seed", t.result.seed);
-  w.field("success", t.result.success);
-  w.field("cycles", t.result.cycles);
-  w.field("seconds", t.result.seconds);
-  w.field("probes", static_cast<std::uint64_t>(t.result.probes));
-  w.field("bytes", static_cast<std::uint64_t>(t.result.bytes));
-  w.field("byte_errors", static_cast<std::uint64_t>(t.result.byte_errors));
-  w.field("found_slot", t.result.found_slot);
-  w.field("confidence", t.result.confidence);
-  w.field("gave_up", static_cast<std::uint64_t>(t.result.gave_up));
+  // The trajectory's "trials_detail" record (runner::write_trial_record),
+  // minus anything non-deterministic across worker counts (there is
+  // nothing: invariant 8 keeps pool identity out of results, and no
+  // wall-clock is emitted).
+  runner::write_trial_record(w, t.result, &t.outcome);
   w.field("tote_total", t.result.tote.total());
   w.end_object();
   return w.str();

@@ -135,11 +135,9 @@ class Core {
   /// so a warm one is indistinguishable from a cold one).
   void reset(std::uint64_t seed);
 
-  /// Attach (or detach with nullptr) a pipeline trace sink. Any TraceSink
-  /// works: the bounded uarch::PipelineTrace ring for tests, or the
-  /// unbounded obs::EventLog feeding the Chrome-trace exporter. With no
-  /// sink attached every hook is a branch on a null pointer.
-  void set_trace(TraceSink* trace) noexcept { trace_ = trace; }
+  /// Attach (or detach with nullptr) a pipeline event log. With none
+  /// attached every hook is a branch on a null pointer.
+  void set_trace(EventLog* trace) noexcept { trace_ = trace; }
 
   /// Attach (or detach with nullptr) an interference source. Same contract
   /// as set_trace: with none attached the per-cycle hook is a branch on a
@@ -681,7 +679,7 @@ class Core {
   Pmu pmu_;
   BranchPredictor bpu_;
   stats::Xoshiro256 rng_;
-  TraceSink* trace_ = nullptr;
+  EventLog* trace_ = nullptr;
   CoreInterference* noise_ = nullptr;
   bool fast_forward_ = true;
 

@@ -34,27 +34,17 @@ std::string TraceRecord::to_string() const {
   return out.str();
 }
 
-std::vector<TraceRecord> PipelineTrace::records() const {
-  if (!wrapped_) return records_;
-  std::vector<TraceRecord> out;
-  out.reserve(records_.size());
-  const std::size_t start = next_ % capacity_;
-  for (std::size_t i = 0; i < records_.size(); ++i)
-    out.push_back(records_[(start + i) % capacity_]);
-  return out;
-}
-
-std::size_t PipelineTrace::count(TraceEvent e, std::int32_t pc) const {
+std::size_t EventLog::count(TraceEvent e, std::int32_t pc) const {
   std::size_t n = 0;
   for (const TraceRecord& r : records_)
     if (r.event == e && (pc < 0 || r.pc == pc)) ++n;
   return n;
 }
 
-std::string PipelineTrace::to_string() const {
+std::string EventLog::to_string() const {
   std::ostringstream out;
   out << "cycle\tthr\tevent\n";
-  for (const TraceRecord& r : records()) out << r.to_string() << '\n';
+  for (const TraceRecord& r : records_) out << r.to_string() << '\n';
   return out.str();
 }
 

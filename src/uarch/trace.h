@@ -3,12 +3,12 @@
 // instruction fetched but never retired?") and for the obs layer's
 // Chrome-trace exporter and top-down attribution (src/obs).
 //
-// The core emits TraceRecords through the abstract TraceSink; attach one
-// with Core::set_trace(). When detached, every hook compiles down to a
-// branch on a null pointer, so an untraced run pays nothing beyond that
-// test.
+// The core appends TraceRecords to an EventLog attached with
+// Core::set_trace(). When detached, every hook compiles down to a branch on
+// a null pointer, so an untraced run pays nothing beyond that test.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -47,40 +47,29 @@ struct TraceRecord {
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Receiver of pipeline events. Implementations must not mutate any
-/// simulated state — tracing is observability-only, and
-/// tests/test_obs.cpp asserts that attaching a sink leaves architectural
-/// state, PMU counters and retire cycles byte-identical.
-class TraceSink {
+/// The pipeline event sink: every record of a run, in emission order, so
+/// the obs exporters can reconstruct full instruction lifecycles and tests
+/// can count events. Recording is observability-only — it never feeds back
+/// into the simulation, and tests/test_obs.cpp asserts that attaching a log
+/// leaves architectural state, PMU counters and retire cycles
+/// byte-identical.
+class EventLog {
  public:
-  virtual ~TraceSink() = default;
-  virtual void record(const TraceRecord& r) = 0;
-};
+  void record(const TraceRecord& r) { records_.push_back(r); }
 
-class PipelineTrace final : public TraceSink {
- public:
-  explicit PipelineTrace(std::size_t capacity = 4096)
-      : capacity_(capacity) {}
-
-  void record(const TraceRecord& r) override {
-    if (records_.size() >= capacity_) {
-      records_[next_ % capacity_] = r;  // ring overwrite
-      ++next_;
-      wrapped_ = true;
-    } else {
-      records_.push_back(r);
-      ++next_;
-    }
+  [[nodiscard]] const std::vector<TraceRecord>& records() const noexcept {
+    return records_;
   }
-
-  /// Records in chronological order (oldest first).
-  [[nodiscard]] std::vector<TraceRecord> records() const;
   [[nodiscard]] std::size_t size() const noexcept { return records_.size(); }
-  [[nodiscard]] bool wrapped() const noexcept { return wrapped_; }
-  void clear() {
-    records_.clear();
-    next_ = 0;
-    wrapped_ = false;
+  [[nodiscard]] bool empty() const noexcept { return records_.empty(); }
+  void clear() { records_.clear(); }
+
+  /// Append another log's records after this one's. The runner merges
+  /// per-trial logs in trial-index order, so a --jobs N trace equals the
+  /// sequential one byte for byte.
+  void append(const EventLog& other) {
+    records_.insert(records_.end(), other.records_.begin(),
+                    other.records_.end());
   }
 
   /// Count events of a given kind (optionally at a specific pc).
@@ -90,9 +79,6 @@ class PipelineTrace final : public TraceSink {
   [[nodiscard]] std::string to_string() const;
 
  private:
-  std::size_t capacity_;
-  std::size_t next_ = 0;
-  bool wrapped_ = false;
   std::vector<TraceRecord> records_;
 };
 

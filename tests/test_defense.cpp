@@ -1,10 +1,10 @@
 // The composable defense API (src/defense): the parse/format/hash
 // round-trip every surface shares (CLI string → DefenseSpec → JSON → serve
-// wire → machine options), the legacy kpti/flare/fgkaslr aliasing, and —
-// the part that guards the simulator's contracts — identity of every NEW
-// defense under snapshot/reset (invariant 8) and fast-forward
-// (invariant 10): a defense that perturbs either would silently corrupt
-// the pooled trial path for the whole defense_matrix grid.
+// wire → machine options), and — the part that guards the simulator's
+// contracts — identity of every NEW defense under snapshot/reset
+// (invariant 8) and fast-forward (invariant 10): a defense that perturbs
+// either would silently corrupt the pooled trial path for the whole
+// defense_matrix grid.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -162,29 +162,15 @@ TEST(DefenseApply, EmptyStackLeavesOptionsUntouched) {
 }
 
 // ---------------------------------------------------------------------------
-// Runner integration: normalization of the legacy bools, the label fix,
-// the pool key, validation and the JSON trajectory emission.
+// Runner integration: the label fix, the pool key, validation and the JSON
+// trajectory emission.
 // ---------------------------------------------------------------------------
-
-TEST(RunnerDefenses, LegacyBoolsAndDefenseSpecsNormalizeIdentically) {
-  runner::RunSpec bools;
-  bools.kernel.kpti = true;
-  bools.kernel.fgkaslr = true;
-  runner::RunSpec specs;
-  specs.defenses = defense::parse_list("kpti+fgkaslr");
-  EXPECT_EQ(runner::normalized_defenses(bools),
-            runner::normalized_defenses(specs));
-  EXPECT_EQ(runner::machine_key(bools), runner::machine_key(specs));
-  EXPECT_EQ(bools.label(), specs.label());
-}
 
 TEST(RunnerDefenses, LabelDerivesFromTheFullDefenseList) {
   // The old hand-rolled label dropped +FGKASLR; the derived one cannot.
   runner::RunSpec spec;
   spec.attack = "kaslr";
-  spec.kernel.kpti = true;
-  spec.kernel.fgkaslr = true;
-  spec.defenses = defense::parse_list("window:depth=4");
+  spec.defenses = defense::parse_list("kpti+fgkaslr+window:depth=4");
   const std::string label = spec.label();
   EXPECT_NE(label.find("+KPTI"), std::string::npos) << label;
   EXPECT_NE(label.find("+FGKASLR"), std::string::npos) << label;
@@ -211,11 +197,6 @@ TEST(RunnerDefenses, ValidateRejectsUnknownAndDuplicateDefenses) {
   spec.defenses = defense::parse_list("kpti");
   spec.defenses.push_back(defense::parse("kpti"));
   EXPECT_THROW(runner::validate(spec), std::invalid_argument);
-  // Spelling kpti via the legacy bool AND the spec is the documented
-  // aliasing, not an error.
-  spec.defenses = defense::parse_list("kpti");
-  spec.kernel.kpti = true;
-  EXPECT_NO_THROW(runner::validate(spec));
 }
 
 TEST(RunnerDefenses, TrajectoryJsonEmitsTheDefensesArray) {
@@ -224,8 +205,7 @@ TEST(RunnerDefenses, TrajectoryJsonEmitsTheDefensesArray) {
   spec.trials = 1;
   spec.payload_bytes = 1;
   spec.batches = 1;
-  spec.kernel.kpti = true;
-  spec.defenses = defense::parse_list("window:depth=8");
+  spec.defenses = defense::parse_list("kpti+window:depth=8");
   const runner::RunResult r = runner::run(spec, /*jobs=*/1);
   const std::string json = runner::to_json(r);
   EXPECT_NE(json.find("\"defenses\":[\"kpti\",\"window:depth=8\"]"),
@@ -248,16 +228,6 @@ TEST(ServeDefenses, RunRequestDefensesArrayLandsOnTheSpec) {
       R"({"id":4,"verb":"run","attack":"cc","trials":1,)"
       R"("defenses":["kpti","window:depth=4"]})");
   EXPECT_EQ(defense::format_list(req.spec.defenses), "kpti+window:depth=4");
-  EXPECT_EQ(defense::format_list(runner::normalized_defenses(req.spec)),
-            "kpti+window:depth=4");
-}
-
-TEST(ServeDefenses, LegacyBoolFieldsStillParseAsAliases) {
-  const serve::Request req = serve::parse_request(
-      R"({"id":4,"verb":"run","attack":"kaslr","kpti":true,"flare":true,)"
-      R"("fgkaslr":true})");
-  EXPECT_EQ(defense::format_list(runner::normalized_defenses(req.spec)),
-            "kpti+flare+fgkaslr");
 }
 
 TEST(ServeDefenses, WireAndCliSpellingsAreByteIdenticalBothWays) {

@@ -417,7 +417,6 @@ runner::RunSpec cheap_spec(int trials, std::uint64_t seed = 0xd157ULL) {
   spec.attack = "cc";
   spec.trials = trials;
   spec.base_seed = seed;
-  spec.rounds = 1;
   spec.batches = 2;
   spec.payload_bytes = 2;
   return spec;

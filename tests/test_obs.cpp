@@ -9,7 +9,7 @@
 //  1. Golden trace: the Fig. 1 TET gadget's pipeline event stream
 //     (opcode, cycle, stage) matches a checked-in golden file, with a
 //     readable line diff on mismatch.
-//  2. Observer effect: attaching a TraceSink changes nothing — arch state,
+//  2. Observer effect: attaching an EventLog changes nothing — arch state,
 //     PMU counters, ToTE values and cycle counts stay byte-identical.
 //  3. Determinism: runner --jobs 4 produces bit-identical merged traces,
 //     metrics and top-down attributions to --jobs 1.
@@ -33,7 +33,6 @@
 #include "core/attacks/rewind.h"
 #include "core/gadgets.h"
 #include "obs/chrome_trace.h"
-#include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/thread_name.h"
 #include "obs/topdown.h"
@@ -154,11 +153,11 @@ core::GadgetProgram fig1_gadget(const os::Machine& m) {
 }
 
 /// One triggered probe of the Fig. 1 gadget, events captured.
-obs::EventLog fig1_tet_log() {
+uarch::EventLog fig1_tet_log() {
   os::Machine m(fig1_options());
   m.poke8(os::Machine::kSharedBase, kSecret);
   const core::GadgetProgram g = fig1_gadget(m);
-  obs::EventLog log;
+  uarch::EventLog log;
   m.core().set_trace(&log);
   (void)core::run_tote(m, g, fig1_regs(kSecret));
   m.core().set_trace(nullptr);
@@ -170,7 +169,7 @@ obs::EventLog fig1_tet_log() {
 // ---------------------------------------------------------------------------
 
 TEST(GoldenTrace, Fig1TetGadgetEventStream) {
-  const obs::EventLog log = fig1_tet_log();
+  const uarch::EventLog log = fig1_tet_log();
   ASSERT_FALSE(log.empty());
   EXPECT_TRUE(matches_golden("fig1_tet_trace.golden",
                              render_trace(log.records())));
@@ -181,7 +180,7 @@ TEST(GoldenTrace, Fig1StreamHasTheTetShape) {
   // mechanism end to end — the faulting load opens a transient window,
   // transient work inside it is squashed, the window closes with a machine
   // clear suppressed by TSX abort, and the front end resteers.
-  const obs::EventLog log = fig1_tet_log();
+  const uarch::EventLog log = fig1_tet_log();
   std::uint64_t open_cycle = 0, close_cycle = 0;
   std::size_t squashed_after_open = 0;
   bool machine_clear = false, tsx_abort = false, resteer = false;
@@ -234,7 +233,7 @@ std::array<std::uint64_t, isa::kNumRegs> rewind_regs(std::uint64_t index,
 /// where the transient FDIV picks the hard divisor and steals the divider
 /// from the receiver chain — traced after in-bounds training runs so the
 /// bounds branch predicts not-taken.
-obs::EventLog rewind_contention_log() {
+uarch::EventLog rewind_contention_log() {
   using core::SpectreRewind;
   os::Machine m(fig1_options());
   m.poke64(SpectreRewind::kLenAddr, SpectreRewind::kArrayLen);
@@ -246,7 +245,7 @@ obs::EventLog rewind_contention_log() {
   for (std::uint64_t t = 0; t < 4; ++t)
     (void)core::run_tote(m, g,
                          rewind_regs(t % SpectreRewind::kArrayLen, kSecret));
-  obs::EventLog log;
+  uarch::EventLog log;
   m.core().set_trace(&log);
   (void)core::run_tote(m, g,
                        rewind_regs(SpectreRewind::kSecretOffset, kSecret));
@@ -255,7 +254,7 @@ obs::EventLog rewind_contention_log() {
 }
 
 TEST(GoldenTrace, RewindContentionEventStream) {
-  const obs::EventLog log = rewind_contention_log();
+  const uarch::EventLog log = rewind_contention_log();
   ASSERT_FALSE(log.empty());
   EXPECT_TRUE(matches_golden("rewind_contention_trace.golden",
                              render_trace(log.records())));
@@ -267,7 +266,7 @@ TEST(GoldenTrace, RewindStreamShowsTheDividerStall) {
   // div_latency (each receiver divide waits out its predecessor's
   // occupancy), and the squashed transient fdiv appears in the stream —
   // its residue is the channel.
-  const obs::EventLog log = rewind_contention_log();
+  const uarch::EventLog log = rewind_contention_log();
   std::vector<std::uint64_t> fdiv_issues;
   bool fdiv_squashed = false;
   for (const uarch::TraceRecord& r : log.records()) {
@@ -326,7 +325,7 @@ TEST(ObserverEffect, ToteProbesByteIdenticalWithAndWithoutSink) {
   traced.poke8(os::Machine::kSharedBase, kSecret);
   const core::GadgetProgram g = fig1_gadget(plain);
   const core::GadgetProgram g2 = fig1_gadget(traced);
-  obs::EventLog log;
+  uarch::EventLog log;
   traced.core().set_trace(&log);
 
   for (int probe = 0; probe < 6; ++probe) {
@@ -351,7 +350,7 @@ TEST(ObserverEffect, ToteProbesByteIdenticalWithAndWithoutSink) {
 
 TEST(ObserverEffect, MeltdownLeakByteIdenticalWithAndWithoutSink) {
   const std::vector<std::uint8_t> secret = {0xde, 0xad};
-  auto leak = [&](obs::EventLog* log, uarch::PmuSnapshot* pmu_out,
+  auto leak = [&](uarch::EventLog* log, uarch::PmuSnapshot* pmu_out,
                   std::uint64_t* cycle_out) {
     os::Machine m({.model = uarch::CpuModel::KabyLakeI7_7700});
     if (log) m.core().set_trace(log);
@@ -366,7 +365,7 @@ TEST(ObserverEffect, MeltdownLeakByteIdenticalWithAndWithoutSink) {
 
   uarch::PmuSnapshot pmu_plain{}, pmu_traced{};
   std::uint64_t cyc_plain = 0, cyc_traced = 0;
-  obs::EventLog log;
+  uarch::EventLog log;
   const auto got_plain = leak(nullptr, &pmu_plain, &cyc_plain);
   const auto got_traced = leak(&log, &pmu_traced, &cyc_traced);
 
@@ -557,7 +556,7 @@ TEST(ChromeTraceSchema, MergedRunnerExportIsValid) {
 }
 
 TEST(ChromeTraceSchema, EmptyLogStillExportsValidJson) {
-  const obs::EventLog empty;
+  const uarch::EventLog empty;
   const std::string json = obs::to_chrome_trace(empty);
   EXPECT_TRUE(stats::json_is_valid(json));
 }

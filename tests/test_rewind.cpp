@@ -22,7 +22,6 @@
 #include "core/gadgets.h"
 #include "isa/builder.h"
 #include "noise/noise.h"
-#include "obs/event_log.h"
 #include "os/machine.h"
 #include "uarch/trace.h"
 
@@ -41,7 +40,7 @@ os::MachineOptions vulnerable() {
 std::vector<std::uint64_t> issue_cycles(os::Machine& m,
                                         const isa::Program& prog, Opcode op,
                                         int signal_handler = -1) {
-  obs::EventLog log;
+  uarch::EventLog log;
   m.core().set_trace(&log);
   (void)m.run_user(prog, {}, signal_handler);
   m.core().set_trace(nullptr);

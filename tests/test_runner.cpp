@@ -29,7 +29,7 @@ RunSpec cheap_kaslr_spec(int trials) {
   spec.attack = "kaslr";
   spec.trials = trials;
   spec.base_seed = 0xfeedULL;
-  spec.rounds = 1;
+  spec.batches = 1;  // sweep rounds
   return spec;
 }
 

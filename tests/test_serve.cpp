@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/attacks/registry.h"
+#include "defense/defense.h"
 #include "runner/machine_pool.h"
 #include "runner/runner.h"
 #include "serve/protocol.h"
@@ -71,7 +72,7 @@ std::string run_request(std::uint64_t id, const std::string& attack,
   return "{\"id\":" + std::to_string(id) + ",\"verb\":\"run\",\"attack\":\"" +
          attack + "\",\"seed\":" + std::to_string(seed) +
          ",\"trials\":" + std::to_string(trials) +
-         ",\"batches\":2,\"payload_bytes\":2,\"rounds\":1" + extra + "}";
+         ",\"batches\":2,\"payload_bytes\":2" + extra + "}";
 }
 
 // ---------------------------------------------------------------------------
@@ -117,7 +118,8 @@ TEST(ServeJson, DuplicateKeysKeepTheLastValue) {
 TEST(ServeProtocol, ParsesARunRequestOntoTheSpec) {
   const Request req = parse_request(
       R"({"id":9,"verb":"run","attack":"md","cpu":2,"trials":5,"seed":77,)"
-      R"("noise":"quiet","kpti":true,"fault_plan":"throw@1","retries":2})");
+      R"("noise":"quiet","defenses":["kpti"],"fault_plan":"throw@1",)"
+      R"("retries":2})");
   EXPECT_EQ(req.id, 9u);
   EXPECT_EQ(req.verb, "run");
   EXPECT_EQ(req.spec.attack, "md");
@@ -125,7 +127,7 @@ TEST(ServeProtocol, ParsesARunRequestOntoTheSpec) {
   EXPECT_EQ(req.spec.trials, 5);
   EXPECT_EQ(req.spec.base_seed, 77u);
   EXPECT_EQ(req.spec.noise.name, "quiet");
-  EXPECT_TRUE(req.spec.kernel.kpti);
+  EXPECT_EQ(defense::format_list(req.spec.defenses), "kpti");
   EXPECT_EQ(req.spec.fault_plan, "throw@1");
   EXPECT_EQ(req.spec.retries, 2);
 }
@@ -139,6 +141,16 @@ TEST(ServeProtocol, RejectsSchemaViolations) {
        "unknown verb 'dance' (verbs: run, ping, list, metrics, shutdown)"},
       {R"({"id":1,"verb":"run","attack":"cc","trails":3})",
        "unknown field 'trails' in run request"},
+      // Retired spellings: the kernel-defense aliases (now "defenses")
+      // and the KASLR rounds alias (now "batches").
+      {R"({"id":1,"verb":"run","attack":"kaslr","kpti":true})",
+       "unknown field 'kpti' in run request"},
+      {R"({"id":1,"verb":"run","attack":"kaslr","flare":true})",
+       "unknown field 'flare' in run request"},
+      {R"({"id":1,"verb":"run","attack":"kaslr","fgkaslr":true})",
+       "unknown field 'fgkaslr' in run request"},
+      {R"({"id":1,"verb":"run","attack":"kaslr","rounds":2})",
+       "unknown field 'rounds' in run request"},
       {R"({"id":1,"verb":"ping","attack":"cc"})",
        "field 'attack' not allowed with verb 'ping'"},
       {R"({"id":1,"verb":"run","attack":7})", "field 'attack' must be a string"},

@@ -6,6 +6,7 @@
 
 #include "stats/error_rate.h"
 #include "stats/histogram.h"
+#include "stats/parse.h"
 #include "stats/rng.h"
 #include "stats/summary.h"
 
@@ -220,6 +221,20 @@ TEST(ChannelReportTest, RateFormatting) {
   EXPECT_EQ(format_rate(500.0), "500.0 B/s");
   EXPECT_EQ(format_rate(21'500.0), "21.5 KB/s");
   EXPECT_EQ(format_rate(2'500'000.0), "2.5 MB/s");
+}
+
+TEST(ParseUint, ReadsWholeDecimalOrHexTokens) {
+  EXPECT_EQ(parse_uint<std::uint64_t>("8040930"), 8040930u);
+  EXPECT_EQ(parse_uint<std::uint64_t>("0x7ab1e2"), 0x7ab1e2u);
+  EXPECT_EQ(parse_uint<std::uint64_t>("0X7AB1E2"), 0x7ab1e2u);
+  EXPECT_EQ(parse_uint<std::uint64_t>("18446744073709551615"),
+            18446744073709551615u);
+  EXPECT_EQ(parse_uint<int>("0"), 0);
+  for (const char* bad : {"", "foo", "12x", "0x", "0x7ab1e2x", "-1", "+1",
+                          " 1", "1.5", "18446744073709551616"})
+    EXPECT_FALSE(parse_uint<std::uint64_t>(bad).has_value()) << bad;
+  EXPECT_FALSE(parse_uint<int>("2147483648").has_value());
+  EXPECT_EQ(parse_uint<int>("2147483647"), 2147483647);
 }
 
 }  // namespace

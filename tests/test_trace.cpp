@@ -15,12 +15,12 @@ namespace {
 using isa::Cond;
 using isa::ProgramBuilder;
 using isa::Reg;
-using uarch::PipelineTrace;
+using uarch::EventLog;
 using uarch::TraceEvent;
 
 TEST(TraceTest, StraightLineLifecycle) {
   os::Machine m({.model = uarch::CpuModel::KabyLakeI7_7700});
-  PipelineTrace trace;
+  EventLog trace;
   m.core().set_trace(&trace);
 
   ProgramBuilder b;
@@ -40,7 +40,7 @@ TEST(TraceTest, StraightLineLifecycle) {
 
 TEST(TraceTest, TransientInstructionsNeverRetire) {
   os::Machine m({.model = uarch::CpuModel::KabyLakeI7_7700});
-  PipelineTrace trace;
+  EventLog trace;
   m.core().set_trace(&trace);
 
   ProgramBuilder b;
@@ -77,7 +77,7 @@ TEST(TraceTest, TetGadgetShowsTheWhisperSequence) {
   regs[static_cast<std::size_t>(Reg::RBX)] = 'T';
   (void)core::run_tote(m, g, regs);
 
-  PipelineTrace trace;
+  EventLog trace;
   m.core().set_trace(&trace);
   regs[static_cast<std::size_t>(Reg::RBX)] = 'S';  // trigger
   (void)core::run_tote(m, g, regs);
@@ -116,7 +116,7 @@ TEST(TraceTest, NonTriggerProbeHasNoMispredict) {
 
   // Train first so the branch is predictable, then trace one probe.
   for (int i = 0; i < 4; ++i) (void)core::run_tote(m, g, regs);
-  PipelineTrace trace;
+  EventLog trace;
   m.core().set_trace(&trace);
   (void)core::run_tote(m, g, regs);
   m.core().set_trace(nullptr);
@@ -125,22 +125,8 @@ TEST(TraceTest, NonTriggerProbeHasNoMispredict) {
   EXPECT_EQ(trace.count(TraceEvent::MachineClear), 1u);
 }
 
-TEST(TraceTest, RingBufferWraps) {
-  PipelineTrace trace(8);
-  for (std::uint64_t i = 0; i < 20; ++i)
-    trace.record({.cycle = i, .event = TraceEvent::Alloc, .seq = i});
-  EXPECT_TRUE(trace.wrapped());
-  const auto recs = trace.records();
-  ASSERT_EQ(recs.size(), 8u);
-  EXPECT_EQ(recs.front().cycle, 12u);  // oldest surviving
-  EXPECT_EQ(recs.back().cycle, 19u);
-  trace.clear();
-  EXPECT_EQ(trace.size(), 0u);
-  EXPECT_FALSE(trace.wrapped());
-}
-
 TEST(TraceTest, ToStringIsReadable) {
-  PipelineTrace trace;
+  EventLog trace;
   trace.record({.cycle = 5,
                 .thread = 0,
                 .event = TraceEvent::Retire,

@@ -44,8 +44,6 @@ runner::RunSpec golden_spec() {
   spec.noise = *noise::NoiseProfile::by_name("quiet");
   spec.noise.seed = 18446744073709551615ULL;
   spec.defenses = {defense::parse("kpti"), defense::parse("window:depth=8")};
-  spec.kernel.flare = true;
-  spec.rounds = 2;
   spec.batches = 3;
   spec.payload_bytes = 4;
   spec.payload_seed = 0xfeedULL;
@@ -69,8 +67,8 @@ TEST(WireCodec, RunRequestGoldenBytes) {
       R"({"id":7,"verb":"run","attack":"kaslr","cpu":2,"trials":4,)"
       R"("trial_first":12,"seed":9007199254740993,"noise":"quiet",)"
       R"("noise_seed":18446744073709551615,)"
-      R"("defenses":["kpti","window:depth=8"],"kpti":false,"flare":true,)"
-      R"("fgkaslr":false,"docker":false,"rounds":2,"batches":3,)"
+      R"("defenses":["kpti","window:depth=8"],)"
+      R"("docker":false,"batches":3,)"
       R"("payload_bytes":4,"payload_seed":65261,"adaptive":true,)"
       R"("confidence_threshold":0.30000000000000004,"batch_budget":24,)"
       R"("reuse_machine":false,"fast_forward":true,"retries":2,)"
@@ -126,11 +124,7 @@ runner::RunSpec random_spec(stats::Xoshiro256& rng) {
         ds.params.emplace_back(p.name, std::to_string(rng.next_below(64)));
     spec.defenses.push_back(ds);
   }
-  spec.kernel.kpti = rng.next_bool(0.5);
-  spec.kernel.flare = rng.next_bool(0.5);
-  spec.kernel.fgkaslr = rng.next_bool(0.5);
   spec.docker = rng.next_bool(0.5);
-  spec.rounds = random_int(rng);
   spec.batches = random_int(rng);
   spec.payload_bytes = random_u64(rng);
   spec.payload_seed = random_u64(rng);
@@ -264,8 +258,8 @@ TEST(ProtocolFuzz, AnyLineYieldsARequestOrAProtocolError) {
       "0.0", "1E2", "18446744073709551615", "18446744073709551616",
       "99999999999999999999999999", "-9223372036854775809", "4.9e-324"};
   static const char* kNumericFields[] = {
-      "id", "cpu", "trials", "trial_first", "seed", "noise_seed", "rounds",
-      "batches", "payload_bytes", "payload_seed", "confidence_threshold",
+      "id", "cpu", "trials", "trial_first", "seed", "noise_seed", "batches",
+      "payload_bytes", "payload_seed", "confidence_threshold",
       "batch_budget", "retries", "trial_cycle_budget", "trial_wall_budget"};
   for (const char* field : kNumericFields)
     for (const char* number : kNumbers)
