@@ -1,7 +1,9 @@
 #include "defense/defense.h"
 
+#include <optional>
 #include <stdexcept>
 
+#include "stats/parse.h"
 #include "uarch/config.h"
 
 namespace whisper::defense {
@@ -56,24 +58,14 @@ int int_param(const DefenseSpec& spec, const DefenseInfo& info,
     for (const DefenseParamInfo& p : info.params)
       if (p.name == key) text = &p.default_value;
   }
-  int value = 0;
-  bool ok = text != nullptr && !text->empty();
-  if (ok) {
-    for (const char c : *text) {
-      if (c < '0' || c > '9') {
-        ok = false;
-        break;
-      }
-      value = value * 10 + (c - '0');
-      if (value > hi) break;
-    }
-  }
-  if (!ok || value < lo || value > hi)
+  const std::optional<int> value =
+      text ? stats::parse_uint<int>(*text) : std::nullopt;
+  if (!value || *value < lo || *value > hi)
     throw std::invalid_argument(
         "defense: " + info.name + " parameter '" + std::string(key) +
         "' must be an integer in [" + std::to_string(lo) + ", " +
         std::to_string(hi) + "], got '" + (text ? *text : "") + "'");
-  return value;
+  return *value;
 }
 
 // --- The registered hooks ------------------------------------------------

@@ -1,8 +1,11 @@
 #include "fault/fault.h"
 
 #include <cctype>
+#include <concepts>
+#include <optional>
 #include <stdexcept>
 
+#include "stats/parse.h"
 #include "stats/rng.h"
 
 namespace whisper::fault {
@@ -39,15 +42,13 @@ Kind parse_kind(const std::string& token, const std::string& name) {
   bad(token, "unknown fault kind '" + name + "'");
 }
 
-std::uint64_t parse_u64(const std::string& token, const std::string& digits,
-                        const std::string& what) {
+template <std::integral T = std::uint64_t>
+T parse_number(const std::string& token, const std::string& digits,
+               const std::string& what) {
   if (digits.empty()) bad(token, what + " is empty");
-  std::uint64_t v = 0;
-  for (const char c : digits) {
-    if (c < '0' || c > '9') bad(token, what + " '" + digits + "' is not a number");
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return v;
+  const std::optional<T> v = stats::parse_uint<T>(digits);
+  if (!v) bad(token, what + " '" + digits + "' is not a number");
+  return *v;
 }
 
 Point parse_point(const std::string& token) {
@@ -61,10 +62,10 @@ Point parse_point(const std::string& token) {
     p.kind = parse_kind(token, token.substr(0, tilde));
     p.random = true;
     const std::uint64_t rate =
-        parse_u64(token, token.substr(tilde + 1, at - tilde - 1), "rate");
+        parse_number(token, token.substr(tilde + 1, at - tilde - 1), "rate");
     if (rate > 1000) bad(token, "rate is per-mille, must be <= 1000");
     p.rate_permille = static_cast<std::uint32_t>(rate);
-    p.seed = parse_u64(token, token.substr(at + 1), "seed");
+    p.seed = parse_number(token, token.substr(at + 1), "seed");
     return p;
   }
 
@@ -76,11 +77,10 @@ Point parse_point(const std::string& token) {
     rest.pop_back();
   } else if (const std::size_t dot = rest.find('.');
              dot != std::string::npos) {
-    p.attempt = static_cast<int>(
-        parse_u64(token, rest.substr(dot + 1), "attempt"));
+    p.attempt = parse_number<int>(token, rest.substr(dot + 1), "attempt");
     rest = rest.substr(0, dot);
   }
-  p.trial = parse_u64(token, rest, "trial");
+  p.trial = parse_number(token, rest, "trial");
   return p;
 }
 

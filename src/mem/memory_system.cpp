@@ -155,11 +155,11 @@ int MemorySystem::cache_access(std::uint64_t paddr, AccessResult& out) {
   l2_.fill(paddr);
   l1_.fill(paddr);
   // A DRAM fill moves the line through the fill buffers; record its data so
-  // MDS-style sampling sees realistic in-flight bytes.
+  // MDS-style sampling sees realistic in-flight bytes. A line never
+  // straddles a frame, so the copy is one frame lookup and one memcpy.
   const std::uint64_t line_base = paddr & ~(Cache::kLineBytes - 1);
   std::uint8_t line[LineFillBuffer::kLineBytes];
-  for (std::size_t i = 0; i < LineFillBuffer::kLineBytes; ++i)
-    line[i] = phys_.read8(line_base + i);
+  phys_.read_into(line_base, line);
   lfb_.record(line_base, line);
   return cfg_.dram_latency + jitter();
 }

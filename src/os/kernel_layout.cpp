@@ -1,6 +1,7 @@
 #include "os/kernel_layout.h"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 
 #include "stats/rng.h"
@@ -13,6 +14,26 @@ namespace {
 constexpr std::uint64_t kImagePhysBase = 0x100000000ull;  // 4 GiB
 constexpr std::uint64_t kDummyPhysBase = 0x0ffe00000ull;  // 2 MiB aligned
 constexpr std::uint64_t kSecretImageOffset = 0x900000ull;  // in kernel .data
+
+// The kernel image's bytes: one recognisable u64 at the start of each
+// frame, so Meltdown reads return real data. Deliberately seed-independent,
+// which lets every machine share one copy and lets reseed() move the image
+// without touching physical memory. Built on first use (thread-safe static
+// initialisation) and never modified; each machine's writes land in
+// copy-on-write frames of its own PhysicalMemory.
+const std::shared_ptr<const mem::FrameImage>& kernel_image() {
+  static const std::shared_ptr<const mem::FrameImage> image = [] {
+    std::vector<std::uint8_t> bytes(kKernelImageBytes, 0);
+    for (std::uint64_t off = 0; off < kKernelImageBytes; off += 4096) {
+      const std::uint64_t word = 0x6b65726e656c0000ull | (off >> 12);
+      for (int i = 0; i < 8; ++i)  // little-endian, as write64 stores it
+        bytes[off + i] = static_cast<std::uint8_t>(word >> (8 * i));
+    }
+    return std::make_shared<const mem::FrameImage>(
+        kImagePhysBase / mem::PhysicalMemory::kFrameSize, std::move(bytes));
+  }();
+  return image;
+}
 
 std::vector<KernelSymbol> default_symbols() {
   // A handful of classic ROP/privilege-escalation targets. Offsets are
@@ -36,12 +57,7 @@ KernelLayout::KernelLayout(mem::PhysicalMemory& phys,
     : phys_(phys), opts_(opts), image_pa_(kImagePhysBase),
       dummy_pa_(kDummyPhysBase) {
   derive_layout();
-
-  // Give the image recognisable content so Meltdown reads return real
-  // bytes. Deliberately seed-independent: reseed() can move the image
-  // without touching physical memory.
-  for (std::uint64_t off = 0; off < kKernelImageBytes; off += 4096)
-    phys_.write64(image_pa_ + off, 0x6b65726e656c0000ull | (off >> 12));
+  phys_.set_base(kernel_image());
 }
 
 bool KernelLayout::reseed(std::uint64_t seed) {

@@ -46,6 +46,9 @@ struct KernelSymbol {
 
 class KernelLayout {
  public:
+  /// Lays the kernel out per `opts` and gives `phys` the image bytes by
+  /// attaching the process-wide shared image as its base layer
+  /// (PhysicalMemory::set_base): no frame is copied until written.
   KernelLayout(mem::PhysicalMemory& phys, const KernelOptions& opts);
 
   [[nodiscard]] std::uint64_t kernel_base() const noexcept { return base_; }

@@ -87,7 +87,8 @@ class Machine {
   /// Digest of the architectural memory state right now; snapshot() caches
   /// the baseline value so the runner's fault layer can compare the two
   /// after every reset() and quarantine a machine whose snapshot has
-  /// silently drifted. Full-frame scan — opt-in per trial, not free.
+  /// silently drifted. Scans only the frames this machine holds locally
+  /// (the shared kernel image's terms are cached), so the check is cheap.
   [[nodiscard]] std::uint64_t state_digest() const noexcept {
     return mem_->state_digest();
   }

@@ -112,6 +112,16 @@ TEST(DefenseRegistry, ValidateRejectsDuplicatesAndBadParams) {
                std::invalid_argument);
   EXPECT_THROW(defense::validate({defense::parse("window:depth=abc")}),
                std::invalid_argument);
+  try {  // overflow fails with the same message, not a wrapped depth
+    defense::validate({defense::parse("window:depth=99999999999999999999")});
+    ADD_FAILURE() << "overflowing depth was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "parameter 'depth' must be an integer in [1, 1048576], "
+                  "got '99999999999999999999'"),
+              std::string::npos)
+        << e.what();
+  }
   EXPECT_THROW(defense::validate({defense::parse("window:width=8")}),
                std::invalid_argument);
   EXPECT_THROW(defense::validate({defense::parse("flushclear:levels=4")}),

@@ -10,6 +10,7 @@
 // where every single trial degrades.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
 #include <string>
@@ -17,6 +18,7 @@
 
 #include "core/attacks/registry.h"
 #include "fault/fault.h"
+#include "mem/phys_mem.h"
 #include "os/machine.h"
 #include "runner/executor.h"
 #include "runner/json_writer.h"
@@ -118,7 +120,8 @@ TEST(FaultPlan, EmptyAndMalformedSpecs) {
   EXPECT_TRUE(fault::FaultPlan::parse("").empty());
   EXPECT_TRUE(fault::FaultPlan::parse("  ").empty());
   for (const char* bad : {"bogus@1", "throw", "throw@", "throw@x", "@2",
-                          "throw~@3", "throw~1200@3", "throw@1."}) {
+                          "throw~@3", "throw~1200@3", "throw@1.",
+                          "throw@99999999999999999999", "throw@1.4294967296"}) {
     EXPECT_THROW((void)fault::FaultPlan::parse(bad), std::invalid_argument)
         << "spec: " << bad;
   }
@@ -429,6 +432,42 @@ TEST(ResetDigest, IsSeedIndependentAfterReset) {
     m.reset(trial_seed(spec.base_seed, i));
     EXPECT_EQ(m.state_digest(), baseline) << "trial " << i;
   }
+}
+
+TEST(ResetDigest, BaselineValueIsPinned) {
+  // Recorded when every machine still wrote its own copy of the kernel
+  // image: the shared copy-on-write image must leave both the digest
+  // function and the digested memory exactly as they were.
+  const RunSpec spec = cheap_cc_spec(1);
+  os::Machine m(machine_options(spec, trial_seed(spec.base_seed, 0)));
+  m.snapshot();
+  EXPECT_EQ(m.baseline_digest(), 0x263f2a1673d0b900ull);
+}
+
+TEST(ResetDigest, CorruptingAnImageFrameSurvivesReset) {
+  const RunSpec spec = cheap_cc_spec(1);
+  const std::uint64_t seed = trial_seed(spec.base_seed, 0);
+  os::Machine m(machine_options(spec, seed));
+  m.snapshot();
+  const std::uint64_t baseline = m.baseline_digest();
+  mem::PhysicalMemory& phys = m.memsys().phys();
+  // Nothing local yet: the lowest live frame is the image's first frame.
+  ASSERT_EQ(phys.allocated_frames(), 0u);
+  const mem::FrameImage& image = *phys.base();
+  const std::uint8_t* shared = image.frame(image.first_frame());
+  const std::vector<std::uint8_t> pristine(
+      shared, shared + mem::PhysicalMemory::kFrameSize);
+
+  phys.corrupt_frame_for_test();
+  EXPECT_NE(m.state_digest(), baseline);
+  m.reset(seed);
+  EXPECT_NE(m.state_digest(), baseline) << "reset() healed the corruption";
+
+  EXPECT_TRUE(std::equal(pristine.begin(), pristine.end(), shared))
+      << "the hook flipped the shared image";
+  os::Machine other(machine_options(spec, seed));
+  other.snapshot();
+  EXPECT_EQ(other.baseline_digest(), baseline);
 }
 
 // ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@
 // through the runner, and the per-trial seed schedule itself.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -123,6 +125,125 @@ TEST(PhysMemPool, ReSnapshotMovesTheBaseline) {
   pm.write8(0x0, 3);
   pm.reset();
   EXPECT_EQ(pm.read8(0x0), 2u);
+}
+
+// The read-only base layer: a shared FrameImage under the local frames, as
+// every Machine has for its kernel image.
+
+std::shared_ptr<const mem::FrameImage> three_frame_image() {
+  std::vector<std::uint8_t> bytes(3 * kFrame);
+  for (std::size_t i = 0; i < bytes.size(); ++i)
+    bytes[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  return std::make_shared<const mem::FrameImage>(16, std::move(bytes));
+}
+
+TEST(PhysMemPool, ImageReadsGoThroughWithoutAllocating) {
+  const auto image = three_frame_image();
+  mem::PhysicalMemory pm;
+  pm.set_base(image);
+  EXPECT_EQ(pm.read8(16 * kFrame + 3), image->frame(16)[3]);
+  std::uint64_t word = 0;
+  for (int i = 7; i >= 0; --i) word = (word << 8) | image->frame(18)[8 + i];
+  EXPECT_EQ(pm.read64(18 * kFrame + 8), word);
+  const std::vector<std::uint8_t> straddle = pm.read_bytes(17 * kFrame - 4, 8);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(straddle[i], image->frame(16)[kFrame - 4 + i]);
+    EXPECT_EQ(straddle[4 + i], image->frame(17)[i]);
+  }
+  EXPECT_EQ(pm.read8(16 * kFrame - 1), 0u);  // just below the image
+  EXPECT_EQ(pm.read8(19 * kFrame), 0u);      // just past it
+  EXPECT_EQ(pm.allocated_frames(), 0u);
+}
+
+TEST(PhysMemPool, ImageWritesAreCopyOnWriteAndPrivate) {
+  const auto image = three_frame_image();
+  const std::vector<std::uint8_t> pristine(image->frame(16),
+                                           image->frame(16) + 3 * kFrame);
+  mem::PhysicalMemory a;
+  mem::PhysicalMemory b;
+  a.set_base(image);
+  b.set_base(image);
+  a.write8(17 * kFrame + 5, 0xee);
+  EXPECT_EQ(a.read8(17 * kFrame + 5), 0xeeu);
+  EXPECT_EQ(a.read8(17 * kFrame + 6), image->frame(17)[6])
+      << "the copy keeps the rest of the image frame";
+  EXPECT_EQ(a.allocated_frames(), 1u);
+  EXPECT_EQ(b.read8(17 * kFrame + 5), image->frame(17)[5]);
+  EXPECT_EQ(b.allocated_frames(), 0u);
+  EXPECT_TRUE(std::equal(pristine.begin(), pristine.end(), image->frame(16)))
+      << "the shared image was written";
+}
+
+TEST(PhysMemPool, ResetDropsTheCopyOnWriteFrame) {
+  const auto image = three_frame_image();
+  mem::PhysicalMemory pm;
+  pm.set_base(image);
+  pm.write8(16 * kFrame, 0x11);  // before the snapshot: part of the baseline
+  pm.snapshot();
+  pm.write8(16 * kFrame, 0x22);
+  pm.write8(17 * kFrame + 5, 0xee);  // copy-on-write after the snapshot
+  EXPECT_EQ(pm.dirty_frames(), 2u);
+  EXPECT_EQ(pm.allocated_frames(), 2u);
+
+  pm.reset();
+  EXPECT_EQ(pm.read8(16 * kFrame), 0x11u);
+  EXPECT_EQ(pm.read8(17 * kFrame + 5), image->frame(17)[5]);
+  EXPECT_EQ(pm.allocated_frames(), 1u);
+  EXPECT_EQ(pm.dirty_frames(), 0u);
+}
+
+TEST(PhysMemPool, ImageBackedDigestMatchesPlainMemory) {
+  const auto image = three_frame_image();
+  mem::PhysicalMemory backed;
+  backed.set_base(image);
+  EXPECT_EQ(backed.digest(), image->digest());
+
+  // The same bytes written into a memory with no base layer.
+  mem::PhysicalMemory plain;
+  for (std::uint64_t off = 0; off < 3 * kFrame; off += 8) {
+    std::uint64_t word = 0;
+    for (int i = 7; i >= 0; --i)
+      word = (word << 8) | image->frame(16)[off + i];
+    plain.write64(16 * kFrame + off, word);
+  }
+  EXPECT_EQ(backed.digest(), plain.digest());
+
+  // A shadowed image frame and a frame outside the image.
+  for (mem::PhysicalMemory* pm : {&backed, &plain}) {
+    pm->write64(17 * kFrame + 8, 0x0123456789abcdefull);
+    pm->write64(40 * kFrame, 0xfeedull);
+  }
+  EXPECT_EQ(backed.digest(), plain.digest());
+  EXPECT_NE(backed.digest(), image->digest());
+}
+
+TEST(PhysMemPool, SetBaseAfterSnapshotThrows) {
+  mem::PhysicalMemory pm;
+  pm.snapshot();
+  EXPECT_THROW(pm.set_base(three_frame_image()), std::logic_error);
+}
+
+TEST(PhysMemPool, MachinesShareOneKernelImage) {
+  os::Machine a({.model = uarch::CpuModel::KabyLakeI7_7700});
+  os::Machine b({.model = uarch::CpuModel::SkylakeI7_6700, .seed = 0x77ull});
+  mem::PhysicalMemory& pa = a.memsys().phys();
+  mem::PhysicalMemory& pb = b.memsys().phys();
+  ASSERT_NE(pa.base(), nullptr);
+  EXPECT_EQ(pa.base(), pb.base());
+  EXPECT_EQ(pa.allocated_frames(), 0u);
+
+  const std::uint64_t image_pa = a.kernel().image_phys_base();
+  pa.write64(image_pa, 0x1111ull);
+  EXPECT_EQ(pb.read64(image_pa), 0x6b65726e656c0000ull);
+
+  const std::vector<std::uint8_t> secret = {'s', 'e', 'c', 'r', 'e', 't'};
+  const std::uint64_t secret_pa =
+      image_pa + (a.plant_kernel_secret(secret) - a.kernel().kernel_base());
+  EXPECT_EQ(pa.read_bytes(secret_pa, secret.size()), secret);
+  const std::uint8_t* image_bytes = pb.base()->frame(secret_pa / kFrame);
+  EXPECT_EQ(pb.read_bytes(secret_pa, secret.size()),
+            std::vector<std::uint8_t>(image_bytes,
+                                      image_bytes + secret.size()));
 }
 
 // ---------------------------------------------------------------------------
