@@ -4,14 +4,17 @@
 #include <array>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <optional>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "core/attacks/registry.h"
 #include "isa/isa.h"
 #include "obs/metrics.h"
-#include "stats/parse.h"
+#include "runner/spec_schema.h"
+#include "stats/flags.h"
 #include "stats/rng.h"
 
 namespace whisper::bench {
@@ -43,93 +46,55 @@ inline void subheading(const std::string& title) {
 
 inline const char* mark(bool ok) { return ok ? "✓" : "✗"; }
 
-/// Flags shared by the runner-backed harnesses:
-///   --jobs N           worker threads (0/auto = hardware concurrency;
-///                      default 1, the sequential reference — results are
-///                      identical either way, see whisper::runner)
-///   --progress         per-trial completion lines on stderr
-///   --json PATH        write the run's trajectory as JSON
-///   --trace-out PATH   write a Chrome trace-event JSON (load in
-///                      chrome://tracing or ui.perfetto.dev) of a
-///                      representative execution — see each harness for
-///                      what it traces
-///   --metrics-out PATH write everything the harness measured as a
-///                      named-metric JSON registry (obs::MetricsRegistry);
-///                      a .csv extension selects CSV instead
-///
-/// Fault-tolerance knobs (whisper::runner's recovery layer — see
-/// docs/ARCHITECTURE.md "Failure semantics & fault injection"):
-///   --retries R                extra attempts per failed trial (default 0)
-///   --trial-cycle-budget C     simulated-cycle cap per trial attempt
-///   --trial-wall-budget SECS   host wall-clock watchdog per trial attempt
-///   --verify-reset             digest-check pooled machines after reset()
-///   --fault-plan PLAN          seeded fault injection, e.g.
-///                              "throw@2;corrupt@5" (src/fault/fault.h)
-struct HarnessArgs {
+/// What the flags every harness shares set; add_harness_flags() adds them
+/// as rows of the harness's own table. The fault-tolerance knobs are the
+/// RunSpec schema's rows and land in `spec`: a runner-backed harness builds
+/// its cells from a copy of it.
+struct HarnessFlags {
   int jobs = 1;
   bool progress = false;
   std::string json;
   std::string trace_out;
   std::string metrics_out;
-  int retries = 0;
-  std::uint64_t trial_cycle_budget = 0;
-  double trial_wall_budget = 0.0;
-  bool verify_reset = false;
-  std::string fault_plan;
+  runner::RunSpec spec;
 };
 
-/// The value of integer flag `flag` (stats::parse_uint: the whole token,
-/// decimal or 0x hex); anything else exits with status 2.
-template <typename T>
-inline T number_arg(const char* prog, const std::string& flag,
-                    const char* text) {
-  if (const std::optional<T> v = stats::parse_uint<T>(text)) return *v;
-  std::fprintf(stderr, "%s: %s takes a decimal or 0x-hex integer, got '%s'\n",
-               prog, flag.c_str(), text);
-  std::exit(2);
+inline void add_harness_flags(stats::Flags& f, HarnessFlags& h) {
+  f.add("jobs", stats::Flags::Arity::kValue, "N",
+        "worker threads; 0/auto = all cores (default 1, the sequential "
+        "reference); results are identical for any N",
+        [&h](std::string_view t) {
+          h.jobs = t == "auto" ? 0 : stats::parse_as<int>(t);
+        });
+  f.toggle("progress", "per-trial completion lines on stderr", h.progress);
+  f.value("json", "PATH", "write the run's trajectory as JSON", h.json);
+  f.value("trace-out", "PATH",
+          "write a Chrome trace-event JSON of a representative execution "
+          "(chrome://tracing, ui.perfetto.dev)",
+          h.trace_out);
+  f.value("metrics-out", "PATH",
+          "write everything measured as an obs::MetricsRegistry JSON (CSV "
+          "for a .csv PATH)",
+          h.metrics_out);
+  for (const char* field : {"retries", "trial_cycle_budget",
+                            "trial_wall_budget", "verify_reset", "fault_plan"})
+    runner::add_flag(f, h.spec, field);
 }
 
-inline HarnessArgs parse_harness_args(int argc, char** argv) {
-  HarnessArgs out;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--jobs" && i + 1 < argc) {
-      const std::string v = argv[++i];
-      out.jobs = (v == "auto") ? 0 : number_arg<int>(argv[0], a, argv[i]);
-    } else if (a == "--progress") {
-      out.progress = true;
-    } else if (a == "--json" && i + 1 < argc) {
-      out.json = argv[++i];
-    } else if (a == "--trace-out" && i + 1 < argc) {
-      out.trace_out = argv[++i];
-    } else if (a == "--metrics-out" && i + 1 < argc) {
-      out.metrics_out = argv[++i];
-    } else if (a == "--retries" && i + 1 < argc) {
-      out.retries = number_arg<int>(argv[0], a, argv[++i]);
-    } else if (a == "--trial-cycle-budget" && i + 1 < argc) {
-      out.trial_cycle_budget =
-          number_arg<std::uint64_t>(argv[0], a, argv[++i]);
-    } else if (a == "--trial-wall-budget" && i + 1 < argc) {
-      out.trial_wall_budget = std::atof(argv[++i]);
-    } else if (a == "--verify-reset") {
-      out.verify_reset = true;
-    } else if (a == "--fault-plan" && i + 1 < argc) {
-      out.fault_plan = argv[++i];
-    }
-  }
-  return out;
+/// The shared rows alone: the table of a harness with no flags of its own.
+inline HarnessFlags parse_harness_flags(int argc, char** argv,
+                                        std::string prog) {
+  HarnessFlags h;
+  stats::Flags f(std::move(prog));
+  add_harness_flags(f, h);
+  f.parse(argc, argv);
+  return h;
 }
 
-/// Copy the fault-tolerance knobs onto a runner::RunSpec (templated so this
-/// header needs no runner dependency; any struct with the same field names
-/// works).
-template <typename Spec>
-inline void apply_fault_args(Spec& spec, const HarnessArgs& a) {
-  spec.retries = a.retries;
-  spec.trial_cycle_budget = a.trial_cycle_budget;
-  spec.trial_wall_budget = a.trial_wall_budget;
-  spec.verify_reset = a.verify_reset;
-  spec.fault_plan = a.fault_plan;
+/// Flags::list() check: `a` is a core::attack_registry() name.
+inline void known_attack(const std::string& a) {
+  if (core::find_attack(a) == nullptr)
+    throw std::invalid_argument("names no registered attack '" + a + "'");
 }
 
 /// --metrics-out convention: the extension picks the format.

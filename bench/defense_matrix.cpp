@@ -16,26 +16,9 @@
 // that fails its own audit is a harness bug, and the run exits non-zero
 // without writing it.
 //
-// Extra flags on top of the shared harness set (see bench_util.h):
-//   --attacks LIST    comma-separated registry names (default: all)
-//   --cpus LIST       comma-separated preset keys: skylake, kabylake,
-//                     cometlake, raptorlake, zen3 (default: all five)
-//   --defenses LIST   comma-separated defense stacks, each a '+'-joined
-//                     combo in the --defense grammar (name[:key=value]...);
-//                     "none" is the undefended baseline. Default: the
-//                     systematization set — every registered defense alone,
-//                     the paper's kernel hardening stack, and the full
-//                     uarch stack.
-//   --noise LIST      comma-separated profiles: off, quiet, desktop,
-//                     noisy-server (default: off,desktop)
-//   --trials N        trials per cell (default 1)
-//   --bytes N         payload bytes per channel trial (default 4)
-//   --report PATH     write the Table-1-style markdown report (the
-//                     checked-in docs/DEFENSE_MATRIX.md is this output)
-//   --check           re-run the grid at --jobs 1 and fail unless the JSON
-//                     bytes match the parallel run exactly
+// `defense_matrix --help` lists its flags. The checked-in
+// docs/DEFENSE_MATRIX.md is this harness's --report output.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -72,19 +55,6 @@ const CpuKey* find_cpu(const std::string& key) {
   return nullptr;
 }
 
-std::vector<std::string> split_commas(const std::string& list) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (pos <= list.size()) {
-    const std::size_t comma = list.find(',', pos);
-    const std::size_t end = comma == std::string::npos ? list.size() : comma;
-    if (end > pos) out.push_back(list.substr(pos, end - pos));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return out;
-}
-
 /// The default stacks: the undefended baseline, every registered defense
 /// alone, the paper's kernel hardening stack, and the full uarch stack.
 std::vector<std::string> default_stacks() {
@@ -95,52 +65,17 @@ std::vector<std::string> default_stacks() {
   return out;
 }
 
-struct MatrixArgs {
-  std::vector<std::string> attacks;
+/// The grid axes and outputs; spec.trials and spec.payload_bytes are
+/// every cell's.
+struct MatrixArgs : bench::HarnessFlags {
+  std::vector<std::string> attacks = core::attack_names();
   std::vector<std::string> cpus = {"skylake", "kabylake", "cometlake",
                                    "raptorlake", "zen3"};
   std::vector<std::string> stacks = default_stacks();
   std::vector<std::string> noise = {"off", "desktop"};
-  int trials = 1;
-  std::size_t bytes = 4;
   std::string report;
   bool check = false;
 };
-
-MatrixArgs parse_matrix_args(int argc, char** argv) {
-  MatrixArgs out;
-  for (const core::AttackInfo& info : core::attack_registry())
-    out.attacks.push_back(info.name);
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--attacks" && i + 1 < argc) {
-      out.attacks = split_commas(argv[++i]);
-    } else if (a == "--cpus" && i + 1 < argc) {
-      out.cpus = split_commas(argv[++i]);
-    } else if (a == "--defenses" && i + 1 < argc) {
-      out.stacks = split_commas(argv[++i]);
-    } else if (a == "--noise" && i + 1 < argc) {
-      out.noise = split_commas(argv[++i]);
-    } else if (a == "--trials" && i + 1 < argc) {
-      out.trials = std::atoi(argv[++i]);
-    } else if (a == "--bytes" && i + 1 < argc) {
-      out.bytes = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (a == "--report" && i + 1 < argc) {
-      out.report = argv[++i];
-    } else if (a == "--check") {
-      out.check = true;
-    }
-  }
-  return out;
-}
-
-noise::NoiseProfile noise_by_key(const std::string& key, bool* ok) {
-  *ok = true;
-  if (key == "off") return noise::NoiseProfile::off();
-  if (const auto p = noise::NoiseProfile::by_name(key)) return *p;
-  *ok = false;
-  return noise::NoiseProfile::off();
-}
 
 /// One grid coordinate. The generation order (attack → stack → cpu → noise,
 /// all innermost-last) is part of the trajectory contract: the validator
@@ -192,9 +127,9 @@ std::string render_json(const MatrixArgs& m, const std::vector<Cell>& cells) {
   for (const auto& n : m.noise) w.value(n);
   w.end_array();
   w.key("trials");
-  w.value(m.trials);
+  w.value(m.spec.trials);
   w.key("payload_bytes");
-  w.value(static_cast<std::uint64_t>(m.bytes));
+  w.value(static_cast<std::uint64_t>(m.spec.payload_bytes));
   w.key("cells");
   w.begin_array();
   std::uint64_t total_successes = 0;
@@ -336,7 +271,7 @@ std::string render_report(const MatrixArgs& m, const std::vector<Cell>& cells,
          std::to_string(m.stacks.size()) + " defense stacks × " +
          std::to_string(m.cpus.size()) + " CPU presets × " +
          std::to_string(m.noise.size()) + " noise profiles, " +
-         std::to_string(m.trials) +
+         std::to_string(m.spec.trials) +
          " trial(s) per cell. Entries are attack success rates over\n"
          "CPU presets × trials (100% = the defense does not stop the "
          "attack; 0% = fully mitigated).\n";
@@ -422,46 +357,43 @@ bool write_file(const std::string& path, const std::string& body) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::HarnessArgs args = bench::parse_harness_args(argc, argv);
-  const MatrixArgs m = parse_matrix_args(argc, argv);
-
-  // Fail fast on every axis before any trial runs.
-  for (const std::string& a : m.attacks) {
-    if (core::find_attack(a) == nullptr) {
-      std::fprintf(stderr, "defense_matrix: unknown attack '%s' in --attacks\n",
-                   a.c_str());
-      return 2;
-    }
-  }
-  for (const std::string& c : m.cpus) {
-    if (find_cpu(c) == nullptr) {
-      std::fprintf(stderr,
-                   "defense_matrix: unknown cpu '%s' in --cpus (keys: "
-                   "skylake, kabylake, cometlake, raptorlake, zen3)\n",
-                   c.c_str());
-      return 2;
-    }
-  }
-  for (const std::string& s : m.stacks) {
-    try {
-      defense::validate(defense::parse_list(s));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "defense_matrix: bad --defenses entry '%s': %s\n",
-                   s.c_str(), e.what());
-      return 2;
-    }
-  }
-  for (const std::string& n : m.noise) {
-    bool ok = false;
-    (void)noise_by_key(n, &ok);
-    if (!ok) {
-      std::fprintf(stderr,
-                   "defense_matrix: unknown noise '%s' in --noise (keys: "
-                   "off, quiet, desktop, noisy-server)\n",
-                   n.c_str());
-      return 2;
-    }
-  }
+  MatrixArgs m;
+  m.spec.payload_bytes = 4;
+  stats::Flags flags("defense_matrix");
+  bench::add_harness_flags(flags, m);
+  flags.list("attacks", "comma-separated registry names (default: all)",
+             m.attacks, bench::known_attack);
+  flags.list("cpus",
+             "comma-separated preset keys: skylake, kabylake, cometlake, "
+             "raptorlake, zen3 (default: all five)",
+             m.cpus, [](const std::string& c) {
+               if (find_cpu(c) == nullptr)
+                 throw std::invalid_argument("names no preset '" + c + "'");
+             });
+  flags.list("defenses",
+             "comma-separated defense stacks, each a '+'-joined combo in the "
+             "--defense grammar; none = undefended (default: the "
+             "systematization set)",
+             m.stacks, [](const std::string& s) {
+               defense::validate(defense::parse_list(s));
+             });
+  flags.list("noise",
+             "comma-separated profiles: off, quiet, desktop, noisy-server "
+             "(default off,desktop)",
+             m.noise, [](const std::string& n) {
+               if (!noise::NoiseProfile::by_name(n))
+                 throw std::invalid_argument("names no profile '" + n + "'");
+             });
+  runner::add_flag(flags, m.spec, "trials", "", "trials per cell (default 1)");
+  runner::add_flag(flags, m.spec, "payload_bytes", "",
+                   "payload bytes per channel trial (default 4)");
+  flags.value("report", "PATH", "write the Table-1-style markdown report",
+              m.report);
+  flags.toggle("check",
+               "re-run the grid at --jobs 1 and fail on any trajectory byte "
+               "difference",
+               m.check);
+  flags.parse(argc, argv);
 
   bench::heading("Defense matrix — attack × defense × CPU × noise");
 
@@ -474,18 +406,14 @@ int main(int argc, char** argv) {
           defense::parse_list(stack);
       for (const std::string& cpu : m.cpus) {
         for (const std::string& nz : m.noise) {
-          bool ok = false;
-          runner::RunSpec spec;
+          runner::RunSpec spec = m.spec;
           spec.model = find_cpu(cpu)->model;
           spec.attack = attack;
-          spec.trials = m.trials;
           spec.base_seed = 0xdefe5eedULL;
           spec.defenses = defenses;
-          spec.noise = noise_by_key(nz, &ok);
-          spec.payload_bytes = m.bytes;
+          spec.noise = *noise::NoiseProfile::by_name(nz);
           spec.payload_seed = 0xbeefULL;
           if (attack == "kaslr") spec.batches = 2;  // sweep rounds
-          bench::apply_fault_args(spec, args);
           cells.push_back(
               {attack, defense::format_list(defenses), cpu, nz, {}});
           specs.push_back(spec);
@@ -496,11 +424,11 @@ int main(int argc, char** argv) {
   std::printf("grid: %zu attacks × %zu stacks × %zu cpus × %zu noise = %zu "
               "cells, %d trial(s) each\n",
               m.attacks.size(), m.stacks.size(), m.cpus.size(),
-              m.noise.size(), cells.size(), m.trials);
+              m.noise.size(), cells.size(), m.spec.trials);
 
-  runner::Executor ex(args.jobs);
+  runner::Executor ex(m.jobs);
   const std::vector<runner::RunResult> results =
-      runner::run_many(specs, ex, args.progress);
+      runner::run_many(specs, ex, m.progress);
   for (std::size_t i = 0; i < cells.size(); ++i) cells[i].result = results[i];
 
   // Console view: the noise-0 aggregate table (the full detail goes to the
@@ -555,20 +483,20 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "defense_matrix: --check FAILED: --jobs %d trajectory "
                    "differs from --jobs 1\n",
-                   args.jobs);
+                   m.jobs);
       return 1;
     }
     std::printf("(--check passed: --jobs %d == --jobs 1, byte-identical)\n",
-                args.jobs);
+                m.jobs);
   }
 
-  if (!args.json.empty()) {
-    if (!write_file(args.json, body + "\n")) {
+  if (!m.json.empty()) {
+    if (!write_file(m.json, body + "\n")) {
       std::fprintf(stderr, "defense_matrix: cannot open %s for writing\n",
-                   args.json.c_str());
+                   m.json.c_str());
       return 1;
     }
-    std::printf("(matrix trajectory written to %s)\n", args.json.c_str());
+    std::printf("(matrix trajectory written to %s)\n", m.json.c_str());
   }
 
   if (!m.report.empty()) {
@@ -582,14 +510,14 @@ int main(int argc, char** argv) {
     std::printf("(markdown report written to %s)\n", m.report.c_str());
   }
 
-  if (!args.metrics_out.empty()) {
+  if (!m.metrics_out.empty()) {
     obs::MetricsRegistry reg;
     for (const Cell& c : cells) {
       const std::string prefix =
           c.attack + "." + c.stack + "." + c.cpu + "." + c.noise + ".";
       reg.merge(runner::to_metrics(c.result, prefix));
     }
-    bench::write_metrics(reg, args.metrics_out);
+    bench::write_metrics(reg, m.metrics_out);
   }
   return 0;
 }

@@ -1,7 +1,5 @@
 // dist_soak — the distributed sweep stack under scripted failure.
 //
-//   dist_soak [--trials T] [--chunk C] [--json PATH]
-//
 // Soaks invariant 13 (docs/ARCHITECTURE.md): a SweepClient merging one
 // RunSpec off N whisper_serve daemons produces bytes identical to a local
 // single-process runner::run — for any endpoint count and any failure
@@ -29,9 +27,9 @@
 // are verified byte-equal by the client itself. The trajectory is written
 // to --json as BENCH_dist.json (stats::json_is_valid-checked). Non-zero
 // exit on any violation — this is the tier-2 `whisper_dist_soak` ctest.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -56,22 +54,6 @@ struct SoakArgs {
   int chunk = 2;
   std::string json;
 };
-
-SoakArgs parse_args(int argc, char** argv) {
-  SoakArgs out;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--trials" && i + 1 < argc)
-      out.trials = std::atoi(argv[++i]);
-    else if (a == "--chunk" && i + 1 < argc)
-      out.chunk = std::atoi(argv[++i]);
-    else if (a == "--json" && i + 1 < argc)
-      out.json = argv[++i];
-  }
-  if (out.trials < 4) out.trials = 4;
-  if (out.chunk < 1) out.chunk = 1;
-  return out;
-}
 
 /// One grid cell and its locally-computed invariant-13 reference.
 struct Cell {
@@ -189,7 +171,16 @@ void write_scenario_json(stats::JsonWriter& w, const Scenario& s) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const SoakArgs args = parse_args(argc, argv);
+  SoakArgs args;
+  stats::Flags flags("dist_soak");
+  flags.value("trials", "T", "trials per grid cell (at least 4; default 8)",
+              args.trials);
+  flags.value("chunk", "C", "trials per run request (default 2)", args.chunk);
+  flags.value("json", "PATH", "write the trajectory (BENCH_dist.json)",
+              args.json);
+  flags.parse(argc, argv);
+  args.trials = std::max(args.trials, 4);
+  args.chunk = std::max(args.chunk, 1);
   bench::heading("dist_soak — distributed sweep soak: " +
                  std::to_string(args.trials) + " trials/cell, chunk " +
                  std::to_string(args.chunk));

@@ -19,7 +19,15 @@
 using namespace whisper;
 
 int main(int argc, char** argv) {
-  const bench::HarnessArgs args = bench::parse_harness_args(argc, argv);
+  bench::HarnessFlags args;
+  std::string plot_dir;
+  stats::Flags flags("fig1_tet_gadget");
+  bench::add_harness_flags(flags, args);
+  flags.positional("DIR",
+                   "write the plot data (fig1_tote_hist.dat, "
+                   "fig1_argmax.dat) into DIR",
+                   plot_dir);
+  flags.parse(argc, argv);
   bench::heading(
       "Figure 1 — Gadget of TET and result (Intel Core i7-7700 model)");
 
@@ -95,28 +103,17 @@ int main(int argc, char** argv) {
                 tv == kSecret ? "   <-- secret" : "");
   }
 
-  // Optional: dump plot data (gnuplot/pandas friendly) to a directory —
-  // the first positional (non --flag) argument.
-  std::string plot_dir;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--jobs" || a == "--json" || a == "--trace-out" ||
-        a == "--metrics-out") {
-      ++i;  // skip the flag's value
-    } else if (a.rfind("--", 0) != 0) {
-      plot_dir = a;
-      break;
-    }
-  }
+  // Optional: dump plot data (gnuplot/pandas friendly) to DIR.
   if (!plot_dir.empty()) {
     const std::string& dir = plot_dir;
+    int written = 0;
     if (FILE* f = std::fopen((dir + "/fig1_tote_hist.dat").c_str(), "w")) {
       std::fprintf(f, "# tote_cycles count_trigger count_other\n");
       for (const auto& [v, c] : other_hist.buckets())
         std::fprintf(f, "%lld %llu %llu\n", (long long)v,
                      (unsigned long long)trigger_hist.count(v),
                      (unsigned long long)c);
-      std::fclose(f);
+      written += std::fclose(f) == 0;
     }
     if (FILE* f = std::fopen((dir + "/fig1_argmax.dat").c_str(), "w")) {
       std::fprintf(f, "# test_value argmax_votes mean_tote\n");
@@ -124,7 +121,12 @@ int main(int argc, char** argv) {
       for (int tv = 0; tv < 256; ++tv)
         std::fprintf(f, "%d %u %.2f\n", tv, votes[(std::size_t)tv],
                      means[(std::size_t)tv]);
-      std::fclose(f);
+      written += std::fclose(f) == 0;
+    }
+    if (written != 2) {
+      std::fprintf(stderr, "fig1_tet_gadget: cannot write plot data into %s\n",
+                   dir.c_str());
+      return 1;
     }
     std::printf("\n(plot data written to %s/fig1_*.dat)\n", dir.c_str());
   }

@@ -34,7 +34,7 @@ struct Row {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::HarnessArgs args = bench::parse_harness_args(argc, argv);
+  const auto args = bench::parse_harness_flags(argc, argv, "fig4_flow");
   bench::heading("Figure 4 — Transient-execution control flow (i7-6700 "
                  "model): UOPS_ISSUED.ANY / INT_MISC.RECOVERY_CYCLES vs "
                  "nop padding");

@@ -12,17 +12,8 @@
 // so `--jobs N` parallelises the sweep with results bit-identical to
 // `--jobs 1`. The --json trajectory deliberately contains no wall-clock
 // fields for the same reason: its bytes are identical whatever --jobs is.
-//
-// Extra flags on top of the shared harness set (see bench_util.h):
-//   --noise-profile P  preset to sweep: quiet | desktop | noisy-server
-//   --attacks LIST     comma-separated registry names (default cc,md,rsb)
-//   --steps N          intensity steps: 0, 1/N, ..., 1 × the preset
-//   --trials N         trials per cell
-//   --bytes N          payload bytes per trial
-//   --budget N         adaptive batch budget (0 = 8× the initial count)
-//   --threshold C      adaptive confidence threshold in [0, 1]
+// `noise_sweep --help` lists its flags.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -35,48 +26,6 @@
 using namespace whisper;
 
 namespace {
-
-struct SweepArgs {
-  std::string profile = "desktop";
-  std::vector<std::string> attacks = {"cc", "md", "rsb"};
-  int steps = 4;
-  int trials = 3;
-  std::size_t bytes = 16;
-  int budget = 0;
-  double threshold = 0.5;
-};
-
-SweepArgs parse_sweep_args(int argc, char** argv) {
-  SweepArgs out;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--noise-profile" && i + 1 < argc) {
-      out.profile = argv[++i];
-    } else if (a == "--attacks" && i + 1 < argc) {
-      out.attacks.clear();
-      std::string list = argv[++i];
-      std::size_t pos = 0;
-      while (pos < list.size()) {
-        const std::size_t comma = list.find(',', pos);
-        const std::size_t end = comma == std::string::npos ? list.size()
-                                                           : comma;
-        if (end > pos) out.attacks.push_back(list.substr(pos, end - pos));
-        pos = end + 1;
-      }
-    } else if (a == "--steps" && i + 1 < argc) {
-      out.steps = std::atoi(argv[++i]);
-    } else if (a == "--trials" && i + 1 < argc) {
-      out.trials = std::atoi(argv[++i]);
-    } else if (a == "--bytes" && i + 1 < argc) {
-      out.bytes = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (a == "--budget" && i + 1 < argc) {
-      out.budget = std::atoi(argv[++i]);
-    } else if (a == "--threshold" && i + 1 < argc) {
-      out.threshold = std::atof(argv[++i]);
-    }
-  }
-  return out;
-}
 
 struct Cell {
   std::string attack;
@@ -105,23 +54,38 @@ struct Cell {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::HarnessArgs args = bench::parse_harness_args(argc, argv);
-  const SweepArgs sweep = parse_sweep_args(argc, argv);
+  bench::HarnessFlags args;
+  std::string profile = "desktop";
+  std::vector<std::string> attacks = {"cc", "md", "rsb"};
+  int steps = 4;
+  runner::RunSpec& knobs = args.spec;
+  knobs.trials = 3;
+  knobs.payload_bytes = 16;
+  stats::Flags flags("noise_sweep");
+  bench::add_harness_flags(flags, args);
+  flags.value("noise-profile", "P",
+              "preset to sweep: quiet, desktop (default), noisy-server",
+              profile);
+  flags.list("attacks", "comma-separated registry names (default cc,md,rsb)",
+             attacks, bench::known_attack);
+  flags.value("steps", "N",
+              "intensity steps 0, 1/N, ..., 1 x the preset (default 4)",
+              steps);
+  runner::add_flag(flags, knobs, "trials", "", "trials per cell (default 3)");
+  runner::add_flag(flags, knobs, "payload_bytes", "",
+                   "payload bytes per trial (default 16)");
+  runner::add_flag(flags, knobs, "batch_budget");
+  runner::add_flag(flags, knobs, "confidence_threshold", "threshold",
+                   "adaptive confidence threshold in [0, 1] (default 0.5)");
+  flags.parse(argc, argv);
 
-  const auto base = noise::NoiseProfile::by_name(sweep.profile);
+  const auto base = noise::NoiseProfile::by_name(profile);
   if (!base || !base->enabled()) {
     std::fprintf(stderr,
                  "noise_sweep: --noise-profile must be a non-empty preset "
                  "(quiet|desktop|noisy-server), got '%s'\n",
-                 sweep.profile.c_str());
+                 profile.c_str());
     return 2;
-  }
-  for (const std::string& a : sweep.attacks) {
-    if (core::find_attack(a) == nullptr) {
-      std::fprintf(stderr, "noise_sweep: unknown attack '%s' in --attacks\n",
-                   a.c_str());
-      return 2;
-    }
   }
 
   bench::heading("Noise sweep — " + base->name +
@@ -131,23 +95,17 @@ int main(int argc, char** argv) {
   // through one run_many so any --jobs fills the pool.
   std::vector<Cell> cells;
   std::vector<runner::RunSpec> specs;
-  for (const std::string& attack : sweep.attacks) {
-    for (int s = 0; s <= sweep.steps; ++s) {
-      const double factor =
-          sweep.steps > 0 ? static_cast<double>(s) / sweep.steps : 1.0;
+  for (const std::string& attack : attacks) {
+    for (int s = 0; s <= steps; ++s) {
+      const double factor = steps > 0 ? static_cast<double>(s) / steps : 1.0;
       for (const bool adaptive : {false, true}) {
-        runner::RunSpec spec;
+        runner::RunSpec spec = knobs;
         spec.attack = attack;
-        spec.trials = sweep.trials;
         spec.base_seed = 0x5109eULL;
         spec.noise = base->scaled(factor);
-        spec.payload_bytes = sweep.bytes;
         spec.payload_seed = 0xbeefULL;
         if (attack == "kaslr") spec.batches = 2;  // sweep rounds
         spec.adaptive = adaptive;
-        spec.confidence_threshold = sweep.threshold;
-        spec.batch_budget = sweep.budget;
-        bench::apply_fault_args(spec, args);
         cells.push_back({attack, factor, adaptive, {}});
         specs.push_back(spec);
       }
@@ -173,7 +131,7 @@ int main(int argc, char** argv) {
   std::printf("\n(fixed = the attack's default batch count; adaptive "
               "escalates until the vote margin\n clears %.2f or the budget "
               "caps it — gave_up counts bytes flagged unrecoverable)\n",
-              sweep.threshold);
+              knobs.confidence_threshold);
 
   if (!args.json.empty()) {
     // Deterministic trajectory: no wall-clock, no job count — bytes are
@@ -183,13 +141,13 @@ int main(int argc, char** argv) {
     w.key("profile");
     w.value(base->name);
     w.key("steps");
-    w.value(sweep.steps);
+    w.value(steps);
     w.key("trials");
-    w.value(sweep.trials);
+    w.value(knobs.trials);
     w.key("payload_bytes");
-    w.value(static_cast<std::uint64_t>(sweep.bytes));
+    w.value(static_cast<std::uint64_t>(knobs.payload_bytes));
     w.key("threshold");
-    w.value(sweep.threshold);
+    w.value(knobs.confidence_threshold);
     w.key("cells");
     w.begin_array();
     for (const Cell& c : cells) {

@@ -21,16 +21,10 @@
 // (BENCH_perf.json under ctest) is the regression record for it.
 // docs/PERFORMANCE.md explains how to read each column.
 //
-// Extra flags on top of the shared harness set (see bench_util.h):
-//   --attacks LIST     comma-separated registry names (default: all)
-//   --trials N         trials per measurement (default 16)
-//   --bytes N          payload bytes per channel trial (default 2)
-//   --batches N        argmax batches per byte (default 1; kaslr: rounds)
-//   --no-fast-forward  run the ff_jobs1 and reset_jobsN cells structurally
-//                      too (identity control: ff_jobs1 ≈ reset_jobs1);
-//                      --fast-forward restates the default
+// `perf_baseline --help` lists its flags. --no-fast-forward runs the
+// ff_jobs1 and reset_jobsN cells structurally too: the identity control,
+// where ff_jobs1 ≈ reset_jobs1.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -44,43 +38,6 @@
 using namespace whisper;
 
 namespace {
-
-struct PerfArgs {
-  std::vector<std::string> attacks;  // empty = the whole registry
-  int trials = 16;
-  std::size_t bytes = 2;
-  int batches = 1;
-  bool fast_forward = true;
-};
-
-PerfArgs parse_perf_args(int argc, char** argv) {
-  PerfArgs out;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--attacks" && i + 1 < argc) {
-      std::string list = argv[++i];
-      std::size_t pos = 0;
-      while (pos < list.size()) {
-        const std::size_t comma = list.find(',', pos);
-        const std::size_t end =
-            comma == std::string::npos ? list.size() : comma;
-        if (end > pos) out.attacks.push_back(list.substr(pos, end - pos));
-        pos = end + 1;
-      }
-    } else if (a == "--trials" && i + 1 < argc) {
-      out.trials = std::atoi(argv[++i]);
-    } else if (a == "--bytes" && i + 1 < argc) {
-      out.bytes = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (a == "--batches" && i + 1 < argc) {
-      out.batches = std::atoi(argv[++i]);
-    } else if (a == "--no-fast-forward") {
-      out.fast_forward = false;
-    } else if (a == "--fast-forward") {
-      out.fast_forward = true;
-    }
-  }
-  return out;
-}
 
 /// One timed fan-out, reduced to rates. Wall time comes from the
 /// RunResult's own fan-out clock, so the numbers cover exactly the trial
@@ -198,18 +155,28 @@ void json_measurement(runner::JsonWriter& w, const Measurement& m,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::HarnessArgs args = bench::parse_harness_args(argc, argv);
-  const PerfArgs perf = parse_perf_args(argc, argv);
-
-  std::vector<std::string> attacks = perf.attacks;
-  if (attacks.empty()) attacks = core::attack_names();
-  for (const std::string& a : attacks) {
-    if (core::find_attack(a) == nullptr) {
-      std::fprintf(stderr, "perf_baseline: unknown attack '%s' in --attacks\n",
-                   a.c_str());
-      return 2;
-    }
-  }
+  bench::HarnessFlags args;
+  std::vector<std::string> attacks = core::attack_names();
+  runner::RunSpec& knobs = args.spec;
+  knobs.trials = 16;
+  knobs.payload_bytes = 2;
+  knobs.batches = 1;
+  knobs.base_seed = 0xbe9cULL;
+  stats::Flags flags("perf_baseline");
+  bench::add_harness_flags(flags, args);
+  flags.list("attacks", "comma-separated registry names (default: all)",
+             attacks, bench::known_attack);
+  runner::add_flag(flags, knobs, "trials", "",
+                   "trials per measurement (default 16)");
+  runner::add_flag(flags, knobs, "payload_bytes", "",
+                   "payload bytes per channel trial (default 2)");
+  runner::add_flag(flags, knobs, "batches", "",
+                   "argmax batches per byte; kaslr probe rounds (default 1)");
+  runner::add_flag(flags, knobs, "fast_forward", "no-fast-forward",
+                   "keep the ff and jobs-N cells on the structural path too");
+  runner::add_flag(flags, knobs, "fast_forward");
+  flags.parse(argc, argv);
+  const bool fast_forward = knobs.fast_forward;
   const int jobs_n = runner::resolve_jobs(args.jobs);
 
   bench::heading("Perf baseline — fast-forward core and machine reset fast "
@@ -217,12 +184,8 @@ int main(int argc, char** argv) {
 
   std::vector<Row> rows;
   for (const std::string& attack : attacks) {
-    runner::RunSpec spec;
+    runner::RunSpec spec = knobs;
     spec.attack = attack;
-    spec.trials = perf.trials;
-    spec.base_seed = 0xbe9cULL;
-    spec.payload_bytes = perf.bytes;
-    spec.batches = perf.batches;
 
     Row row;
     row.attack = attack;
@@ -230,12 +193,12 @@ int main(int argc, char** argv) {
                          args.progress);
     row.reset1 = measure(spec, /*reuse=*/true, /*ff=*/false, /*jobs=*/1,
                          args.progress);
-    row.ff1 = measure(spec, /*reuse=*/true, perf.fast_forward, /*jobs=*/1,
+    row.ff1 = measure(spec, /*reuse=*/true, fast_forward, /*jobs=*/1,
                       args.progress);
-    row.ff1_counters = ff_counters(spec, perf.fast_forward);
+    row.ff1_counters = ff_counters(spec, fast_forward);
     row.reset_n = jobs_n == 1
                       ? row.ff1
-                      : measure(spec, /*reuse=*/true, perf.fast_forward,
+                      : measure(spec, /*reuse=*/true, fast_forward,
                                 jobs_n, args.progress);
     rows.push_back(row);
   }
@@ -256,19 +219,19 @@ int main(int argc, char** argv) {
               "cell produces bit-identical\n results — the deltas are machine "
               "construction vs snapshot reset, and the\n cycle-by-cycle "
               "pipeline vs the fast-forward core%s)\n",
-              perf.trials, perf.bytes, perf.batches,
-              perf.fast_forward ? "" : " [--no-fast-forward: ff cells ran "
+              knobs.trials, knobs.payload_bytes, knobs.batches,
+              fast_forward ? "" : " [--no-fast-forward: ff cells ran "
                                        "structurally]");
 
   if (!args.json.empty()) {
     runner::JsonWriter w;
     w.begin_object();
     w.key("trials");
-    w.value(perf.trials);
+    w.value(knobs.trials);
     w.key("payload_bytes");
-    w.value(static_cast<std::uint64_t>(perf.bytes));
+    w.value(static_cast<std::uint64_t>(knobs.payload_bytes));
     w.key("batches");
-    w.value(perf.batches);
+    w.value(knobs.batches);
     w.key("jobs");
     w.value(jobs_n);
     w.key("attacks");

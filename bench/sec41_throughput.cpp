@@ -27,40 +27,37 @@
 using namespace whisper;
 
 int main(int argc, char** argv) {
-  const bench::HarnessArgs args = bench::parse_harness_args(argc, argv);
+  const auto args = bench::parse_harness_flags(argc, argv, "sec41_throughput");
   bench::heading("Section 4.1 — Experiment setup and result");
 
-  runner::RunSpec cc;
+  runner::RunSpec cc = args.spec;
   cc.model = uarch::CpuModel::KabyLakeI7_7700;
   cc.attack = "cc";
   cc.batches = 3;
   cc.payload_bytes = 1024;
   cc.payload_seed = 0x41;
 
-  runner::RunSpec md;
+  runner::RunSpec md = args.spec;
   md.model = uarch::CpuModel::KabyLakeI7_7700;
   md.attack = "md";
   md.batches = 6;
   md.payload_bytes = 256;  // same per-byte procedure as 1k
   md.payload_seed = 0x42;
 
-  runner::RunSpec rsb;
+  runner::RunSpec rsb = args.spec;
   rsb.model = uarch::CpuModel::RaptorLakeI9_13900K;
   rsb.attack = "rsb";
   rsb.batches = 2;
   rsb.payload_bytes = 1024;
   rsb.payload_seed = 0x43;
 
-  runner::RunSpec kaslr;
+  runner::RunSpec kaslr = args.spec;
   kaslr.model = uarch::CpuModel::CometLakeI9_10980XE;
   kaslr.attack = "kaslr";
   kaslr.defenses = {defense::parse("kpti")};
   kaslr.trials = 3;  // the paper's n=3
   kaslr.batches = 3;  // sweep rounds
   kaslr.base_seed = 101;
-
-  for (runner::RunSpec* spec : {&cc, &md, &rsb, &kaslr})
-    bench::apply_fault_args(*spec, args);
 
   runner::Executor ex(args.jobs);
   const auto results = runner::run_many({cc, md, rsb, kaslr}, ex,

@@ -39,7 +39,7 @@ struct Cell {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::HarnessArgs args = bench::parse_harness_args(argc, argv);
+  const auto args = bench::parse_harness_flags(argc, argv, "sec45_kaslr");
   bench::heading("Section 4.5 — TET-KASLR attack: breaking KASLR");
 
   const uarch::CpuModel cml = uarch::CpuModel::CometLakeI9_10980XE;

@@ -1,8 +1,5 @@
 // serve_soak — the whisper_serve daemon under sustained concurrent load.
 //
-//   serve_soak [--requests N] [--clients C] [--jobs J] [--pool P]
-//              [--json PATH]
-//
 // Drives the full serving stack (loopback transport, so no sockets and no
 // flaky fds) with N run requests spread over C concurrent client
 // connections, every request carrying a PR-5-style seeded fault plan
@@ -36,7 +33,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -61,27 +57,6 @@ struct SoakArgs {
   std::size_t pool = 4;
   std::string json;
 };
-
-SoakArgs parse_args(int argc, char** argv) {
-  SoakArgs out;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--requests" && i + 1 < argc)
-      out.requests = std::strtoull(argv[++i], nullptr, 10);
-    else if (a == "--clients" && i + 1 < argc)
-      out.clients = std::strtoull(argv[++i], nullptr, 10);
-    else if (a == "--jobs" && i + 1 < argc)
-      out.jobs = std::atoi(argv[++i]);
-    else if (a == "--pool" && i + 1 < argc)
-      out.pool = std::strtoull(argv[++i], nullptr, 10);
-    else if (a == "--json" && i + 1 < argc)
-      out.json = argv[++i];
-  }
-  if (out.requests < 1) out.requests = 1;
-  if (out.clients < 1) out.clients = 1;
-  if (out.jobs < 1) out.jobs = 1;
-  return out;
-}
 
 /// The deterministic request mix. Request r (0-based) gets id r+1, a cheap
 /// attack rotated across the channel/kaslr families, 1–2 trials, and a
@@ -307,7 +282,21 @@ void write_phase_json(stats::JsonWriter& w, const PhaseResult& p,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const SoakArgs args = parse_args(argc, argv);
+  SoakArgs args;
+  stats::Flags flags("serve_soak");
+  flags.value("requests", "N", "run requests in the batch (default 2000)",
+              args.requests);
+  flags.value("clients", "C", "concurrent client connections (default 4)",
+              args.clients);
+  flags.value("jobs", "J", "phase A worker threads (default 4)", args.jobs);
+  flags.value("pool", "P", "shared machine-pool capacity (default 4)",
+              args.pool);
+  flags.value("json", "PATH", "write the trajectory (BENCH_serve.json)",
+              args.json);
+  flags.parse(argc, argv);
+  args.requests = std::max<std::uint64_t>(args.requests, 1);
+  args.clients = std::max<std::uint64_t>(args.clients, 1);
+  args.jobs = std::max(args.jobs, 1);
   bench::heading("serve_soak — daemon soak: " + std::to_string(args.requests) +
                  " requests, " + std::to_string(args.clients) + " clients, " +
                  std::to_string(args.jobs) + " vs 1 workers");

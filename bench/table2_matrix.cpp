@@ -68,7 +68,7 @@ runner::RunSpec cell_spec(uarch::CpuModel model, const std::string& attack) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::HarnessArgs args = bench::parse_harness_args(argc, argv);
+  const auto args = bench::parse_harness_flags(argc, argv, "table2_matrix");
   bench::heading("Table 2 — Environment and experiments");
   std::printf("cell format: model-result (paper-result)\n\n");
   std::printf("%-24s %-12s %-10s %-12s %-12s %-12s %-12s %-12s\n", "CPU",

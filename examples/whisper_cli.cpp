@@ -1,40 +1,15 @@
 // whisper_cli — interactive playground for the library.
 //
-//   whisper_cli tote    [--cpu N] [--trigger|--no-trigger] [--trace]
-//                       [--trace-out PATH] [--metrics-out PATH]
-//   whisper_cli leak    [--cpu N] [--secret STRING] [--attack NAME]
-//                       [--defense SPEC]... [--noise PROFILE] [--adaptive]
-//                       [--confidence C] [--budget B] [--trace-out PATH]
-//                       [--metrics-out PATH]
-//   whisper_cli kaslr   [--cpu N] [--defense SPEC]... [--seed S]
-//                       [--trials T] [--jobs J] [--json PATH]
-//                       [--noise PROFILE] [--adaptive]
-//                       [--retries R] [--trial-cycle-budget C]
-//                       [--trial-wall-budget SECONDS] [--fault-plan PLAN]
-//                       [--verify-reset] [--no-fast-forward]
-//                       [--trace-out PATH] [--metrics-out PATH]
-//   whisper_cli chaos   [--attack NAME] [--defense SPEC]... [--cpu N]
-//                       [--trials T] [--jobs J]
-//                       [--seed S] [--retries R] [--fault-plan PLAN]
-//                       [--trial-cycle-budget C] [--json PATH]
-//   whisper_cli matrix  [--jobs J]
-//   whisper_cli sweep   --endpoints LIST [--attack NAME] [--cpu N]
-//                       [--trials T] [--seed S] [--defense SPEC]...
-//                       [--noise PROFILE] [--chunk C] [--deadline-ms MS]
-//                       [--connect-timeout-ms MS] [--failures F]
-//                       [--flaky-plan PLAN] [--verify] [--json PATH]
-//   whisper_cli attacks                 (also: --list-attacks anywhere)
-//   whisper_cli defenses                (registered defenses + parameters)
-//   whisper_cli models
-//
-// --defense is repeatable and takes a defense::registry() spec,
-// `name[:key=value]...` — e.g. `--defense kpti --defense window:depth=8`.
-// `whisper_cli defenses` lists the registry. The retired --kpti / --flare /
-// --fgkaslr aliases, and --rounds, are refused with exit status 2 rather
-// than ignored, since ignoring them would run a different cell.
-//
-// Integer values (--seed, --trials, --jobs, ...) are decimal or 0x hex;
-// a token that is not wholly a number exits with status 2.
+// `whisper_cli --help` prints every command's flag table; `whisper_cli
+// <command> --help` prints one. Each command builds its table from rows
+// (src/stats/flags.h), and every flag that sets a RunSpec field is that
+// field's row in the RunSpec schema (src/runner/spec_schema.h), so --cpu,
+// --noise or --defense mean here what they mean on the wire. An unknown
+// flag or a malformed value (--seed 12x, --cpu 7, --noise bogus) exits
+// with status 2 rather than running a default, since a flag that were
+// ignored would run a different cell than the one asked for. For the same
+// reason the retired --kpti / --flare / --fgkaslr aliases, and --rounds,
+// are refused by name.
 //
 // `chaos` is the fault-tolerance self-test: it runs the same spec twice —
 // once clean, once under a seeded --fault-plan (see src/fault/fault.h for
@@ -44,9 +19,8 @@
 // The same fault flags work on `kaslr` sweeps.
 //
 // `sweep` is the distributed runner: it shards --trials across a pool of
-// whisper_serve daemons (--endpoints takes a comma-separated list of
-// `host:port`, `tcp:host:port`, or `unix:/path` addresses) and merges the
-// responses by trial index. Endpoint failures are survived, counted, and
+// whisper_serve daemons and merges the responses by trial index. Endpoint
+// failures are survived, counted, and
 // reassigned — the sweep completes as long as one daemon lives — and the
 // merged stream is byte-identical to a local run of the same spec
 // (invariant 13, docs/ARCHITECTURE.md); --verify recomputes the spec
@@ -54,38 +28,21 @@
 // transport faults (drop/shortread/stall, fault grammar over per-endpoint
 // request ordinals) to rehearse failure handling without real packet loss.
 //
-// Attack NAMEs come from core::attack_registry() — `whisper_cli attacks`
-// lists them; anything registered there is runnable here, including through
-// `leak` (channel attacks move --secret; kaslr reports the found base).
-// CPU index N follows Table 2 order: 0=i7-6700, 1=i7-7700, 2=i9-10980XE,
-// 3=i9-13900K, 4=Ryzen 5600G. --noise picks an interference preset
-// (off|quiet|desktop|noisy-server); --adaptive escalates batch counts until
-// the decode confidence clears --confidence or --budget caps it.
-//
-// `kaslr --trials T --jobs J` and `matrix --jobs J` go through
-// whisper::runner: independent simulated machines fan out across J worker
-// threads with results bit-identical to --jobs 1 (docs/REPRODUCING.md).
-//
-// --trace-out writes a Chrome trace-event JSON of the command's pipeline
-// activity (open it in chrome://tracing or ui.perfetto.dev); --metrics-out
-// writes every counter the run touched as an obs::MetricsRegistry export
-// (JSON, or CSV when the path ends in .csv). docs/REPRODUCING.md
-// ("Inspecting a run") walks through both.
+// Anything registered in core::attack_registry() is runnable here,
+// including through `leak` (channel attacks move --secret; kaslr reports
+// the found base).
 //
 // Fast-forward (docs/PERFORMANCE.md) is on by default everywhere: the core
 // skips provably inert cycle spans with results byte-identical to the
-// cycle-by-cycle pipeline. --no-fast-forward forces the structural path
-// (accepted by every command; --fast-forward restates the default). Use it
-// only to cross-check identity or to profile the full pipeline walk.
-#include <concepts>
+// cycle-by-cycle pipeline. --no-fast-forward forces the structural path;
+// use it only to cross-check identity or to profile the full pipeline walk.
 #include <cstdio>
-#include <cstring>
 #include <exception>
+#include <initializer_list>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
-#include <utility>
+#include <string_view>
 #include <vector>
 
 #include "client/endpoint.h"
@@ -95,84 +52,87 @@
 #include "core/attacks/registry.h"
 #include "core/gadgets.h"
 #include "defense/defense.h"
-#include "noise/noise.h"
 #include "obs/chrome_trace.h"
 #include "obs/metrics.h"
 #include "obs/topdown.h"
 #include "os/machine.h"
 #include "runner/json_writer.h"
 #include "runner/runner.h"
-#include "stats/parse.h"
+#include "runner/spec_schema.h"
+#include "stats/flags.h"
 #include "uarch/trace.h"
 
 using namespace whisper;
 
 namespace {
 
-struct Args {
-  std::vector<std::string> positional;
-  bool has(const std::string& flag) const {
-    for (const auto& a : positional)
-      if (a == flag) return true;
-    return false;
-  }
-  std::string value(const std::string& flag, const std::string& dflt) const {
-    for (std::size_t i = 0; i + 1 < positional.size(); ++i)
-      if (positional[i] == flag) return positional[i + 1];
-    return dflt;
-  }
-  /// An integer flag through stats::parse_uint: the whole token, decimal or
-  /// 0x hex. Anything else throws, which main() turns into exit status 2.
-  template <std::integral T>
-  T number(const std::string& flag, T dflt) const {
-    for (std::size_t i = 0; i + 1 < positional.size(); ++i)
-      if (positional[i] == flag) {
-        const std::string& text = positional[i + 1];
-        if (const std::optional<T> v = stats::parse_uint<T>(text)) return *v;
-        throw std::invalid_argument(flag + " takes a decimal or 0x-hex "
-                                    "integer, got '" + text + "'");
-      }
-    return dflt;
-  }
-  /// Every value of a repeatable flag (--defense can appear many times).
-  std::vector<std::string> values(const std::string& flag) const {
-    std::vector<std::string> out;
-    for (std::size_t i = 0; i + 1 < positional.size(); ++i)
-      if (positional[i] == flag) out.push_back(positional[i + 1]);
-    return out;
-  }
+/// Everything a command reads from its flags.
+struct Options {
+  runner::RunSpec spec;
+  int jobs = 1;
+  std::string json;
+  std::string trace_out;
+  std::string metrics_out;
+  bool list_attacks = false;
+  bool trigger = true;  // tote
+  bool trace = false;
+  std::string secret = "hunter2";  // leak
+  std::string endpoints;  // sweep
+  client::SweepOptions sweep;
+  bool verify = false;
 };
 
-uarch::CpuModel cpu_from(const Args& args) {
-  const int n = args.number("--cpu", 1);
-  const auto models = uarch::all_models();
-  return models[static_cast<std::size_t>(n) % models.size()];
-}
-
-/// --no-fast-forward wins over the (default) --fast-forward; both are
-/// accepted so scripts can be explicit either way.
-bool fast_forward_from(const Args& args) {
-  return !args.has("--no-fast-forward");
-}
-
-/// The repeatable --defense flag as one DefenseSpec stack. Shared by every
-/// command that builds a machine or a RunSpec.
-std::vector<defense::DefenseSpec> defenses_from(const Args& args) {
-  std::vector<defense::DefenseSpec> out;
-  for (const std::string& text : args.values("--defense"))
-    out.push_back(defense::parse(text));
-  return out;
-}
-
-/// Fault-tolerance knobs shared by every runner-backed command.
-void apply_fault_flags(runner::RunSpec& spec, const Args& args) {
-  spec.retries = args.number("--retries", 0);
-  spec.trial_cycle_budget =
-      args.number<std::uint64_t>("--trial-cycle-budget", 0);
-  spec.trial_wall_budget = std::stod(args.value("--trial-wall-budget", "0"));
-  spec.fault_plan = args.value("--fault-plan", "");
-  spec.verify_reset = args.has("--verify-reset");
-  spec.fast_forward = fast_forward_from(args);
+/// Add row `name` to `f`: a RunSpec schema field, or a flag of its own.
+void add_row(stats::Flags& f, Options& o, std::string_view name) {
+  if (runner::find_spec_field(name) != nullptr) {
+    runner::add_flag(f, o.spec, name);
+  } else if (name == "no-fast-forward") {
+    runner::add_flag(f, o.spec, "fast_forward", "no-fast-forward",
+                     "step the structural pipeline cycle by cycle");
+  } else if (name == "jobs") {
+    f.value("jobs", "J", "worker threads; results are identical for any J",
+            o.jobs);
+  } else if (name == "json") {
+    f.value("json", "PATH", "write the trajectory (sweep: merged stream)",
+            o.json);
+  } else if (name == "trace-out") {
+    f.value("trace-out", "PATH", "write a Chrome trace-event JSON",
+            o.trace_out);
+  } else if (name == "metrics-out") {
+    f.value("metrics-out", "PATH", "write the counters as JSON (or .csv)",
+            o.metrics_out);
+  } else if (name == "trigger") {
+    f.toggle("trigger", "probe with the secret's value (the default)",
+             o.trigger);
+    f.toggle("no-trigger", "probe with another value", o.trigger, false);
+  } else if (name == "trace") {
+    f.toggle("trace", "print the pipeline trace of the last probe", o.trace);
+  } else if (name == "secret") {
+    f.value("secret", "TEXT", "the payload a channel attack moves", o.secret);
+  } else if (name == "endpoints") {
+    f.value("endpoints", "LIST", "daemons: host:port, tcp:host:port, unix:/p",
+            o.endpoints);
+  } else if (name == "chunk") {
+    f.value("chunk", "C", "trials per run request", o.sweep.chunk_trials);
+  } else if (name == "deadline-ms") {
+    f.value("deadline-ms", "MS", "per-request silence deadline",
+            o.sweep.deadline_ms);
+  } else if (name == "connect-timeout-ms") {
+    f.value("connect-timeout-ms", "MS", "dial bound",
+            o.sweep.connect_timeout_ms);
+  } else if (name == "failures") {
+    f.value("failures", "F", "consecutive failures that kill an endpoint",
+            o.sweep.endpoint_failures);
+  } else if (name == "flaky-plan") {
+    f.value("flaky-plan", "PLAN", "transport faults, e.g. drop@1;stall@3",
+            o.sweep.flaky_plan);
+  } else if (name == "verify") {
+    f.toggle("verify", "rerun the spec locally and demand the same bytes",
+             o.verify);
+  } else {
+    throw std::logic_error("whisper_cli has no flag row '" +
+                           std::string(name) + "'");
+  }
 }
 
 bool write_metrics(const obs::MetricsRegistry& reg, const std::string& path) {
@@ -200,7 +160,7 @@ obs::MetricsRegistry machine_metrics(os::Machine& m,
   return reg;
 }
 
-int cmd_models() {
+int cmd_models(const Options&, const stats::Flags&) {
   std::printf("%-4s %-24s %-12s %-6s %-28s\n", "idx", "name", "uarch", "TSX",
               "vulnerabilities");
   int i = 0;
@@ -216,9 +176,9 @@ int cmd_models() {
   return 0;
 }
 
-int cmd_tote(const Args& args) {
-  os::Machine m({.model = cpu_from(args)});
-  m.core().set_fast_forward(fast_forward_from(args));
+int cmd_tote(const Options& o, const stats::Flags&) {
+  os::Machine m(runner::machine_options(o.spec, /*seed=*/0));
+  m.core().set_fast_forward(o.spec.fast_forward);
   m.poke8(os::Machine::kSharedBase, 'S');
   const auto g = core::make_tet_gadget(
       {.window = core::preferred_window(m.config()),
@@ -226,36 +186,33 @@ int cmd_tote(const Args& args) {
   std::array<std::uint64_t, isa::kNumRegs> regs{};
   regs[static_cast<std::size_t>(isa::Reg::RCX)] = core::kNullProbeAddress;
   regs[static_cast<std::size_t>(isa::Reg::RDX)] = os::Machine::kSharedBase;
-  const bool trigger = !args.has("--no-trigger");
-  regs[static_cast<std::size_t>(isa::Reg::RBX)] = trigger ? 'S' : 'T';
+  regs[static_cast<std::size_t>(isa::Reg::RBX)] = o.trigger ? 'S' : 'T';
 
-  const std::string trace_out = args.value("--trace-out", "");
-  const std::string metrics_out = args.value("--metrics-out", "");
   // --trace dumps the last probe's window; --trace-out exports all 8.
-  const bool dump = args.has("--trace") && trace_out.empty();
+  const bool dump = o.trace && o.trace_out.empty();
   uarch::EventLog log;
-  if (dump || !trace_out.empty()) m.core().set_trace(&log);
+  if (dump || !o.trace_out.empty()) m.core().set_trace(&log);
   const uarch::PmuSnapshot pmu_before = m.core().pmu().snapshot();
   for (int i = 0; i < 8; ++i) {
     if (dump && i == 7) log.clear();
     std::printf("probe %d (%s): ToTE = %llu cycles\n", i,
-                trigger ? "trigger" : "no trigger",
+                o.trigger ? "trigger" : "no trigger",
                 static_cast<unsigned long long>(core::run_tote(m, g, regs)));
   }
   m.core().set_trace(nullptr);
   if (dump)
     std::printf("\npipeline trace (last probe window):\n%s",
                 log.to_string().c_str());
-  if (!trace_out.empty() && obs::write_chrome_trace(log, trace_out))
+  if (!o.trace_out.empty() && obs::write_chrome_trace(log, o.trace_out))
     std::printf("pipeline trace of all 8 probes written to %s "
                 "(%zu events)\n",
-                trace_out.c_str(), log.size());
-  if (!metrics_out.empty())
-    write_metrics(machine_metrics(m, pmu_before), metrics_out);
+                o.trace_out.c_str(), log.size());
+  if (!o.metrics_out.empty())
+    write_metrics(machine_metrics(m, pmu_before), o.metrics_out);
   return 0;
 }
 
-int cmd_attacks() {
+int cmd_attacks(const Options&, const stats::Flags&) {
   std::printf("%-8s %-8s %s\n", "name", "kind", "description");
   for (const core::AttackInfo& info : core::attack_registry())
     std::printf("%-8s %-8s %s\n", info.name.c_str(),
@@ -263,7 +220,7 @@ int cmd_attacks() {
   return 0;
 }
 
-int cmd_defenses() {
+int cmd_defenses(const Options&, const stats::Flags&) {
   std::printf("%-12s %-20s %s\n", "name", "params", "description");
   for (const defense::DefenseInfo& d : defense::registry()) {
     std::string params;
@@ -279,8 +236,8 @@ int cmd_defenses() {
   return 0;
 }
 
-int cmd_leak(const Args& args) {
-  const std::string what = args.value("--attack", "md");
+int cmd_leak(const Options& o, const stats::Flags&) {
+  const std::string& what = o.spec.attack;
   const core::AttackInfo* info = core::find_attack(what);
   if (info == nullptr) {
     std::fprintf(stderr, "unknown --attack '%s'; registered attacks:\n",
@@ -290,34 +247,19 @@ int cmd_leak(const Args& args) {
     return 2;
   }
 
-  os::MachineOptions mo;
-  mo.model = cpu_from(args);
-  const std::string noise_name = args.value("--noise", "off");
-  const auto profile = noise::NoiseProfile::by_name(noise_name);
-  if (!profile) {
-    std::fprintf(stderr, "unknown --noise '%s' (off|quiet|desktop|"
-                 "noisy-server)\n", noise_name.c_str());
-    return 2;
-  }
-  mo.noise = *profile;
-  defense::apply(defenses_from(args), mo);
-  os::Machine m(mo);
-  m.core().set_fast_forward(fast_forward_from(args));
+  os::Machine m(runner::machine_options(o.spec, /*seed=*/0));
+  m.core().set_fast_forward(o.spec.fast_forward);
 
-  const std::string secret_str = args.value("--secret", "hunter2");
-  const std::vector<std::uint8_t> secret(secret_str.begin(),
-                                         secret_str.end());
+  const std::vector<std::uint8_t> secret(o.secret.begin(), o.secret.end());
 
-  const std::string trace_out = args.value("--trace-out", "");
-  const std::string metrics_out = args.value("--metrics-out", "");
   uarch::EventLog log;
-  if (!trace_out.empty()) m.core().set_trace(&log);
+  if (!o.trace_out.empty()) m.core().set_trace(&log);
   const uarch::PmuSnapshot pmu_before = m.core().pmu().snapshot();
 
   core::AttackOptions opt;
-  opt.adaptive = args.has("--adaptive");
-  opt.confidence_threshold = std::stod(args.value("--confidence", "0.5"));
-  opt.batch_budget = args.number("--budget", 0);
+  opt.adaptive = o.spec.adaptive;
+  opt.confidence_threshold = o.spec.confidence_threshold;
+  opt.batch_budget = o.spec.batch_budget;
   const auto atk = info->make(m, opt);
   const core::AttackResult r =
       atk->run(info->channel ? std::span<const std::uint8_t>(secret)
@@ -340,35 +282,27 @@ int cmd_leak(const Args& args) {
                 static_cast<unsigned long long>(r.found_base),
                 static_cast<unsigned long long>(r.true_base), r.confidence);
   }
-  if (!trace_out.empty() && obs::write_chrome_trace(log, trace_out))
+  if (!o.trace_out.empty() && obs::write_chrome_trace(log, o.trace_out))
     std::printf("pipeline trace of the leak written to %s (%zu events)\n",
-                trace_out.c_str(), log.size());
-  if (!metrics_out.empty())
-    write_metrics(machine_metrics(m, pmu_before), metrics_out);
+                o.trace_out.c_str(), log.size());
+  if (!o.metrics_out.empty())
+    write_metrics(machine_metrics(m, pmu_before), o.metrics_out);
   return r.success ? 0 : 1;
 }
 
-int cmd_kaslr(const Args& args) {
-  const int trials = args.number("--trials", 1);
-  const std::string trace_out = args.value("--trace-out", "");
-  const std::string metrics_out = args.value("--metrics-out", "");
-  if (trials <= 1) {
+int cmd_kaslr(const Options& o, const stats::Flags& flags) {
+  if (o.spec.trials <= 1) {
     // Single shot: the interactive view, with found vs true base.
-    os::MachineOptions opts;
-    opts.model = cpu_from(args);
-    opts.seed = args.number<std::uint64_t>("--seed", 0);
-    if (const auto p = noise::NoiseProfile::by_name(
-            args.value("--noise", "off")))
-      opts.noise = *p;
-    const std::vector<defense::DefenseSpec> stack = defenses_from(args);
-    defense::apply(stack, opts);
-    os::Machine m(opts);
-    m.core().set_fast_forward(fast_forward_from(args));
+    // --seed defaults to 0 here, and to the runner's 1 for a sweep.
+    os::Machine m(runner::machine_options(
+        o.spec, flags.seen("seed") ? o.spec.base_seed : 0));
+    const std::vector<defense::DefenseSpec>& stack = o.spec.defenses;
+    m.core().set_fast_forward(o.spec.fast_forward);
     uarch::EventLog log;
-    if (!trace_out.empty()) m.core().set_trace(&log);
+    if (!o.trace_out.empty()) m.core().set_trace(&log);
     const uarch::PmuSnapshot pmu_before = m.core().pmu().snapshot();
     core::AttackOptions opt;
-    opt.adaptive = args.has("--adaptive");
+    opt.adaptive = o.spec.adaptive;
     const auto atk = core::make_attack("kaslr", m, opt);
     const core::AttackResult r = atk->run({});
     m.core().set_trace(nullptr);
@@ -381,31 +315,20 @@ int cmd_kaslr(const Args& args) {
                 static_cast<unsigned long long>(r.found_base),
                 static_cast<unsigned long long>(r.true_base), r.seconds,
                 r.probes);
-    if (!trace_out.empty() && obs::write_chrome_trace(log, trace_out))
+    if (!o.trace_out.empty() && obs::write_chrome_trace(log, o.trace_out))
       std::printf("pipeline trace of the slot sweep written to %s "
                   "(%zu events)\n",
-                  trace_out.c_str(), log.size());
-    if (!metrics_out.empty())
-      write_metrics(machine_metrics(m, pmu_before), metrics_out);
+                  o.trace_out.c_str(), log.size());
+    if (!o.metrics_out.empty())
+      write_metrics(machine_metrics(m, pmu_before), o.metrics_out);
     return r.success ? 0 : 1;
   }
 
   // Multi-trial sweep through the parallel runner: every trial is a fresh
   // machine with a fresh KASLR draw, seeded from --seed ⊕ trial index.
-  runner::RunSpec spec;
-  spec.model = cpu_from(args);
-  spec.attack = "kaslr";
-  spec.trials = trials;
-  spec.defenses = defenses_from(args);
-  spec.base_seed = args.number<std::uint64_t>("--seed", 1);
-  if (const auto p = noise::NoiseProfile::by_name(
-          args.value("--noise", "off")))
-    spec.noise = *p;
-  spec.adaptive = args.has("--adaptive");
-  spec.collect_trace = !trace_out.empty();
-  apply_fault_flags(spec, args);
-  const int jobs = args.number("--jobs", 1);
-  const auto r = runner::run(spec, jobs, /*progress=*/true);
+  runner::RunSpec spec = o.spec;
+  spec.collect_trace = !o.trace_out.empty();
+  const auto r = runner::run(spec, o.jobs, /*progress=*/true);
   std::printf("TET-KASLR sweep: %s\n", spec.label().c_str());
   std::printf("  broke KASLR in %zu/%zu trials; sim time %.4f s mean "
               "(sd %.4f, min %.4f, max %.4f)\n",
@@ -417,16 +340,15 @@ int cmd_kaslr(const Args& args) {
     std::printf("  fault layer: %zu/%zu completed, %zu retried, "
                 "%zu quarantined, %zu degraded\n",
                 r.completed, r.attempted, r.retried, r.quarantined, r.failed);
-  const std::string json = args.value("--json", "");
-  if (!json.empty() && runner::write_json_file(r, json))
-    std::printf("  trajectory written to %s\n", json.c_str());
-  if (!trace_out.empty() && obs::write_chrome_trace(r.events, trace_out))
+  if (!o.json.empty() && runner::write_json_file(r, o.json))
+    std::printf("  trajectory written to %s\n", o.json.c_str());
+  if (!o.trace_out.empty() && obs::write_chrome_trace(r.events, o.trace_out))
     std::printf("  pipeline trace of all trials (index order) written to "
                 "%s (%zu events)\n",
-                trace_out.c_str(), r.events.size());
-  if (!metrics_out.empty()) {
+                o.trace_out.c_str(), r.events.size());
+  if (!o.metrics_out.empty()) {
     std::printf("  top-down: %s\n", r.topdown.to_string().c_str());
-    write_metrics(runner::to_metrics(r), metrics_out);
+    write_metrics(runner::to_metrics(r), o.metrics_out);
   }
   return r.all_succeeded() ? 0 : 1;
 }
@@ -443,32 +365,17 @@ bool trial_identical(const runner::TrialResult& a,
          a.pmu == b.pmu;
 }
 
-int cmd_chaos(const Args& args) {
-  runner::RunSpec spec;
-  spec.model = cpu_from(args);
-  spec.attack = args.value("--attack", "cc");
-  spec.defenses = defenses_from(args);
-  spec.trials = args.number("--trials", 12);
-  spec.base_seed = args.number<std::uint64_t>("--seed", 12648430);
-  spec.payload_bytes = 4;
-  spec.batches = 2;
-  spec.retries = args.number("--retries", 2);
-  spec.trial_cycle_budget =
-      args.number<std::uint64_t>("--trial-cycle-budget", 1000000000);
-  spec.trial_wall_budget = std::stod(args.value("--trial-wall-budget", "0"));
-  spec.fault_plan =
-      args.value("--fault-plan", "throw@2;corrupt@5;stall@8");
-  spec.fast_forward = fast_forward_from(args);
-  const int jobs = args.number("--jobs", 4);
+int cmd_chaos(const Options& o, const stats::Flags&) {
+  const runner::RunSpec& spec = o.spec;
 
   runner::RunSpec clean = spec;
   clean.fault_plan.clear();
 
   std::printf("chaos: %s under plan \"%s\" (retries %d, jobs %d)\n",
               spec.label().c_str(), spec.fault_plan.c_str(), spec.retries,
-              jobs);
-  const runner::RunResult faulted = runner::run(spec, jobs);
-  const runner::RunResult reference = runner::run(clean, jobs);
+              o.jobs);
+  const runner::RunResult faulted = runner::run(spec, o.jobs);
+  const runner::RunResult reference = runner::run(clean, o.jobs);
 
   std::printf("  attempted %zu, completed %zu, failed %zu, retried %zu, "
               "quarantined %zu, attempts %zu\n",
@@ -506,16 +413,14 @@ int cmd_chaos(const Args& args) {
                 "clean run\n",
                 faulted.completed, faulted.attempted);
 
-  const std::string json = args.value("--json", "");
-  if (!json.empty() && runner::write_json_file(faulted, json))
-    std::printf("  faulted-run trajectory written to %s\n", json.c_str());
+  if (!o.json.empty() && runner::write_json_file(faulted, o.json))
+    std::printf("  faulted-run trajectory written to %s\n", o.json.c_str());
   return ok ? 0 : 1;
 }
 
-int cmd_matrix(const Args& args) {
+int cmd_matrix(const Options& o, const stats::Flags&) {
   // The Table 2 matrix (5 CPUs × 5 attacks) through the parallel runner;
   // bench/table2_matrix prints the full paper comparison.
-  const int jobs = args.number("--jobs", 1);
   const std::vector<std::string> attacks = core::attack_names();
 
   std::vector<runner::RunSpec> specs;
@@ -527,11 +432,11 @@ int cmd_matrix(const Args& args) {
       spec.base_seed = 0x7ab1e2;
       spec.payload_bytes = 4;
       spec.batches = 4;
-      spec.fast_forward = fast_forward_from(args);
+      spec.fast_forward = o.spec.fast_forward;
       specs.push_back(spec);
     }
 
-  runner::Executor ex(jobs);
+  runner::Executor ex(o.jobs);
   const auto results = runner::run_many(specs, ex, /*progress=*/true);
 
   std::printf("%-24s", "CPU");
@@ -553,8 +458,8 @@ int cmd_matrix(const Args& args) {
 /// Distributed sweep: shard --trials across --endpoints and merge by
 /// index. Exit 0 only on a complete (and, with --verify, byte-identical)
 /// merge; endpoint failures along the way are counters, not errors.
-int cmd_sweep(const Args& args) {
-  const std::string endpoints_csv = args.value("--endpoints", "");
+int cmd_sweep(const Options& o, const stats::Flags&) {
+  const std::string& endpoints_csv = o.endpoints;
   if (endpoints_csv.empty()) {
     std::fprintf(stderr,
                  "whisper_cli sweep: --endpoints is required "
@@ -562,30 +467,13 @@ int cmd_sweep(const Args& args) {
     return 2;
   }
 
-  runner::RunSpec spec;
-  spec.model = cpu_from(args);
-  spec.attack = args.value("--attack", "kaslr");
-  spec.trials = args.number("--trials", 8);
-  spec.defenses = defenses_from(args);
-  spec.base_seed = args.number<std::uint64_t>("--seed", 1);
-  if (const auto p = noise::NoiseProfile::by_name(
-          args.value("--noise", "off")))
-    spec.noise = *p;
-  spec.adaptive = args.has("--adaptive");
-  apply_fault_flags(spec, args);
+  const runner::RunSpec& spec = o.spec;
 
   std::vector<std::shared_ptr<client::Endpoint>> pool;
   for (const auto& ep : client::parse_endpoint_list(endpoints_csv))
     pool.push_back(client::make_endpoint(ep));
 
-  client::SweepOptions opts;
-  opts.chunk_trials = args.number("--chunk", 4);
-  opts.deadline_ms = args.number("--deadline-ms", 60000);
-  opts.connect_timeout_ms = args.number("--connect-timeout-ms", 2000);
-  opts.endpoint_failures = args.number("--failures", 3);
-  opts.flaky_plan = args.value("--flaky-plan", "");
-
-  client::SweepClient sweeper(opts);
+  client::SweepClient sweeper(o.sweep);
   const client::SweepResult r = sweeper.sweep(spec, pool);
 
   std::printf("distributed sweep: %s across %zu endpoint(s)\n",
@@ -611,25 +499,24 @@ int cmd_sweep(const Args& args) {
     return 1;
   }
 
-  const std::string json = args.value("--json", "");
-  if (!json.empty()) {
-    std::FILE* f = std::fopen(json.c_str(), "w");
+  if (!o.json.empty()) {
+    std::FILE* f = std::fopen(o.json.c_str(), "w");
     if (!f) {
       std::fprintf(stderr, "whisper_cli sweep: cannot write %s\n",
-                   json.c_str());
+                   o.json.c_str());
       return 1;
     }
     for (const std::string& line : r.trial_lines)
       std::fprintf(f, "%s\n", line.c_str());
     std::fprintf(f, "%s\n", r.done_line.c_str());
     std::fclose(f);
-    std::printf("  merged response stream written to %s\n", json.c_str());
+    std::printf("  merged response stream written to %s\n", o.json.c_str());
   }
 
-  if (args.has("--verify")) {
+  if (o.verify) {
     // Invariant 13, checked the direct way: rerun the whole spec locally
     // and demand the distributed merge is the same bytes.
-    const auto local = runner::run(spec, args.number("--jobs", 1));
+    const auto local = runner::run(spec, o.jobs);
     const bool same = r.trial_lines == client::canonical_trial_lines(local) &&
                       r.done_line == client::canonical_done_line(local);
     std::printf("  --verify: merged stream %s the local runner::run bytes\n",
@@ -641,49 +528,113 @@ int cmd_sweep(const Args& args) {
   return 0;
 }
 
-}  // namespace
-
-/// Flags that would run a different cell if ignored: the retired defense
-/// aliases and --rounds, which whisper_cli never read. Spelled without the
-/// dashes so scripts/check_docs.sh does not count them as parsed flags.
-constexpr std::pair<const char*, const char*> kRefusedFlags[] = {
-    {"kpti", "was removed; use --defense kpti"},
-    {"flare", "was removed; use --defense flare"},
-    {"fgkaslr", "was removed; use --defense fgkaslr"},
-    {"rounds", "is not a whisper_cli flag; kaslr runs its default 3 sweep "
-               "rounds"},
+struct Command {
+  const char* name;
+  const char* summary;
+  std::initializer_list<std::string_view> rows;  // add_row() names
+  void (*defaults)(Options& o);  // nullptr: RunSpec's own
+  int (*run)(const Options& o, const stats::Flags& flags);
 };
 
+const Command kCommands[] = {
+    {"models", "list the CPU presets (the --cpu index)", {}, nullptr,
+     cmd_models},
+    {"tote", "time the Fig. 1 TET gadget: 8 probes",
+     {"cpu", "trigger", "trace", "trace-out", "metrics-out",
+      "no-fast-forward", "fast_forward"},
+     nullptr, cmd_tote},
+    {"leak", "run one attack on one machine",
+     {"cpu", "secret", "attack", "defenses", "noise", "adaptive",
+      "confidence_threshold", "batch_budget", "trace-out", "metrics-out",
+      "no-fast-forward", "fast_forward"},
+     [](Options& o) { o.spec.attack = "md"; }, cmd_leak},
+    {"kaslr", "break KASLR once, or sweep --trials through the runner",
+     {"cpu", "defenses", "seed", "trials", "jobs", "json", "noise",
+      "adaptive", "retries", "trial_cycle_budget", "trial_wall_budget",
+      "verify_reset", "fault_plan", "no-fast-forward", "fast_forward",
+      "trace-out", "metrics-out"},
+     nullptr, cmd_kaslr},
+    {"chaos", "fault-tolerance self-test: faulted run == clean run",
+     {"attack", "defenses", "cpu", "trials", "jobs", "seed", "retries",
+      "fault_plan", "trial_cycle_budget", "trial_wall_budget", "json",
+      "no-fast-forward", "fast_forward"},
+     [](Options& o) {
+       o.spec.attack = "cc";
+       o.spec.trials = 12;
+       o.spec.base_seed = 12648430;
+       o.spec.payload_bytes = 4;
+       o.spec.batches = 2;
+       o.spec.retries = 2;
+       o.spec.trial_cycle_budget = 1000000000;
+       o.spec.fault_plan = "throw@2;corrupt@5;stall@8";
+       o.jobs = 4;
+     },
+     cmd_chaos},
+    {"matrix", "the Table 2 matrix through the runner",
+     {"jobs", "no-fast-forward", "fast_forward"}, nullptr, cmd_matrix},
+    {"sweep", "shard a run across whisper_serve daemons and merge it",
+     {"endpoints", "attack", "cpu", "trials", "seed", "defenses", "noise",
+      "adaptive", "retries", "trial_cycle_budget", "trial_wall_budget",
+      "verify_reset", "fault_plan", "no-fast-forward", "fast_forward",
+      "chunk", "deadline-ms", "connect-timeout-ms", "failures",
+      "flaky-plan", "verify", "json", "jobs"},
+     [](Options& o) {
+       o.spec.attack = "kaslr";
+       o.spec.trials = 8;
+     },
+     cmd_sweep},
+    {"attacks", "list the attack registry", {}, nullptr, cmd_attacks},
+    {"defenses", "list the defense registry and its parameters", {}, nullptr,
+     cmd_defenses},
+};
+
+/// `c`'s flag table. Every command also takes --list-attacks, and refuses
+/// the flags that would run a different cell if they were ignored: the
+/// retired defense aliases and --rounds, which whisper_cli never read.
+stats::Flags command_flags(const Command& c, Options& o) {
+  stats::Flags f(std::string("whisper_cli ") + c.name, c.summary);
+  if (c.defaults != nullptr) c.defaults(o);
+  for (const std::string_view row : c.rows) add_row(f, o, row);
+  f.toggle("list-attacks", "print the attack registry instead",
+           o.list_attacks);
+  for (const char* alias : {"kpti", "flare", "fgkaslr"})
+    f.refuse(alias, std::string("was removed; use --defense ") + alias);
+  f.refuse("rounds",
+           "is not a whisper_cli flag; kaslr runs its default 3 sweep rounds",
+           /*takes_value=*/true);
+  return f;
+}
+
+void usage(std::FILE* out) {
+  std::fprintf(out, "usage: whisper_cli <command> [flags]\n\ncommands:\n");
+  for (const Command& c : kCommands)
+    std::fprintf(out, "  %-10s %s\n", c.name, c.summary);
+  std::fprintf(out, "\n`whisper_cli <command> --help` lists its flags\n");
+}
+
+}  // namespace
+
 int main(int argc, char** argv) try {
-  Args args;
-  for (int i = 2; i < argc; ++i) args.positional.emplace_back(argv[i]);
-  bool refused = false;
-  for (const auto& [name, why] : kRefusedFlags)
-    if (args.has(std::string("--") + name)) {
-      std::fprintf(stderr, "whisper_cli: --%s %s\n", name, why);
-      refused = true;
-    }
-  if (refused) return 2;
   const std::string cmd = argc > 1 ? argv[1] : "";
-  if (cmd == "--list-attacks" || args.has("--list-attacks") ||
-      cmd == "attacks")
-    return cmd_attacks();
-  if (cmd == "defenses") return cmd_defenses();
-  if (cmd == "models") return cmd_models();
-  if (cmd == "tote") return cmd_tote(args);
-  if (cmd == "leak") return cmd_leak(args);
-  if (cmd == "kaslr") return cmd_kaslr(args);
-  if (cmd == "chaos") return cmd_chaos(args);
-  if (cmd == "matrix") return cmd_matrix(args);
-  if (cmd == "sweep") return cmd_sweep(args);
-  std::fprintf(stderr,
-               "usage: whisper_cli <models|tote|leak|kaslr|chaos|matrix|"
-               "sweep|attacks|defenses> [options]\n  see the header comment "
-               "of examples/whisper_cli.cpp\n");
+  Options o;
+  if (cmd == "--list-attacks") return cmd_attacks(o, stats::Flags(cmd));
+  if (cmd == "--help" || cmd == "-h") {
+    usage(stdout);
+    for (const Command& c : kCommands)
+      std::printf("\n%s", command_flags(c, o).help().c_str());
+    return 0;
+  }
+  for (const Command& c : kCommands) {
+    if (cmd != c.name) continue;
+    stats::Flags flags = command_flags(c, o);
+    flags.parse(argc, argv, 2);
+    return o.list_attacks ? cmd_attacks(o, flags) : c.run(o, flags);
+  }
+  usage(stderr);
   return 2;
 } catch (const std::exception& e) {
-  // Spec/plan validation errors (bad --attack, malformed --fault-plan, ...)
-  // should read as a usage message, not a terminate() backtrace.
+  // Spec/plan validation errors (unknown --attack, malformed --fault-plan,
+  // ...) should read as a usage message, not a terminate() backtrace.
   std::fprintf(stderr, "whisper_cli: %s\n", e.what());
   return 2;
 }

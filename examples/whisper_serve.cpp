@@ -1,10 +1,5 @@
-// whisper_serve — the attack-as-a-service daemon.
-//
-//   whisper_serve [--socket PATH] [--jobs J] [--pool N]
-//   whisper_serve --listen HOST:PORT [--jobs J] [--pool N]
-//   whisper_serve --request JSON [--socket PATH | --connect HOST:PORT]
-//   whisper_serve --shutdown [--socket PATH | --connect HOST:PORT]
-//   whisper_serve --selftest
+// whisper_serve — the attack-as-a-service daemon. `whisper_serve --help`
+// prints its flag table.
 //
 // Daemon mode binds a unix-domain socket (default /tmp/whisper_serve.sock)
 // or, with --listen, a TCP host:port — same protocol, same bytes; TCP is
@@ -17,60 +12,24 @@
 //   printf '%s\n' '{"id":1,"verb":"run","attack":"cc","trials":2,"seed":7}' |
 //     nc -U /tmp/w.sock
 //
-// --request sends one request line from the command line, prints every
-// response line to stdout, and exits when the request's stream terminates
-// (done/error/pong/attacks/metrics/bye); --connect targets a TCP daemon
-// instead of the unix socket. --shutdown is shorthand for sending the
-// shutdown verb. --selftest runs a loopback round-trip with no socket at
-// all and exits 0 on success (used as a smoke check).
-//
-// --jobs sets the worker count (throughput only: response bytes are
-// byte-identical for any value — invariant 11, docs/ARCHITECTURE.md);
-// --pool caps the shared machine pool (admission control).
+// --request exits when the request's stream terminates (done/error/pong/
+// attacks/metrics/bye). --jobs changes throughput only: response bytes are
+// byte-identical for any value (invariant 11, docs/ARCHITECTURE.md).
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "serve/transport_loopback.h"
 #include "serve/transport_tcp.h"
 #include "serve/transport_unix.h"
+#include "stats/flags.h"
 
 using namespace whisper;
 
 namespace {
-
-struct Args {
-  std::vector<std::string> positional;
-  bool has(const std::string& flag) const {
-    for (const auto& a : positional)
-      if (a == flag) return true;
-    return false;
-  }
-  std::string value(const std::string& flag, const std::string& dflt) const {
-    for (std::size_t i = 0; i + 1 < positional.size(); ++i)
-      if (positional[i] == flag) return positional[i + 1];
-    return dflt;
-  }
-};
-
-void usage() {
-  std::puts(
-      "whisper_serve — attack-as-a-service daemon\n"
-      "\n"
-      "  whisper_serve [--socket PATH] [--jobs J] [--pool N]\n"
-      "  whisper_serve --listen HOST:PORT [--jobs J] [--pool N]\n"
-      "  whisper_serve --request JSON [--socket PATH | --connect HOST:PORT]\n"
-      "  whisper_serve --shutdown [--socket PATH | --connect HOST:PORT]\n"
-      "  whisper_serve --selftest\n"
-      "\n"
-      "Protocol: one JSON object per line; verbs run, ping, list, metrics,\n"
-      "shutdown (src/serve/protocol.h; docs/REPRODUCING.md \"Serving\").");
-}
 
 /// Is `line` the last response of its request's stream?
 bool terminal_response(const std::string& line) {
@@ -135,34 +94,45 @@ int selftest() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args;
-  for (int i = 1; i < argc; ++i) args.positional.emplace_back(argv[i]);
-
-  if (args.has("--help") || args.has("-h")) {
-    usage();
-    return 0;
-  }
-  if (args.has("--selftest")) return selftest();
-
-  const std::string socket_path =
-      args.value("--socket", "/tmp/whisper_serve.sock");
-  const std::string tcp_connect = args.value("--connect", "");
-  const std::string tcp_listen = args.value("--listen", "");
+  std::string socket_path = "/tmp/whisper_serve.sock";
+  std::string tcp_listen;
+  std::string tcp_connect;
+  std::string request;
+  bool send_shutdown = false;
+  bool self_test = false;
+  serve::ServerOptions opts;
+  stats::Flags flags(
+      "whisper_serve",
+      "attack-as-a-service daemon: one JSON object per line; verbs run, "
+      "ping, list, metrics,\nshutdown (src/serve/protocol.h; "
+      "docs/REPRODUCING.md \"Serving\")");
+  flags.value("socket", "PATH",
+              "unix-socket address (default /tmp/whisper_serve.sock)",
+              socket_path);
+  flags.value("listen", "HOST:PORT", "serve TCP instead (port 0: ephemeral)",
+              tcp_listen);
+  flags.value("jobs", "J", "worker threads (responses are identical for any J)",
+              opts.jobs);
+  flags.value("pool", "N", "shared machine-pool capacity (default 4)",
+              opts.pool_capacity);
+  flags.value("request", "JSON", "send one request line, print the responses",
+              request);
+  flags.toggle("shutdown", "ask the daemon to exit", send_shutdown);
+  flags.value("connect", "HOST:PORT",
+              "send --request/--shutdown to a TCP daemon", tcp_connect);
+  flags.toggle("selftest", "loopback round trip, no socket", self_test);
+  flags.parse(argc, argv);
+  if (self_test) return selftest();
 
   try {
-    if (args.has("--request"))
-      return send_request(socket_path, tcp_connect,
-                          args.value("--request", ""));
-    if (args.has("--shutdown"))
+    if (flags.seen("request"))
+      return send_request(socket_path, tcp_connect, request);
+    if (send_shutdown)
       return send_request(socket_path, tcp_connect,
                           R"({"id":1,"verb":"shutdown"})");
 
     // Daemon mode: TCP with --listen, unix socket otherwise. Same server,
     // same protocol, same response bytes either way.
-    serve::ServerOptions opts;
-    opts.jobs = std::stoi(args.value("--jobs", "1"));
-    opts.pool_capacity =
-        static_cast<std::size_t>(std::stoul(args.value("--pool", "4")));
     std::unique_ptr<serve::Transport> transport;
     std::string where;
     if (!tcp_listen.empty()) {

@@ -9,45 +9,40 @@
 #      fails this check.
 #   3. When a build directory is given and contains the bench binaries,
 #      each documented binary must have been built.
-#   4. Every runner flag the shared harness parser (bench/bench_util.h)
-#      accepts must be documented in the guide's flag table — adding a
-#      flag without documenting it fails this check.
-#   5. Same for the extra flags bench/noise_sweep.cpp parses on top of the
-#      shared set (--noise-profile, --attacks, ...).
-#   6. Same for the extra flags bench/perf_baseline.cpp parses
-#      (--attacks, --trials, ...).
-#   7. Same for every flag examples/whisper_cli.cpp parses (--fault-plan,
-#      --retries, ...) — the CLI is the guide's primary entry point. And
-#      the reverse: every --flag on a `whisper_cli` command line in
-#      README.md, docs/REPRODUCING.md and the skill notes
-#      (.*/skills/*/SKILL.md) must be one whisper_cli.cpp parses, so a retired flag cannot
-#      survive in an example.
+#   4-7. Every flag a binary accepts must be documented in the guide: the
+#      rows of the generated `--help` table (src/stats/flags.h) of each
+#      built bench/ and examples/ binary whose source builds one
+#      (`whisper_cli --help` prints every command's). And the reverse:
+#      every --flag on a `whisper_cli` command line in README.md,
+#      docs/REPRODUCING.md and the skill notes (.*/skills/*/SKILL.md) must
+#      be one `whisper_cli --help` lists, so a retired flag cannot survive
+#      in an example. These checks need the build dir.
 #   8. docs/PERFORMANCE.md must exist and document every measurement-cell
 #      and speedup key bench/perf_baseline.cpp writes into BENCH_perf.json
 #      (fresh_jobs1, reset_jobs1, ff_jobs1, reset_jobsN, speedup,
 #      ff_speedup, ...) — the column glossary may not drift from the
 #      harness's actual output keys.
 #   9. The whisper_serve daemon's surface must be documented: every
-#      protocol verb in src/serve/protocol.h's kVerbs array, every flag
-#      examples/whisper_serve.cpp parses, and every flag
-#      bench/serve_soak.cpp parses must appear in docs/REPRODUCING.md.
+#      protocol verb in src/serve/protocol.h's kVerbs array must appear in
+#      docs/REPRODUCING.md (the whisper_serve and serve_soak flags are
+#      checks 4-7's).
 #  10. The defense registry (src/defense/defense.cpp) and the docs must
 #      agree: every registered defense name must be documented in both
-#      docs/REPRODUCING.md and docs/ARCHITECTURE.md, and every flag
-#      bench/defense_matrix.cpp parses must appear in the guide. The
-#      generated docs/DEFENSE_MATRIX.md must exist and mention every
-#      registered defense (a registry addition forces a report refresh).
+#      docs/REPRODUCING.md and docs/ARCHITECTURE.md (the defense_matrix
+#      flags are checks 4-7's). The generated docs/DEFENSE_MATRIX.md must
+#      exist and mention every registered defense (a registry addition
+#      forces a report refresh).
 #  11. Same for the attack registry (src/core/attacks/registry.cpp):
 #      every registered attack name must be documented (backticked) in
 #      docs/REPRODUCING.md, docs/ARCHITECTURE.md and README.md, and must
 #      appear in the generated docs/DEFENSE_MATRIX.md — registering a new
 #      attack without docs or a matrix refresh fails this check.
-#  12. The distributed sweep surface must be documented: every flag
-#      bench/dist_soak.cpp parses, the `whisper_cli sweep` subcommand and
+#  12. The distributed sweep surface must be documented: the dist_soak
+#      flags (checks 4-7), the `whisper_cli sweep` subcommand and
 #      its `--endpoints` pool grammar, the BENCH_dist.json trajectory, and
 #      invariant 13 (distribution is invisible) in docs/ARCHITECTURE.md.
 #
-# Usage: check_docs.sh <repo-root> [build-dir]
+# Usage: check_docs.sh <repo-root> <build-dir>
 # Wired into ctest as `docs_reproducing_sync` (LABELS tier2).
 set -u
 
@@ -91,59 +86,38 @@ for name in $harnesses; do
   fi
 done
 
-# Flags the shared harness parser accepts (string literals "--..." in
-# bench_util.h) must each appear in the guide.
-flags=$(grep -oE '"--[a-z-]+"' "$root/bench/bench_util.h" | tr -d '"' |
-        sort -u)
-for flag in $flags; do
-  if ! grep -q -- "\`$flag" "$guide"; then
-    echo "FAIL: bench/bench_util.h parses $flag but docs/REPRODUCING.md" \
-         "does not document it"
+# Every row of each binary's generated --help table (a line that starts
+# with "  --") must appear, backticked, in the guide. The binaries are the
+# bench/ and examples/ sources that build a stats::Flags table.
+nflags=0
+for src in $(grep -l 'stats::Flags' "$root"/bench/*.cpp \
+                                    "$root"/examples/*.cpp); do
+  dir=$(basename "$(dirname "$src")")
+  name=$(basename "$src" .cpp)
+  bin_flags=$("$build/$dir/$name" --help 2>/dev/null |
+              awk '/^  --/ {print $1}' | sort -u)
+  if [[ -z "$bin_flags" ]]; then
+    echo "FAIL: $dir/$name builds a flag table but $build/$dir/$name" \
+         "--help lists no flags (checks 4-7 need the built binaries)"
     fail=1
   fi
-done
-
-# The noise-sweep harness has its own parser on top of the shared one; its
-# flags must be documented the same way.
-sweep_flags=$(grep -oE '"--[a-z-]+"' "$root/bench/noise_sweep.cpp" |
-              tr -d '"' | sort -u)
-for flag in $sweep_flags; do
-  if ! grep -q -- "\`$flag" "$guide"; then
-    echo "FAIL: bench/noise_sweep.cpp parses $flag but docs/REPRODUCING.md" \
-         "does not document it"
-    fail=1
-  fi
-done
-
-# perf_baseline likewise parses extra flags of its own.
-perf_flags=$(grep -oE '"--[a-z-]+"' "$root/bench/perf_baseline.cpp" |
-             tr -d '"' | sort -u)
-for flag in $perf_flags; do
-  if ! grep -q -- "\`$flag" "$guide"; then
-    echo "FAIL: bench/perf_baseline.cpp parses $flag but" \
-         "docs/REPRODUCING.md does not document it"
-    fail=1
-  fi
-done
-
-# whisper_cli's flag set (shared harness flags plus the fault-tolerance
-# knobs) must be documented too.
-cli_flags=$(grep -oE '"--[a-z-]+"' "$root/examples/whisper_cli.cpp" |
-            tr -d '"' | sort -u)
-for flag in $cli_flags; do
-  if ! grep -q -- "\`$flag" "$guide"; then
-    echo "FAIL: examples/whisper_cli.cpp parses $flag but" \
-         "docs/REPRODUCING.md does not document it"
-    fail=1
-  fi
+  [[ "$name" == whisper_cli ]] && cli_flags=$bin_flags
+  for flag in $bin_flags; do
+    nflags=$((nflags + 1))
+    if ! grep -qE -- "\`$flag([^a-z-]|\$)" "$guide"; then
+      echo "FAIL: $dir/$name accepts $flag but docs/REPRODUCING.md" \
+           "does not document it"
+      fail=1
+    fi
+  done
 done
 
 # The reverse: every flag on a documented whisper_cli command line must be
-# one the CLI parses. A command line runs from "whisper_cli" to the end of
+# one the CLI accepts. A command line runs from "whisper_cli" to the end of
 # its code span, its "#" comment or its line, with backslash continuations
 # joined first.
 for doc in "$root/README.md" "$guide" "$root"/.[!.]*/skills/*/SKILL.md; do
-  [[ -f "$doc" ]] || continue
+  [[ -f "$doc" && -n "${cli_flags:-}" ]] || continue
   used=$(sed -e ':a' -e '/\\$/{N;s/\\\n//;ba' -e '}' "$doc" |
          grep -oE 'whisper_cli [a-z][^`#]*' |
          grep -oE '(^|[[:space:]])--[a-z][a-z-]*' |
@@ -151,7 +125,7 @@ for doc in "$root/README.md" "$guide" "$root"/.[!.]*/skills/*/SKILL.md; do
   for flag in $used; do
     if ! grep -qx -- "$flag" <<<"$cli_flags"; then
       echo "FAIL: ${doc#"$root"/} runs whisper_cli with $flag, which" \
-           "examples/whisper_cli.cpp does not parse"
+           "whisper_cli --help does not list"
       fail=1
     fi
   done
@@ -190,26 +164,6 @@ for verb in $verbs; do
   fi
 done
 
-serve_flags=$(grep -oE '"--[a-z-]+"' "$root/examples/whisper_serve.cpp" |
-              tr -d '"' | sort -u)
-for flag in $serve_flags; do
-  if ! grep -q -- "\`$flag" "$guide"; then
-    echo "FAIL: examples/whisper_serve.cpp parses $flag but" \
-         "docs/REPRODUCING.md does not document it"
-    fail=1
-  fi
-done
-
-soak_flags=$(grep -oE '"--[a-z-]+"' "$root/bench/serve_soak.cpp" |
-             tr -d '"' | sort -u)
-for flag in $soak_flags; do
-  if ! grep -q -- "\`$flag" "$guide"; then
-    echo "FAIL: bench/serve_soak.cpp parses $flag but" \
-         "docs/REPRODUCING.md does not document it"
-    fail=1
-  fi
-done
-
 # The defense registry is the systematization's name authority: every name
 # in src/defense/defense.cpp's kRegistry table must be documented (backticked)
 # in both the guide and the architecture doc, and must appear in the
@@ -233,23 +187,6 @@ if [[ -z "$defenses" ]]; then
        "src/defense/defense.cpp"
   fail=1
 fi
-for name in $defenses; do
-  if ! grep -q -- "\`$name\`" "$guide"; then
-    echo "FAIL: defense '$name' is registered but docs/REPRODUCING.md does" \
-         "not document it"
-    fail=1
-  fi
-  if [[ -f "$arch_doc" ]] && ! grep -q -- "\`$name\`" "$arch_doc"; then
-    echo "FAIL: defense '$name' is registered but docs/ARCHITECTURE.md does" \
-         "not document it"
-    fail=1
-  fi
-  if [[ -f "$matrix_doc" ]] && ! grep -q -- "$name" "$matrix_doc"; then
-    echo "FAIL: defense '$name' is registered but docs/DEFENSE_MATRIX.md" \
-         "does not cover it — regenerate the report"
-    fail=1
-  fi
-done
 
 # The attack registry is the name authority on the other axis of the
 # systematization matrix: every name in src/core/attacks/registry.cpp's
@@ -265,50 +202,29 @@ if [[ -z "$attacks" ]]; then
        "src/core/attacks/registry.cpp"
   fail=1
 fi
-for name in $attacks; do
-  if ! grep -q -- "\`$name\`" "$guide"; then
-    echo "FAIL: attack '$name' is registered but docs/REPRODUCING.md does" \
-         "not document it"
-    fail=1
-  fi
-  if [[ -f "$arch_doc" ]] && ! grep -q -- "\`$name\`" "$arch_doc"; then
-    echo "FAIL: attack '$name' is registered but docs/ARCHITECTURE.md does" \
-         "not document it"
-    fail=1
-  fi
-  if [[ -f "$readme" ]] && ! grep -q -- "\`$name\`" "$readme"; then
-    echo "FAIL: attack '$name' is registered but README.md does not list it"
-    fail=1
-  fi
-  if [[ -f "$matrix_doc" ]] && ! grep -q -- "$name" "$matrix_doc"; then
-    echo "FAIL: attack '$name' is registered but docs/DEFENSE_MATRIX.md" \
-         "does not cover it — regenerate the report"
-    fail=1
-  fi
-done
 
-matrix_flags=$(grep -oE '"--[a-z-]+"' "$root/bench/defense_matrix.cpp" |
-               tr -d '"' | sort -u)
-for flag in $matrix_flags; do
-  if ! grep -q -- "\`$flag" "$guide"; then
-    echo "FAIL: bench/defense_matrix.cpp parses $flag but" \
-         "docs/REPRODUCING.md does not document it"
-    fail=1
-  fi
-done
+# Every registered name must appear in each of the docs that exists,
+# backticked (bare in the generated matrix report, where it is a cell).
+require_names() {
+  local kind=$1 names=$2 name doc want
+  shift 2
+  for name in $names; do
+    for doc in "$@"; do
+      want="\`$name\`"
+      [[ "$doc" == "$matrix_doc" ]] && want=$name
+      if [[ -f "$doc" ]] && ! grep -q -- "$want" "$doc"; then
+        echo "FAIL: $kind '$name' is registered but ${doc#"$root"/}" \
+             "does not mention it"
+        fail=1
+      fi
+    done
+  done
+}
+require_names defense "$defenses" "$guide" "$arch_doc" "$matrix_doc"
+require_names attack "$attacks" "$guide" "$arch_doc" "$readme" "$matrix_doc"
 
-# The distributed sweep surface: the soak harness's flags, the sweep
-# subcommand and its endpoint grammar, the trajectory name, and the
-# invariant it all hangs off.
-dist_flags=$(grep -oE '"--[a-z-]+"' "$root/bench/dist_soak.cpp" |
-             tr -d '"' | sort -u)
-for flag in $dist_flags; do
-  if ! grep -q -- "\`$flag" "$guide"; then
-    echo "FAIL: bench/dist_soak.cpp parses $flag but" \
-         "docs/REPRODUCING.md does not document it"
-    fail=1
-  fi
-done
+# The distributed sweep surface: the sweep subcommand and its endpoint
+# grammar, the trajectory name, and the invariant it all hangs off.
 for needle in 'whisper_cli sweep' '--endpoints' 'BENCH_dist.json' \
               'trial_first'; do
   if ! grep -q -- "$needle" "$guide"; then
@@ -335,14 +251,9 @@ fi
 if [[ $fail -eq 0 ]]; then
   echo "OK: $(echo "$documented" | wc -w) documented harnesses," \
        "$(echo "$harnesses" | wc -w) bench sources," \
-       "$(echo "$flags" | wc -w)+$(echo "$sweep_flags" | wc -w)+$(echo \
-       "$perf_flags" | wc -w)+$(echo "$cli_flags" | wc -w) harness+cli" \
-       "flags, $(echo "$perf_cols" | wc -w) perf columns," \
-       "$(echo "$verbs" | wc -w) serve verbs +" \
-       "$(echo "$serve_flags" | wc -w)+$(echo "$soak_flags" | wc -w)+$(echo \
-       "$dist_flags" | wc -w) serve+dist flags," \
-       "$(echo "$defenses" | wc -w) defenses +" \
-       "$(echo "$matrix_flags" | wc -w) matrix flags," \
+       "$nflags binary flags, $(echo "$perf_cols" | wc -w) perf columns," \
+       "$(echo "$verbs" | wc -w) serve verbs," \
+       "$(echo "$defenses" | wc -w) defenses," \
        "$(echo "$attacks" | wc -w) attacks, all in sync"
 fi
 exit $fail

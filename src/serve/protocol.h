@@ -26,11 +26,11 @@
 //
 // Lines are read with stats::json_parse() (nesting-capped, exact 64-bit
 // integers) and written with stats::JsonWriter. A run request's fields are
-// spelled in one table in protocol.cpp that drives both directions:
-// run_request_line() encodes, parse_request() decodes, and every spec the
-// wire can carry round-trips byte for byte. decode_trial() is likewise the
-// inverse of response_trial(), so a client folds received trials with the
-// runner's own runner::fold().
+// the rows of the RunSpec schema (runner/spec_schema.h), which drive both
+// directions: run_request_line() encodes, parse_request() decodes, and
+// every spec the wire can carry round-trips byte for byte. decode_trial()
+// is likewise the inverse of response_trial(), so a client folds received
+// trials with the runner's own runner::fold().
 #pragma once
 
 #include <cstddef>

@@ -1,7 +1,8 @@
-// Whole-token integer parsing for command-line values.
+// Whole-token number parsing for command-line values.
 #pragma once
 
 #include <charconv>
+#include <cmath>
 #include <concepts>
 #include <cstdint>
 #include <limits>
@@ -28,6 +29,17 @@ template <std::integral T>
       v > static_cast<std::uint64_t>(std::numeric_limits<T>::max()))
     return std::nullopt;
   return static_cast<T>(v);
+}
+
+/// All of `text` as a finite decimal floating-point number ("0.5", "-2",
+/// "1e-3"); nullopt for an empty token, trailing garbage ("1abc"), "inf",
+/// "nan" or a value out of double range. atof would read "1abc" as 1.
+[[nodiscard]] inline std::optional<double> parse_double(std::string_view text) {
+  double v = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(v)) return std::nullopt;
+  return v;
 }
 
 }  // namespace whisper::stats

@@ -237,5 +237,16 @@ TEST(ParseUint, ReadsWholeDecimalOrHexTokens) {
   EXPECT_EQ(parse_uint<int>("2147483647"), 2147483647);
 }
 
+TEST(ParseDouble, ReadsWholeFiniteTokens) {
+  EXPECT_EQ(parse_double("1.5"), 1.5);
+  EXPECT_EQ(parse_double("0"), 0.0);
+  EXPECT_EQ(parse_double("-2"), -2.0);
+  EXPECT_EQ(parse_double("1e-3"), 1e-3);
+  EXPECT_EQ(parse_double("0.30000000000000004"), 0.1 + 0.2);
+  for (const char* bad : {"", "1abc", "abc", "1.5x", " 1", "1 ", "+1", "inf",
+                          "-inf", "nan", "1e400", "0x10", "1,5"})
+    EXPECT_FALSE(parse_double(bad).has_value()) << bad;
+}
+
 }  // namespace
 }  // namespace whisper::stats
