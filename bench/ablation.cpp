@@ -21,7 +21,8 @@
 
 using namespace whisper;
 
-int main() {
+int main(int argc, char** argv) {
+  stats::Flags("ablation").parse(argc, argv);
   bench::heading("Ablations");
 
   // --- A1: Whisper delta magnitude ----------------------------------------

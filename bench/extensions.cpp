@@ -24,7 +24,8 @@
 
 using namespace whisper;
 
-int main() {
+int main(int argc, char** argv) {
+  stats::Flags("extensions").parse(argc, argv);
   bench::heading("Extensions beyond the paper's evaluation");
 
   // --- E1: TET-Spectre-V1 ---------------------------------------------------

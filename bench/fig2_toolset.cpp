@@ -46,7 +46,8 @@ void run_flow(const std::string& what, os::Machine& m,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  stats::Flags("fig2_toolset").parse(argc, argv);
   bench::heading("Figure 2 — Analysis flow using the PMU toolset");
 
   {

@@ -9,7 +9,8 @@
 
 using namespace whisper;
 
-int main() {
+int main(int argc, char** argv) {
+  stats::Flags("fig3_frontend").parse(argc, argv);
   bench::heading("Figure 3 — Frontend-issued resteer within transient "
                  "execution (i7-7700 model)");
 

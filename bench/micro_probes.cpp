@@ -1,14 +1,20 @@
 // Google-benchmark microbenchmarks: host-side cost of the simulator's core
 // operations (one probe of each gadget, one KASLR slot scan, a PMU scenario
-// pair). Useful for keeping experiment wall-clock in check as the model
-// grows.
+// pair, one machine construction, one whole trial of each registry attack
+// with and without fast-forward). Useful for keeping experiment wall-clock
+// in check as the model grows.
 #include <benchmark/benchmark.h>
+
+#include <string>
+#include <utility>
 
 #include "core/attacks/common.h"
 #include "core/attacks/kaslr.h"
+#include "core/attacks/registry.h"
 #include "core/gadgets.h"
 #include "core/pmu_toolset.h"
 #include "os/machine.h"
+#include "runner/runner.h"
 
 using namespace whisper;
 
@@ -73,6 +79,50 @@ void BM_MachineConstruction(benchmark::State& state) {
   }
 }
 
+// One trial of `attack` per iteration on one snapshot()ted Kaby Lake
+// machine (2 payload bytes, 1 batch), reset to the same seed each time, so
+// every iteration replays the same trial. The fast_forward/structural
+// ratio of a pair is fast-forward's speedup on the trial path; results are
+// byte-identical either way (invariant 10). With fast-forward on, the
+// core's fast-forward counters are reported per trial.
+void BM_Trial(benchmark::State& state, const std::string& attack,
+              bool fast_forward) {
+  using Stats = uarch::Core::FastForwardStats;
+  runner::RunSpec spec;
+  spec.model = uarch::CpuModel::KabyLakeI7_7700;
+  spec.attack = attack;
+  spec.payload_bytes = 2;
+  spec.batches = 1;
+  spec.base_seed = 0xbe9cULL;
+  spec.fast_forward = fast_forward;
+  const std::uint64_t seed = runner::trial_seed(spec.base_seed, 0);
+  os::Machine m(runner::machine_options(spec, seed));
+  m.snapshot();
+  const Stats before = m.core().fast_forward_stats();
+  for (auto _ : state)
+    benchmark::DoNotOptimize(runner::run_trial(spec, seed, m));
+  if (!fast_forward) return;
+
+  const std::pair<const char*, std::uint64_t Stats::*> kCounters[] = {
+      {"attempts", &Stats::attempts},
+      {"spans", &Stats::spans},
+      {"cycles_skipped", &Stats::cycles_skipped},
+      {"cycles_stepped", &Stats::cycles_stepped},
+      {"cycles_advanced", &Stats::cycles_advanced},
+      {"bail_retire", &Stats::bail_retire},
+      {"bail_complete", &Stats::bail_complete},
+      {"bail_issue", &Stats::bail_issue},
+      {"bail_alloc", &Stats::bail_alloc},
+      {"bail_fetch", &Stats::bail_fetch},
+      {"bail_noise", &Stats::bail_noise},
+      {"bail_smt", &Stats::bail_smt}};
+  const Stats& after = m.core().fast_forward_stats();
+  for (const auto& [name, field] : kCounters)
+    state.counters[name] =
+        benchmark::Counter(static_cast<double>(after.*field - before.*field),
+                           benchmark::Counter::kAvgIterations);
+}
+
 }  // namespace
 
 BENCHMARK(BM_TetGadgetProbe)
@@ -83,4 +133,17 @@ BENCHMARK(BM_KaslrProbe)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_PmuScenarioMeasure)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_MachineConstruction)->Unit(benchmark::kMicrosecond);
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  for (const std::string& attack : core::attack_names())
+    for (const bool ff : {true, false})
+      benchmark::RegisterBenchmark(
+          ("BM_Trial<" + attack + ">/" + (ff ? "fast_forward" : "structural"))
+              .c_str(),
+          BM_Trial, attack, ff)
+          ->Unit(benchmark::kMillisecond);
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

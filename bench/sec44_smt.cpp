@@ -21,7 +21,8 @@
 
 using namespace whisper;
 
-int main() {
+int main(int argc, char** argv) {
+  stats::Flags("sec44_smt").parse(argc, argv);
   bench::heading("Section 4.4 — Covert channel for SMT (i7-7700 model)");
   bool separable = false;
   stats::ChannelReport prototype, aggressive;

@@ -24,7 +24,6 @@
 //                                wire)
 //
 // Results (wall time, throughput, retry counts, pool/queue accounting,
-// per-client p50/p99 request latency measured send → terminal response,
 // the identity verdict) are written to --json as BENCH_serve.json, which
 // is validated with stats::json_is_valid before writing. Exit status is
 // non-zero on any violated invariant, so this doubles as the tier-2
@@ -102,21 +101,7 @@ struct PhaseResult {
   serve::SchedulerStats queue{};
   /// Response lines per request id, in arrival order.
   std::map<std::uint64_t, std::vector<std::string>> streams;
-  /// Per-client request latencies (send → terminal response) in ms. Every
-  /// client enqueues its whole share up front, so these measure latency
-  /// under a saturated queue — queueing delay included, by design.
-  std::vector<std::vector<double>> client_latency_ms;
 };
-
-/// Nearest-rank percentile of an unsorted sample; 0 when empty.
-double percentile_ms(std::vector<double> sample, double p) {
-  if (sample.empty()) return 0.0;
-  std::sort(sample.begin(), sample.end());
-  std::size_t rank = static_cast<std::size_t>(p * static_cast<double>(
-                                                      sample.size()));
-  if (rank >= sample.size()) rank = sample.size() - 1;
-  return sample[rank];
-}
 
 /// Run the full batch through a fresh server with `jobs` workers.
 PhaseResult run_phase(const SoakArgs& args, int jobs) {
@@ -134,16 +119,11 @@ PhaseResult run_phase(const SoakArgs& args, int jobs) {
   std::vector<std::thread> clients;
   std::vector<std::map<std::uint64_t, std::vector<std::string>>> collected(
       args.clients);
-  out.client_latency_ms.resize(args.clients);
   for (std::uint64_t c = 0; c < args.clients; ++c) {
     clients.emplace_back([&, c] {
       auto client = transport.connect();
-      std::map<std::uint64_t, std::chrono::steady_clock::time_point> sent;
-      for (std::uint64_t r = c; r < args.requests; r += args.clients) {
-        const Shape s = shape_for(r);
-        sent[s.id] = std::chrono::steady_clock::now();
-        client->send(s.line);
-      }
+      for (std::uint64_t r = c; r < args.requests; r += args.clients)
+        client->send(shape_for(r).line);
       client->close_send();
       std::string line;
       while (client->recv(line)) {
@@ -151,15 +131,6 @@ PhaseResult run_phase(const SoakArgs& args, int jobs) {
         const std::uint64_t id =
             static_cast<std::uint64_t>(doc.get("id")->number);
         collected[c][id].push_back(line);
-        const std::string& type = doc.get("type")->string;
-        if (type == "done" || type == "error") {
-          const auto it = sent.find(id);
-          if (it != sent.end())
-            out.client_latency_ms[c].push_back(
-                std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - it->second)
-                    .count());
-        }
       }
     });
   }
@@ -260,22 +231,6 @@ void write_phase_json(stats::JsonWriter& w, const PhaseResult& p,
   w.key("rejected");
   w.value(p.queue.rejected);
   w.end_object();
-  w.key("latency_ms");
-  w.begin_array();
-  for (std::size_t c = 0; c < p.client_latency_ms.size(); ++c) {
-    const auto& sample = p.client_latency_ms[c];
-    w.begin_object();
-    w.key("client");
-    w.value(static_cast<std::uint64_t>(c));
-    w.key("requests");
-    w.value(static_cast<std::uint64_t>(sample.size()));
-    w.key("p50");
-    w.value(percentile_ms(sample, 0.50));
-    w.key("p99");
-    w.value(percentile_ms(sample, 0.99));
-    w.end_object();
-  }
-  w.end_array();
   w.end_object();
 }
 
@@ -309,11 +264,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(a.retried),
               static_cast<unsigned long long>(a.pool.reused),
               static_cast<unsigned long long>(a.pool.created + a.pool.reused));
-  for (std::size_t c = 0; c < a.client_latency_ms.size(); ++c)
-    std::printf("  client %zu: p50 %.1f ms  p99 %.1f ms  (%zu requests)\n", c,
-                percentile_ms(a.client_latency_ms[c], 0.50),
-                percentile_ms(a.client_latency_ms[c], 0.99),
-                a.client_latency_ms[c].size());
   std::printf("phase B: 1 worker ...\n");
   const PhaseResult b = run_phase(args, 1);
   std::printf("  %.2fs  %.1f req/s  retried=%llu\n", b.wall_seconds,

@@ -35,7 +35,8 @@ int hot_probe_lines(os::Machine& m) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  stats::Flags("table1_taxonomy").parse(argc, argv);
   bench::heading("Table 1 — Comparison of side-channel attacks "
                  "(stateful vs stateless, measured)");
 

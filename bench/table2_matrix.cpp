@@ -35,10 +35,12 @@ const PaperRow kPaper[] = {
     {uarch::CpuModel::Zen3Ryzen5_5600G, "✓", "✗", "✗", "?", "✗"},
 };
 
-// One matrix cell. The per-attack knobs (payload sizes, batches, rounds)
-// mirror the sequential harness this replaces.
-runner::RunSpec cell_spec(uarch::CpuModel model, const std::string& attack) {
-  runner::RunSpec spec;
+// One matrix cell, built on a copy of the harness's RunSpec so the shared
+// fault knobs (--retries, --fault-plan, ...) apply to it. The per-attack
+// knobs (payload sizes, batches, rounds) mirror the sequential harness
+// this replaces.
+runner::RunSpec cell_spec(runner::RunSpec spec, uarch::CpuModel model,
+                          const std::string& attack) {
   spec.model = model;
   spec.attack = attack;
   spec.trials = 1;
@@ -80,7 +82,8 @@ int main(int argc, char** argv) {
 
   std::vector<runner::RunSpec> specs;
   for (const PaperRow& row : kPaper)
-    for (const char* a : kColumns) specs.push_back(cell_spec(row.model, a));
+    for (const char* a : kColumns)
+      specs.push_back(cell_spec(args.spec, row.model, a));
 
   runner::Executor ex(args.jobs);
   const auto results = runner::run_many(specs, ex, args.progress);

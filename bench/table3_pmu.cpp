@@ -64,7 +64,8 @@ void run_scene(SignCount& count, const std::string& scene,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  stats::Flags("table3_pmu").parse(argc, argv);
   bench::heading("Table 3 — Key performance monitor counter values");
   std::printf("model counts | paper counts; 'matches' = same delta sign\n");
   SignCount count;

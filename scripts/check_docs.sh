@@ -17,11 +17,8 @@
 #      docs/REPRODUCING.md and the skill notes (.*/skills/*/SKILL.md) must
 #      be one `whisper_cli --help` lists, so a retired flag cannot survive
 #      in an example. These checks need the build dir.
-#   8. docs/PERFORMANCE.md must exist and document every measurement-cell
-#      and speedup key bench/perf_baseline.cpp writes into BENCH_perf.json
-#      (fresh_jobs1, reset_jobs1, ff_jobs1, reset_jobsN, speedup,
-#      ff_speedup, ...) — the column glossary may not drift from the
-#      harness's actual output keys.
+#   8. Retired: it checked a performance-harness key glossary that no
+#      longer exists (the numbers below keep their meaning).
 #   9. The whisper_serve daemon's surface must be documented: every
 #      protocol verb in src/serve/protocol.h's kVerbs array must appear in
 #      docs/REPRODUCING.md (the whisper_serve and serve_soak flags are
@@ -49,16 +46,10 @@ set -u
 root="${1:-.}"
 build="${2:-}"
 guide="$root/docs/REPRODUCING.md"
-perf_doc="$root/docs/PERFORMANCE.md"
 fail=0
 
 if [[ ! -f "$guide" ]]; then
   echo "FAIL: $guide does not exist"
-  exit 1
-fi
-
-if [[ ! -f "$perf_doc" ]]; then
-  echo "FAIL: $perf_doc does not exist"
   exit 1
 fi
 
@@ -129,22 +120,6 @@ for doc in "$root/README.md" "$guide" "$root"/.[!.]*/skills/*/SKILL.md; do
       fail=1
     fi
   done
-done
-
-# The BENCH_perf.json column glossary in docs/PERFORMANCE.md must cover
-# every measurement-cell / speedup key perf_baseline.cpp actually emits
-# (the keys containing "_jobs" or "speedup" — the per-cell scalars inside
-# each cell, wall_seconds etc., ride along with them).
-perf_cols=$(grep -oE 'w\.key\("[A-Za-z_0-9]+"\)' \
-            "$root/bench/perf_baseline.cpp" |
-            sed 's/.*"\([^"]*\)".*/\1/' | grep -E '_jobs|speedup' |
-            sort -u)
-for col in $perf_cols; do
-  if ! grep -q -- "\`$col\`" "$perf_doc"; then
-    echo "FAIL: bench/perf_baseline.cpp writes BENCH_perf.json key" \
-         "'$col' but docs/PERFORMANCE.md does not document it"
-    fail=1
-  fi
 done
 
 # The serve daemon's wire surface: every verb in the kVerbs array
@@ -251,7 +226,7 @@ fi
 if [[ $fail -eq 0 ]]; then
   echo "OK: $(echo "$documented" | wc -w) documented harnesses," \
        "$(echo "$harnesses" | wc -w) bench sources," \
-       "$nflags binary flags, $(echo "$perf_cols" | wc -w) perf columns," \
+       "$nflags binary flags," \
        "$(echo "$verbs" | wc -w) serve verbs," \
        "$(echo "$defenses" | wc -w) defenses," \
        "$(echo "$attacks" | wc -w) attacks, all in sync"

@@ -439,24 +439,7 @@ obs::MetricsRegistry to_metrics(const RunResult& r,
 }
 
 RunResult run(const RunSpec& spec, Executor& ex, bool progress) {
-  validate(spec);  // fail before the fan-out: zero trials spawned
-  const fault::FaultPlan plan = fault::FaultPlan::parse(spec.fault_plan);
-  // Injected corruption is pointless unverified, so an active fault plan
-  // forces the digest check on.
-  const bool verify = spec.verify_reset || !plan.empty();
-  const std::size_t n =
-      spec.trials > 0 ? static_cast<std::size_t>(spec.trials) : 0;
-  Progress meter(spec.label(), n, progress);
-  WallTimer timer;
-  std::vector<ScheduledTrial> trials = ex.map(
-      n,
-      [&spec, &plan, verify](std::size_t i) {
-        return run_scheduled_trial(spec, i, plan, verify);
-      },
-      &meter);
-  const double wall = timer.seconds();
-  meter.finish(wall, ex.jobs());
-  return merge_trials(spec, ex.jobs(), wall, std::move(trials));
+  return std::move(run_many({spec}, ex, progress).front());
 }
 
 RunResult run(const RunSpec& spec, int jobs, bool progress) {
@@ -473,6 +456,8 @@ std::vector<RunResult> run_many(const std::vector<RunSpec>& specs,
   for (const RunSpec& spec : specs) {
     validate(spec);  // fail before the fan-out: zero trials spawned
     plans.push_back(fault::FaultPlan::parse(spec.fault_plan));
+    // Injected corruption is pointless unverified, so an active fault plan
+    // forces the digest check on.
     verify.push_back(spec.verify_reset || !plans.back().empty() ? 1 : 0);
   }
   // Flatten every (spec, trial) pair into one task list so a matrix of
@@ -488,7 +473,9 @@ std::vector<RunResult> run_many(const std::vector<RunSpec>& specs,
       tasks.push_back({s, i});
   }
 
-  Progress meter("runner: " + std::to_string(specs.size()) + " specs",
+  Progress meter(specs.size() == 1
+                     ? specs.front().label()
+                     : "runner: " + std::to_string(specs.size()) + " specs",
                  tasks.size(), progress);
   WallTimer timer;
   std::vector<ScheduledTrial> flat = ex.map(

@@ -94,8 +94,8 @@ struct RunSpec {
   /// page tables, caches and predictors from scratch. Results are
   /// bit-identical either way — the per-trial seed schedule is shared (see
   /// machine_options()) and tests/test_machine_reset.cpp pins equality —
-  /// so this is on by default; bench/perf_baseline measures the two paths
-  /// against each other by flipping it.
+  /// so this is on by default. micro_probes' BM_MachineConstruction and
+  /// perfbench's `os.construct_ms` time the construction it saves.
   bool reuse_machine = true;
 
   /// Fast-forward execution mode (docs/PERFORMANCE.md): the core skips
@@ -103,7 +103,7 @@ struct RunSpec {
   /// structural pipeline through them. Byte-identical either way —
   /// invariant 10 (docs/ARCHITECTURE.md), pinned across attacks × models ×
   /// noise by tests/test_machine_reset.cpp and tests/test_fast_forward.cpp
-  /// — so it is on by default; bench/perf_baseline flips it to measure.
+  /// — so it is on by default; micro_probes' BM_Trial pair times both.
   bool fast_forward = true;
 
   // --- Fault tolerance (docs/ARCHITECTURE.md "Failure semantics") ---------
@@ -328,8 +328,8 @@ void fold(RunResult& r, ScheduledTrial t);
                                                  bool verify,
                                                  MachinePool* pool = nullptr);
 
-/// Fan spec.trials out over the executor and merge. With `progress`,
-/// per-trial completion lines go to stderr. Unknown attack names throw
+/// Fan spec.trials out over the executor and merge: run_many() of the one
+/// spec. With `progress`, per-trial completion lines go to stderr. Unknown attack names throw
 /// std::invalid_argument before any trial is scheduled.
 [[nodiscard]] RunResult run(const RunSpec& spec, Executor& ex,
                             bool progress = false);
@@ -339,7 +339,7 @@ void fold(RunResult& r, ScheduledTrial t);
 
 /// Run several specs through one pool: every (spec, trial) pair becomes one
 /// task, so a matrix of single-trial cells still saturates the workers.
-/// Results come back in spec order, each merged exactly as run() merges.
+/// Results come back in spec order, each merged on its own.
 [[nodiscard]] std::vector<RunResult> run_many(
     const std::vector<RunSpec>& specs, Executor& ex, bool progress = false);
 
