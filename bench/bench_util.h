@@ -46,7 +46,7 @@ inline void subheading(const std::string& title) {
 
 inline const char* mark(bool ok) { return ok ? "✓" : "✗"; }
 
-/// What the flags every harness shares set; add_harness_flags() adds them
+/// What the flags the harnesses share set; add_harness_flags() adds them
 /// as rows of the harness's own table. The fault-tolerance knobs are the
 /// RunSpec schema's rows and land in `spec`: a runner-backed harness builds
 /// its cells from a copy of it.
@@ -59,7 +59,9 @@ struct HarnessFlags {
   runner::RunSpec spec;
 };
 
-inline void add_harness_flags(stats::Flags& f, HarnessFlags& h) {
+/// --jobs and --progress: all a harness that maps its cells over a
+/// runner::Executor, but runs no RunSpec trial, reads (sec45_kaslr).
+inline void add_executor_flags(stats::Flags& f, HarnessFlags& h) {
   f.add("jobs", stats::Flags::Arity::kValue, "N",
         "worker threads; 0/auto = all cores (default 1, the sequential "
         "reference); results are identical for any N",
@@ -67,7 +69,10 @@ inline void add_harness_flags(stats::Flags& f, HarnessFlags& h) {
           h.jobs = t == "auto" ? 0 : stats::parse_as<int>(t);
         });
   f.toggle("progress", "per-trial completion lines on stderr", h.progress);
-  f.value("json", "PATH", "write the run's trajectory as JSON", h.json);
+}
+
+/// --trace-out and --metrics-out.
+inline void add_observability_flags(stats::Flags& f, HarnessFlags& h) {
   f.value("trace-out", "PATH",
           "write a Chrome trace-event JSON of a representative execution "
           "(chrome://tracing, ui.perfetto.dev)",
@@ -76,6 +81,14 @@ inline void add_harness_flags(stats::Flags& f, HarnessFlags& h) {
           "write everything measured as an obs::MetricsRegistry JSON (CSV "
           "for a .csv PATH)",
           h.metrics_out);
+}
+
+/// Every shared row: the executor rows, --json, the observability rows and
+/// the RunSpec fault knobs.
+inline void add_harness_flags(stats::Flags& f, HarnessFlags& h) {
+  add_executor_flags(f, h);
+  f.value("json", "PATH", "write the run's trajectory as JSON", h.json);
+  add_observability_flags(f, h);
   for (const char* field : {"retries", "trial_cycle_budget",
                             "trial_wall_budget", "verify_reset", "fault_plan"})
     runner::add_flag(f, h.spec, field);

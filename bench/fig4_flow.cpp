@@ -34,7 +34,13 @@ struct Row {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = bench::parse_harness_flags(argc, argv, "fig4_flow");
+  // No RunSpec trials and no trajectory: --json and the fault knobs have
+  // nothing to act on, so the table leaves them out.
+  bench::HarnessFlags args;
+  stats::Flags flags("fig4_flow");
+  bench::add_executor_flags(flags, args);
+  bench::add_observability_flags(flags, args);
+  flags.parse(argc, argv);
   bench::heading("Figure 4 — Transient-execution control flow (i7-6700 "
                  "model): UOPS_ISSUED.ANY / INT_MISC.RECOVERY_CYCLES vs "
                  "nop padding");

@@ -39,7 +39,12 @@ struct Cell {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = bench::parse_harness_flags(argc, argv, "sec45_kaslr");
+  // No RunSpec trials, no trajectory, trace or metrics: --jobs and
+  // --progress are the only rows it reads.
+  bench::HarnessFlags args;
+  stats::Flags flags("sec45_kaslr");
+  bench::add_executor_flags(flags, args);
+  flags.parse(argc, argv);
   bench::heading("Section 4.5 — TET-KASLR attack: breaking KASLR");
 
   const uarch::CpuModel cml = uarch::CpuModel::CometLakeI9_10980XE;

@@ -13,10 +13,11 @@
 #      rows of the generated `--help` table (src/stats/flags.h) of each
 #      built bench/ and examples/ binary whose source builds one
 #      (`whisper_cli --help` prints every command's). And the reverse:
-#      every --flag on a `whisper_cli` command line in README.md,
-#      docs/REPRODUCING.md and the skill notes (.*/skills/*/SKILL.md) must
-#      be one `whisper_cli --help` lists, so a retired flag cannot survive
-#      in an example. These checks need the build dir.
+#      every --flag on a command line of one of those binaries in
+#      README.md, docs/REPRODUCING.md and the skill notes
+#      (.*/skills/*/SKILL.md) must be one that binary's `--help` lists, so
+#      a retired or never-read flag cannot survive in an example. These
+#      checks need the build dir.
 #   8. Retired: it checked a performance-harness key glossary that no
 #      longer exists (the numbers below keep their meaning).
 #   9. The whisper_serve daemon's surface must be documented: every
@@ -79,10 +80,12 @@ done
 
 # Every row of each binary's generated --help table (a line that starts
 # with "  --") must appear, backticked, in the guide. The binaries are the
-# bench/ and examples/ sources that build a stats::Flags table.
+# bench/ and examples/ sources that build a stats::Flags table, directly or
+# through bench_util.h's parse_harness_flags().
 nflags=0
-for src in $(grep -l 'stats::Flags' "$root"/bench/*.cpp \
-                                    "$root"/examples/*.cpp); do
+declare -A flags_of
+for src in $(grep -lE 'stats::Flags|parse_harness_flags' \
+                 "$root"/bench/*.cpp "$root"/examples/*.cpp); do
   dir=$(basename "$(dirname "$src")")
   name=$(basename "$src" .cpp)
   bin_flags=$("$build/$dir/$name" --help 2>/dev/null |
@@ -92,7 +95,7 @@ for src in $(grep -l 'stats::Flags' "$root"/bench/*.cpp \
          "--help lists no flags (checks 4-7 need the built binaries)"
     fail=1
   fi
-  [[ "$name" == whisper_cli ]] && cli_flags=$bin_flags
+  flags_of[$name]=$bin_flags
   for flag in $bin_flags; do
     nflags=$((nflags + 1))
     if ! grep -qE -- "\`$flag([^a-z-]|\$)" "$guide"; then
@@ -103,22 +106,24 @@ for src in $(grep -l 'stats::Flags' "$root"/bench/*.cpp \
   done
 done
 
-# The reverse: every flag on a documented whisper_cli command line must be
-# one the CLI accepts. A command line runs from "whisper_cli" to the end of
-# its code span, its "#" comment or its line, with backslash continuations
-# joined first.
+# The reverse: every flag on a documented command line of one of those
+# binaries must be one its --help lists. A command line runs from the
+# binary's name to the end of its code span, its "#" comment or its line,
+# with backslash continuations joined first.
 for doc in "$root/README.md" "$guide" "$root"/.[!.]*/skills/*/SKILL.md; do
-  [[ -f "$doc" && -n "${cli_flags:-}" ]] || continue
-  used=$(sed -e ':a' -e '/\\$/{N;s/\\\n//;ba' -e '}' "$doc" |
-         grep -oE 'whisper_cli [a-z][^`#]*' |
-         grep -oE '(^|[[:space:]])--[a-z][a-z-]*' |
-         sed 's/^[[:space:]]*//' | sort -u)
-  for flag in $used; do
-    if ! grep -qx -- "$flag" <<<"$cli_flags"; then
-      echo "FAIL: ${doc#"$root"/} runs whisper_cli with $flag, which" \
-           "whisper_cli --help does not list"
-      fail=1
-    fi
+  [[ -f "$doc" ]] || continue
+  text=$(sed -e ':a' -e '/\\$/{N;s/\\\n//;ba' -e '}' "$doc")
+  for name in "${!flags_of[@]}"; do
+    used=$(grep -oE "(^|[^a-z0-9_])$name [^\`#]*" <<<"$text" |
+           grep -oE '(^|[[:space:]])--[a-z][a-z-]*' |
+           sed 's/^[[:space:]]*//' | sort -u)
+    for flag in $used; do
+      if ! grep -qx -- "$flag" <<<"${flags_of[$name]}"; then
+        echo "FAIL: ${doc#"$root"/} runs $name with $flag, which" \
+             "$name --help does not list"
+        fail=1
+      fi
+    done
   done
 done
 

@@ -49,20 +49,44 @@ AttackResult Attack::run(std::span<const std::uint8_t> payload) {
   return r;
 }
 
-std::uint8_t Attack::decode_adaptive(AttackResult& r, ArgmaxAnalyzer& an,
-                                     int initial,
-                                     const std::function<void()>& run_batch,
-                                     DecodeBy by) {
+std::uint8_t ChannelAttack::leak_byte(std::uint64_t target) {
+  AttackResult scratch;
+  return decode_byte(target, scratch);
+}
+
+std::vector<std::uint8_t> ChannelAttack::leak(std::uint64_t target,
+                                              std::size_t len) {
+  AttackResult scratch;
+  decode_bytes(target, len, scratch);
+  return scratch.bytes;
+}
+
+void ChannelAttack::decode_bytes(std::uint64_t target, std::size_t len,
+                                 AttackResult& r) {
+  r.bytes.reserve(r.bytes.size() + len);
+  for (std::size_t i = 0; i < len; ++i)
+    r.bytes.push_back(decode_byte(target + i, r));
+}
+
+std::uint8_t ChannelAttack::decode_byte(std::uint64_t target,
+                                        AttackResult& r) {
+  analyzer_.reset();
+  return decode_adaptive(target, r);
+}
+
+std::uint8_t ChannelAttack::decode_adaptive(std::uint64_t target,
+                                            AttackResult& r) {
   const auto conf = [&] {
-    return by == DecodeBy::Mean ? an.mean_confidence() : an.confidence();
+    return by_ == DecodeBy::Mean ? analyzer_.mean_confidence()
+                                 : analyzer_.confidence();
   };
-  const int n0 = std::max(1, opt_.batches.value_or(initial));
+  const int n0 = std::max(1, opt_.batches.value_or(default_batches_));
   int done = 0;
   const auto run_n = [&](int n) {
     for (int i = 0; i < n; ++i) {
       checkpoint();
-      run_batch();
-      an.end_batch();
+      sweep(target, done, r);
+      analyzer_.end_batch();
       ++done;
     }
   };
@@ -79,9 +103,10 @@ std::uint8_t Attack::decode_adaptive(AttackResult& r, ArgmaxAnalyzer& an,
   }
 
   r.confidence = std::min(r.confidence, conf());
-  r.tote.merge(an.tote_histogram());
-  return static_cast<std::uint8_t>(by == DecodeBy::Mean ? an.decode_by_mean()
-                                                        : an.decode());
+  r.tote.merge(analyzer_.tote_histogram());
+  return static_cast<std::uint8_t>(by_ == DecodeBy::Mean
+                                       ? analyzer_.decode_by_mean()
+                                       : analyzer_.decode());
 }
 
 }  // namespace whisper::core

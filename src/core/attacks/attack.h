@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "core/analyzer.h"
+#include "core/attacks/common.h"
 #include "core/gadgets.h"
 #include "os/machine.h"
 #include "stats/histogram.h"
@@ -140,29 +141,11 @@ class Attack {
   virtual void execute(std::span<const std::uint8_t> payload,
                        AttackResult& r) = 0;
 
-  /// How decode_adaptive() turns the analyzer's samples into a byte.
-  /// Votes is the paper's per-batch argmax ballot; Mean decodes (and
-  /// measures confidence) from the per-value mean ToTE — robust when a
-  /// value's window only opens in a minority of batches, as happens for
-  /// rewind's predictor-phase-sensitive probes.
-  enum class DecodeBy : std::uint8_t { Votes, Mean };
-
-  /// Shared per-byte decode loop. `run_batch` performs one full test-value
-  /// sweep, feeding `an` (and bumping r.probes); the base runs `initial`
-  /// batches, then — under opt_.adaptive — doubles the total until the
-  /// decode margin (per `by`) clears the threshold or the budget cap. Folds
-  /// the analyzer's confidence (min) and histogram into `r` and returns the
-  /// decoded byte.
-  std::uint8_t decode_adaptive(AttackResult& r, ArgmaxAnalyzer& an,
-                               int initial,
-                               const std::function<void()>& run_batch,
-                               DecodeBy by = DecodeBy::Votes);
-
   /// Budget checkpoint: fire the injection hook (if any), then throw
   /// BudgetExceeded when the attack has burned past its simulated-cycle or
-  /// wall-clock budget. run() checks once on entry; decode_adaptive()
-  /// checks per batch; execute() bodies with their own probe loops (KASLR's
-  /// round sweep) call it per iteration so a wedged loop is bounded too.
+  /// wall-clock budget. run() checks once on entry; ChannelAttack checks
+  /// per batch; execute() bodies with their own probe loops (KASLR's round
+  /// sweep) call it per iteration so a wedged loop is bounded too.
   void checkpoint();
 
   os::Machine& m_;
@@ -173,6 +156,60 @@ class Attack {
   // run()-relative budget origins, set on every run() entry.
   std::uint64_t run_start_cycle_ = 0;
   std::chrono::steady_clock::time_point run_start_wall_{};
+};
+
+/// A TET channel attack (cc, md, zbl, rsb, v1, rewind). Every byte is the
+/// paper's one recipe: batches of a 256-test-value gadget sweep, decoded by
+/// the batch argmax/argmin (or per-value mean) of ToTE. This class owns that
+/// decode, the analyzer and the typed leak calls; a subclass supplies its
+/// gadget, one sweep() and, in execute(), where the secret is planted.
+class ChannelAttack : public Attack {
+ public:
+  /// Leak the byte the class's sweep reads through `target`: a virtual
+  /// address (kernel for md, gadget-reachable for rsb/v1/rewind, the shared
+  /// page for cc), or for zbl the byte the co-resident victim touches.
+  [[nodiscard]] std::uint8_t leak_byte(std::uint64_t target);
+  /// leak_byte() of target, target + 1, ..., target + len - 1.
+  [[nodiscard]] std::vector<std::uint8_t> leak(std::uint64_t target,
+                                               std::size_t len);
+
+ protected:
+  /// How a byte is read off the analyzer. Votes is the paper's per-batch
+  /// argmax ballot; Mean decodes (and measures confidence) from the
+  /// per-value mean ToTE — robust when a value's window only opens in a
+  /// minority of batches, as happens for rewind's predictor-phase-sensitive
+  /// probes.
+  enum class DecodeBy : std::uint8_t { Votes, Mean };
+
+  ChannelAttack(os::Machine& m, std::string name, AttackOptions opt,
+                Polarity polarity, int default_batches,
+                DecodeBy by = DecodeBy::Votes)
+      : Attack(m, std::move(name), std::move(opt)),
+        analyzer_(polarity),
+        default_batches_(default_batches),
+        by_(by) {}
+
+  /// One batch for the byte at `target`: probe the 256 test values, feed
+  /// each ToTE to analyzer_.add() and count every gadget run in r.probes.
+  /// `batch` numbers this byte's batches from 0.
+  virtual void sweep(std::uint64_t target, int batch, AttackResult& r) = 0;
+
+  /// Decode the byte at `target` from a fresh analyzer, folding its
+  /// confidence (min), give-up and ToTE histogram into `r`.
+  std::uint8_t decode_byte(std::uint64_t target, AttackResult& r);
+  /// decode_byte() of target, ..., target + len - 1, appended to r.bytes.
+  void decode_bytes(std::uint64_t target, std::size_t len, AttackResult& r);
+
+  ArgmaxAnalyzer analyzer_;
+
+ private:
+  /// Run the default (or AttackOptions::batches) batch count, then — under
+  /// opt_.adaptive — double the total until the decode margin clears the
+  /// threshold or the budget cap.
+  std::uint8_t decode_adaptive(std::uint64_t target, AttackResult& r);
+
+  int default_batches_;
+  DecodeBy by_;
 };
 
 }  // namespace whisper::core

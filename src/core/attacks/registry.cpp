@@ -66,20 +66,20 @@ std::vector<std::string> attack_names() {
   return names;
 }
 
+const AttackInfo& attack_or_throw(std::string_view name) {
+  if (const AttackInfo* info = find_attack(name)) return *info;
+  std::string msg = "unknown attack '" + std::string(name) + "' (registered: ";
+  const std::vector<std::string> names = attack_names();
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    if (i) msg += ", ";
+    msg += names[i];
+  }
+  throw std::invalid_argument(msg + ")");
+}
+
 std::unique_ptr<Attack> make_attack(std::string_view name, os::Machine& m,
                                     const AttackOptions& opt) {
-  const AttackInfo* info = find_attack(name);
-  if (!info) {
-    std::string msg = "unknown attack '" + std::string(name) +
-                      "' (registered: ";
-    const std::vector<std::string> names = attack_names();
-    for (std::size_t i = 0; i < names.size(); ++i) {
-      if (i) msg += ", ";
-      msg += names[i];
-    }
-    throw std::invalid_argument(msg + ")");
-  }
-  return info->make(m, opt);
+  return attack_or_throw(name).make(m, opt);
 }
 
 }  // namespace whisper::core

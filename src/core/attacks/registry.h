@@ -33,6 +33,10 @@ struct AttackInfo {
 /// Lookup by name; nullptr when unknown.
 [[nodiscard]] const AttackInfo* find_attack(std::string_view name);
 
+/// Lookup by name; throws std::invalid_argument naming every registered
+/// attack ("unknown attack 'x' (registered: cc, md, ...)") when unknown.
+[[nodiscard]] const AttackInfo& attack_or_throw(std::string_view name);
+
 /// Registered names, in registry order.
 [[nodiscard]] std::vector<std::string> attack_names();
 

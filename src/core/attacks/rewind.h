@@ -19,20 +19,15 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
-#include "core/analyzer.h"
 #include "core/attacks/attack.h"
-#include "core/attacks/common.h"
 #include "core/gadgets.h"
 #include "os/machine.h"
 
 namespace whisper::core {
 
-class SpectreRewind final : public Attack {
+class SpectreRewind final : public ChannelAttack {
  public:
-  static constexpr int kDefaultBatches = 3;
-
   struct Options : AttackOptions {
     int trainings_per_probe = 4;  // in-bounds runs before each OOB probe
     int receiver_divs = 12;       // to-be-retired divide chain length
@@ -44,14 +39,10 @@ class SpectreRewind final : public Attack {
   /// so one accepted outlier would outweigh every clean sample.
   static constexpr std::uint64_t kOutlierSlack = 200;
 
+  /// leak(secret_vaddr, len) reads bytes that must lie past the
+  /// bounds-checked array at kArrayBase whose length word lives at kLenAddr.
   explicit SpectreRewind(os::Machine& m) : SpectreRewind(m, Options{}) {}
   SpectreRewind(os::Machine& m, Options opt);
-
-  /// Leak bytes at `secret_vaddr`, which must lie past the bounds-checked
-  /// array at kArrayBase whose length word lives at kLenAddr.
-  [[nodiscard]] std::vector<std::uint8_t> leak(std::uint64_t secret_vaddr,
-                                               std::size_t len);
-  [[nodiscard]] std::uint8_t leak_byte(std::uint64_t secret_vaddr);
 
   /// Victim layout, disjoint from TetSpectreV1's so the two can share a
   /// machine in tests. run(payload) plants the payload at
@@ -62,18 +53,13 @@ class SpectreRewind final : public Attack {
   static constexpr std::uint64_t kArrayLen = 16;
   static constexpr std::uint64_t kSecretOffset = 0x80;
 
-  void install_victim(os::Machine& m) const;
-
-  [[nodiscard]] const ArgmaxAnalyzer& last_analysis() const noexcept {
-    return analyzer_;
-  }
-
  protected:
   void execute(std::span<const std::uint8_t> payload, AttackResult& r) override;
+  void sweep(std::uint64_t secret_vaddr, int round, AttackResult& r) override;
 
  private:
+  void install_victim();
   std::uint64_t probe(std::uint64_t index, int test_value, AttackResult& r);
-  std::uint8_t leak_byte_into(std::uint64_t secret_vaddr, AttackResult& r);
 
   int trainings_per_probe_;
   GadgetProgram gadget_;
@@ -83,7 +69,6 @@ class SpectreRewind final : public Attack {
   /// round-trip and the contending FDIV is not ready before the bound
   /// load resolves and closes the window.
   isa::Program touch_;
-  ArgmaxAnalyzer analyzer_{Polarity::Max};
 };
 
 }  // namespace whisper::core

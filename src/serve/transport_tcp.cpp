@@ -1,8 +1,10 @@
 #include "serve/transport_tcp.h"
 
+#include <optional>
 #include <stdexcept>
 
 #include "serve/fd_connection.h"
+#include "stats/parse.h"
 
 #if defined(WHISPER_HAVE_FD_CONNECTION)
 #define WHISPER_HAVE_TCP 1
@@ -35,20 +37,12 @@ HostPort split_host_port(const std::string& address, const char* what) {
     throw std::runtime_error(std::string("serve: ") + what +
                              " address must be host:port, got '" + address +
                              "'");
-  HostPort hp;
-  hp.host = address.substr(0, colon);
-  const std::string digits = address.substr(colon + 1);
-  unsigned long port = 0;
-  if (digits.empty()) port = 65536;  // force the range error below
-  for (const char c : digits) {
-    if (c < '0' || c > '9') port = 65536;
-    if (port <= 65535) port = port * 10 + static_cast<unsigned long>(c - '0');
-  }
-  if (port > 65535)
+  const std::optional<std::uint16_t> port =
+      stats::parse_uint<std::uint16_t>(address.substr(colon + 1));
+  if (!port)
     throw std::runtime_error(std::string("serve: ") + what + " port in '" +
                              address + "' must be 0..65535");
-  hp.port = static_cast<std::uint16_t>(port);
-  return hp;
+  return {address.substr(0, colon), *port};
 }
 
 /// Resolve host to an IPv4 sockaddr_in. getaddrinfo handles dotted quads

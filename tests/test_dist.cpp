@@ -352,6 +352,26 @@ TEST(DistTcp, UnresolvableHostThrowsDialError) {
       (void)serve::TcpTransport::dial("host.invalid.whisper:1", 500),
       serve::DialError);
 }
+
+// The address is parsed before any socket exists, so these refusals hold
+// wherever AF_INET is forbidden too.
+TEST(DistTcp, RefusesMalformedPorts) {
+  const auto refusal = [](const std::string& address) -> std::string {
+    try {
+      serve::TcpTransport transport(address);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  for (const std::string address : {":65536", ":", ":12x"})
+    EXPECT_EQ(refusal(address),
+              "serve: listen port in '" + address + "' must be 0..65535");
+  EXPECT_EQ(refusal("7777"),
+            "serve: listen address must be host:port, got '7777'");
+  EXPECT_THROW((void)serve::TcpTransport::dial("127.0.0.1:99999"),
+               std::runtime_error);
+}
 #endif  // WHISPER_HAVE_FD_CONNECTION
 
 // ---------------------------------------------------------------------------

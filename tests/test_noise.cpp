@@ -251,5 +251,17 @@ TEST(AttackRegistry, AllSevenAttacksRoundTrip) {
                std::invalid_argument);
 }
 
+TEST(AttackRegistry, UnknownAttackNamesEveryRegisteredAttack) {
+  os::Machine m({.model = uarch::CpuModel::KabyLakeI7_7700});
+  try {
+    (void)core::make_attack("kalsr", m);
+    FAIL() << "make_attack accepted an unknown name";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "unknown attack 'kalsr' (registered: cc, md, zbl, rsb, v1, "
+                 "rewind, kaslr)");
+  }
+}
+
 }  // namespace
 }  // namespace whisper
