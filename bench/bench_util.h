@@ -16,6 +16,7 @@
 #include "runner/spec_schema.h"
 #include "stats/flags.h"
 #include "stats/rng.h"
+#include "stats/text_file.h"
 
 namespace whisper::bench {
 
@@ -110,15 +111,10 @@ inline void known_attack(const std::string& a) {
     throw std::invalid_argument("names no registered attack '" + a + "'");
 }
 
-/// --metrics-out convention: the extension picks the format.
-inline bool metrics_path_is_csv(const std::string& path) {
-  return path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
-}
-
+/// --metrics-out: write `reg` (CSV for a .csv path) and say where.
 inline bool write_metrics(const obs::MetricsRegistry& reg,
                           const std::string& path) {
-  const bool ok = metrics_path_is_csv(path) ? reg.write_csv_file(path)
-                                            : reg.write_json_file(path);
+  const bool ok = reg.write_file(path);
   if (ok) std::printf("\n(metrics written to %s)\n", path.c_str());
   return ok;
 }

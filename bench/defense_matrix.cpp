@@ -346,14 +346,6 @@ std::string render_report(const MatrixArgs& m, const std::vector<Cell>& cells,
   return out;
 }
 
-bool write_file(const std::string& path, const std::string& body) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::fwrite(body.data(), 1, body.size(), f);
-  std::fclose(f);
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -491,22 +483,16 @@ int main(int argc, char** argv) {
   }
 
   if (!m.json.empty()) {
-    if (!write_file(m.json, body + "\n")) {
-      std::fprintf(stderr, "defense_matrix: cannot open %s for writing\n",
-                   m.json.c_str());
-      return 1;
-    }
+    if (!stats::write_text_file(m.json, body + "\n")) return 1;
     std::printf("(matrix trajectory written to %s)\n", m.json.c_str());
   }
 
   if (!m.report.empty()) {
     std::string invocation = "bench/defense_matrix";
     for (int i = 1; i < argc; ++i) invocation += std::string(" ") + argv[i];
-    if (!write_file(m.report, render_report(m, cells, invocation))) {
-      std::fprintf(stderr, "defense_matrix: cannot open %s for writing\n",
-                   m.report.c_str());
+    if (!stats::write_text_file(m.report,
+                                render_report(m, cells, invocation)))
       return 1;
-    }
     std::printf("(markdown report written to %s)\n", m.report.c_str());
   }
 
@@ -517,7 +503,7 @@ int main(int argc, char** argv) {
           c.attack + "." + c.stack + "." + c.cpu + "." + c.noise + ".";
       reg.merge(runner::to_metrics(c.result, prefix));
     }
-    bench::write_metrics(reg, m.metrics_out);
+    if (!bench::write_metrics(reg, m.metrics_out)) return 1;
   }
   return 0;
 }

@@ -49,6 +49,7 @@ int main(int argc, char** argv) {
   auto regs = bench::regs_with({{isa::Reg::RCX, core::kNullProbeAddress},
                                 {isa::Reg::RDX, os::Machine::kSharedBase}});
 
+  bool written = true;  // every output asked for, or exit 1
   // --trace-out: record one *triggered* gadget execution (test_value ==
   // secret) before the sweep — the Fig. 1 event stream the golden-trace
   // test pins down, exported as a Chrome/Perfetto trace.
@@ -61,6 +62,8 @@ int main(int argc, char** argv) {
     if (obs::write_chrome_trace(log, args.trace_out))
       std::printf("\n(pipeline trace of one triggered probe written to %s)\n",
                   args.trace_out.c_str());
+    else
+      written = false;
   }
   const uarch::PmuSnapshot pmu_before = m.core().pmu().snapshot();
   for (int batch = 0; batch < kBatches; ++batch) {
@@ -142,18 +145,14 @@ int main(int argc, char** argv) {
     const obs::TopDown td = obs::attribute_cycles(delta);
     obs::MetricsRegistry reg;
     reg.import_pmu(delta);
-    reg.set_counter("topdown.total_cycles", td.total_cycles);
-    reg.set_counter("topdown.retiring", td.retiring);
-    reg.set_counter("topdown.bad_speculation", td.bad_speculation);
-    reg.set_counter("topdown.frontend_bound", td.frontend_bound);
-    reg.set_counter("topdown.backend_bound", td.backend_bound);
+    reg.import_topdown(td);
     reg.set_counter("fig1.decoded", static_cast<std::uint64_t>(decoded));
     reg.set_gauge("fig1.tote_delta",
                   trigger_hist.mean() - other_hist.mean());
     reg.add_histogram("fig1.tote_triggered", trigger_hist);
     reg.add_histogram("fig1.tote_not_triggered", other_hist);
-    bench::write_metrics(reg, args.metrics_out);
+    written = bench::write_metrics(reg, args.metrics_out) && written;
     std::printf("probe sweep top-down: %s\n", td.to_string().c_str());
   }
-  return decoded == kSecret ? 0 : 1;
+  return decoded == kSecret && written ? 0 : 1;
 }

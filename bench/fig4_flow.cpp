@@ -89,6 +89,7 @@ int main(int argc, char** argv) {
   const bool flip = first_delta > 0 && last_delta < 0;
   std::printf("sign flip reproduced: %s\n", flip ? "yes" : "NO");
 
+  bool written = true;  // every output asked for, or exit 1
   // --trace-out: the pipeline lifecycle of one unpadded TRIGGER-path
   // execution — the resteer, the transient window and the terminal machine
   // clear are all visible as spans/markers in the exported trace.
@@ -101,6 +102,8 @@ int main(int argc, char** argv) {
     if (obs::write_chrome_trace(log, args.trace_out))
       std::printf("\n(pipeline trace of the trigger path written to %s)\n",
                   args.trace_out.c_str());
+    else
+      written = false;
   }
 
   if (!args.metrics_out.empty()) {
@@ -114,7 +117,7 @@ int main(int argc, char** argv) {
       reg.set_gauge(p + "recovery_not_trigger", rows[i].recov_base);
       reg.set_gauge(p + "recovery_trigger", rows[i].recov_var);
     }
-    bench::write_metrics(reg, args.metrics_out);
+    written = bench::write_metrics(reg, args.metrics_out) && written;
   }
-  return flip ? 0 : 1;
+  return flip && written ? 0 : 1;
 }

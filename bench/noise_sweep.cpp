@@ -182,18 +182,8 @@ int main(int argc, char** argv) {
     }
     w.end_array();
     w.end_object();
-    std::FILE* f = std::fopen(args.json.c_str(), "w");
-    if (f) {
-      const std::string body = w.str();
-      std::fwrite(body.data(), 1, body.size(), f);
-      std::fputc('\n', f);
-      std::fclose(f);
-      std::printf("\n(sweep trajectory written to %s)\n", args.json.c_str());
-    } else {
-      std::fprintf(stderr, "noise_sweep: cannot open %s for writing\n",
-                   args.json.c_str());
-      return 1;
-    }
+    if (!stats::write_text_file(args.json, w.str() + "\n")) return 1;
+    std::printf("\n(sweep trajectory written to %s)\n", args.json.c_str());
   }
 
   if (!args.metrics_out.empty()) {
@@ -205,7 +195,7 @@ int main(int argc, char** argv) {
                     c.adaptive ? "adaptive" : "fixed");
       reg.merge(runner::to_metrics(c.result, prefix));
     }
-    bench::write_metrics(reg, args.metrics_out);
+    if (!bench::write_metrics(reg, args.metrics_out)) return 1;
   }
   return 0;
 }

@@ -98,9 +98,11 @@ int main(int argc, char** argv) {
               "(no fault vs TSX abort vs signal per probe),\nTET-KASLR "
               "sub-second over 512 slots — same ordering as the paper.\n");
 
+  // Every output asked for must be written, or the exit status says so.
+  bool written = true;
   if (!args.json.empty()) {
     // Persist the heaviest trajectory (the TET-CC 1k-byte run).
-    runner::write_json_file(results[0], args.json);
+    written = runner::write_json_file(results[0], args.json);
   }
 
   if (!args.metrics_out.empty()) {
@@ -110,7 +112,7 @@ int main(int argc, char** argv) {
     reg.merge(runner::to_metrics(results[1], "md."));
     reg.merge(runner::to_metrics(results[2], "rsb."));
     reg.merge(runner::to_metrics(results[3], "kaslr."));
-    bench::write_metrics(reg, args.metrics_out);
+    written = bench::write_metrics(reg, args.metrics_out) && written;
     std::printf("TET-CC top-down: %s\n",
                 results[0].topdown.to_string().c_str());
   }
@@ -130,6 +132,8 @@ int main(int argc, char** argv) {
       std::printf("\n(pipeline trace of a 1-byte TET-MD trial written to "
                   "%s: %zu events)\n",
                   args.trace_out.c_str(), t.events.size());
+    else
+      written = false;
   }
-  return 0;
+  return written ? 0 : 1;
 }

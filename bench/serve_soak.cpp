@@ -325,14 +325,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "serve_soak: generated invalid JSON (bug)\n");
       return 1;
     }
-    std::FILE* f = std::fopen(args.json.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "serve_soak: cannot open %s\n", args.json.c_str());
-      return 1;
-    }
-    std::fwrite(w.str().data(), 1, w.str().size(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
+    if (!stats::write_text_file(args.json, w.str() + "\n")) return 1;
     std::printf("\n(trajectory written to %s)\n", args.json.c_str());
   }
 

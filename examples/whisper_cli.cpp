@@ -60,6 +60,7 @@
 #include "runner/runner.h"
 #include "runner/spec_schema.h"
 #include "stats/flags.h"
+#include "stats/text_file.h"
 #include "uarch/trace.h"
 
 using namespace whisper;
@@ -136,28 +137,35 @@ void add_row(stats::Flags& f, Options& o, std::string_view name) {
 }
 
 bool write_metrics(const obs::MetricsRegistry& reg, const std::string& path) {
-  const bool csv =
-      path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
-  const bool ok = csv ? reg.write_csv_file(path) : reg.write_json_file(path);
+  const bool ok = reg.write_file(path);
   if (ok) std::printf("metrics written to %s\n", path.c_str());
   return ok;
 }
 
-/// PMU delta + top-down attribution over [before, now) as a registry.
-obs::MetricsRegistry machine_metrics(os::Machine& m,
-                                     const uarch::PmuSnapshot& before) {
-  const uarch::PmuSnapshot delta =
-      uarch::pmu_delta(before, m.core().pmu().snapshot());
-  const obs::TopDown td = obs::attribute_cycles(delta);
-  obs::MetricsRegistry reg;
-  reg.import_pmu(delta);
-  reg.set_counter("topdown.total_cycles", td.total_cycles);
-  reg.set_counter("topdown.retiring", td.retiring);
-  reg.set_counter("topdown.bad_speculation", td.bad_speculation);
-  reg.set_counter("topdown.frontend_bound", td.frontend_bound);
-  reg.set_counter("topdown.backend_bound", td.backend_bound);
-  std::printf("top-down: %s\n", td.to_string().c_str());
-  return reg;
+/// A one-machine command's --trace-out (`log`, the pipeline trace of
+/// `what`) and --metrics-out (PMU delta + top-down attribution over
+/// [before, now)); false when an output asked for was not written.
+bool write_machine_outputs(const Options& o, os::Machine& m,
+                           const uarch::PmuSnapshot& before,
+                           const uarch::EventLog& log, const char* what) {
+  bool written = true;
+  if (!o.trace_out.empty()) {
+    written = obs::write_chrome_trace(log, o.trace_out);
+    if (written)
+      std::printf("pipeline trace of %s written to %s (%zu events)\n", what,
+                  o.trace_out.c_str(), log.size());
+  }
+  if (!o.metrics_out.empty()) {
+    const uarch::PmuSnapshot delta =
+        uarch::pmu_delta(before, m.core().pmu().snapshot());
+    const obs::TopDown td = obs::attribute_cycles(delta);
+    obs::MetricsRegistry reg;
+    reg.import_pmu(delta);
+    reg.import_topdown(td);
+    std::printf("top-down: %s\n", td.to_string().c_str());
+    written = write_metrics(reg, o.metrics_out) && written;
+  }
+  return written;
 }
 
 int cmd_models(const Options&, const stats::Flags&) {
@@ -203,13 +211,7 @@ int cmd_tote(const Options& o, const stats::Flags&) {
   if (dump)
     std::printf("\npipeline trace (last probe window):\n%s",
                 log.to_string().c_str());
-  if (!o.trace_out.empty() && obs::write_chrome_trace(log, o.trace_out))
-    std::printf("pipeline trace of all 8 probes written to %s "
-                "(%zu events)\n",
-                o.trace_out.c_str(), log.size());
-  if (!o.metrics_out.empty())
-    write_metrics(machine_metrics(m, pmu_before), o.metrics_out);
-  return 0;
+  return write_machine_outputs(o, m, pmu_before, log, "all 8 probes") ? 0 : 1;
 }
 
 int cmd_attacks(const Options&, const stats::Flags&) {
@@ -238,14 +240,7 @@ int cmd_defenses(const Options&, const stats::Flags&) {
 
 int cmd_leak(const Options& o, const stats::Flags&) {
   const std::string& what = o.spec.attack;
-  const core::AttackInfo* info = core::find_attack(what);
-  if (info == nullptr) {
-    std::fprintf(stderr, "unknown --attack '%s'; registered attacks:\n",
-                 what.c_str());
-    for (const std::string& n : core::attack_names())
-      std::fprintf(stderr, "  %s\n", n.c_str());
-    return 2;
-  }
+  const core::AttackInfo& info = core::attack_or_throw(what);
 
   os::Machine m(runner::machine_options(o.spec, /*seed=*/0));
   m.core().set_fast_forward(o.spec.fast_forward);
@@ -260,13 +255,13 @@ int cmd_leak(const Options& o, const stats::Flags&) {
   opt.adaptive = o.spec.adaptive;
   opt.confidence_threshold = o.spec.confidence_threshold;
   opt.batch_budget = o.spec.batch_budget;
-  const auto atk = info->make(m, opt);
+  const auto atk = info.make(m, opt);
   const core::AttackResult r =
-      atk->run(info->channel ? std::span<const std::uint8_t>(secret)
-                             : std::span<const std::uint8_t>());
+      atk->run(info.channel ? std::span<const std::uint8_t>(secret)
+                            : std::span<const std::uint8_t>());
 
   m.core().set_trace(nullptr);
-  if (info->channel) {
+  if (info.channel) {
     std::string printable;
     for (std::uint8_t b : r.bytes)
       printable += (b >= 32 && b < 127) ? static_cast<char>(b) : '.';
@@ -282,12 +277,9 @@ int cmd_leak(const Options& o, const stats::Flags&) {
                 static_cast<unsigned long long>(r.found_base),
                 static_cast<unsigned long long>(r.true_base), r.confidence);
   }
-  if (!o.trace_out.empty() && obs::write_chrome_trace(log, o.trace_out))
-    std::printf("pipeline trace of the leak written to %s (%zu events)\n",
-                o.trace_out.c_str(), log.size());
-  if (!o.metrics_out.empty())
-    write_metrics(machine_metrics(m, pmu_before), o.metrics_out);
-  return r.success ? 0 : 1;
+  const bool written =
+      write_machine_outputs(o, m, pmu_before, log, "the leak");
+  return r.success && written ? 0 : 1;
 }
 
 int cmd_kaslr(const Options& o, const stats::Flags& flags) {
@@ -315,13 +307,9 @@ int cmd_kaslr(const Options& o, const stats::Flags& flags) {
                 static_cast<unsigned long long>(r.found_base),
                 static_cast<unsigned long long>(r.true_base), r.seconds,
                 r.probes);
-    if (!o.trace_out.empty() && obs::write_chrome_trace(log, o.trace_out))
-      std::printf("pipeline trace of the slot sweep written to %s "
-                  "(%zu events)\n",
-                  o.trace_out.c_str(), log.size());
-    if (!o.metrics_out.empty())
-      write_metrics(machine_metrics(m, pmu_before), o.metrics_out);
-    return r.success ? 0 : 1;
+    const bool written =
+        write_machine_outputs(o, m, pmu_before, log, "the slot sweep");
+    return r.success && written ? 0 : 1;
   }
 
   // Multi-trial sweep through the parallel runner: every trial is a fresh
@@ -340,17 +328,24 @@ int cmd_kaslr(const Options& o, const stats::Flags& flags) {
     std::printf("  fault layer: %zu/%zu completed, %zu retried, "
                 "%zu quarantined, %zu degraded\n",
                 r.completed, r.attempted, r.retried, r.quarantined, r.failed);
-  if (!o.json.empty() && runner::write_json_file(r, o.json))
-    std::printf("  trajectory written to %s\n", o.json.c_str());
-  if (!o.trace_out.empty() && obs::write_chrome_trace(r.events, o.trace_out))
-    std::printf("  pipeline trace of all trials (index order) written to "
-                "%s (%zu events)\n",
-                o.trace_out.c_str(), r.events.size());
+  bool written = true;  // every output asked for, or exit 1
+  if (!o.json.empty()) {
+    written = runner::write_json_file(r, o.json);
+    if (written) std::printf("  trajectory written to %s\n", o.json.c_str());
+  }
+  if (!o.trace_out.empty()) {
+    if (obs::write_chrome_trace(r.events, o.trace_out))
+      std::printf("  pipeline trace of all trials (index order) written to "
+                  "%s (%zu events)\n",
+                  o.trace_out.c_str(), r.events.size());
+    else
+      written = false;
+  }
   if (!o.metrics_out.empty()) {
     std::printf("  top-down: %s\n", r.topdown.to_string().c_str());
-    write_metrics(runner::to_metrics(r), o.metrics_out);
+    written = write_metrics(runner::to_metrics(r), o.metrics_out) && written;
   }
-  return r.all_succeeded() ? 0 : 1;
+  return r.all_succeeded() && written ? 0 : 1;
 }
 
 /// Field-by-field trial comparison for the chaos self-test — the CLI-side
@@ -413,8 +408,12 @@ int cmd_chaos(const Options& o, const stats::Flags&) {
                 "clean run\n",
                 faulted.completed, faulted.attempted);
 
-  if (!o.json.empty() && runner::write_json_file(faulted, o.json))
-    std::printf("  faulted-run trajectory written to %s\n", o.json.c_str());
+  if (!o.json.empty()) {
+    if (runner::write_json_file(faulted, o.json))
+      std::printf("  faulted-run trajectory written to %s\n", o.json.c_str());
+    else
+      ok = false;
+  }
   return ok ? 0 : 1;
 }
 
@@ -500,16 +499,10 @@ int cmd_sweep(const Options& o, const stats::Flags&) {
   }
 
   if (!o.json.empty()) {
-    std::FILE* f = std::fopen(o.json.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "whisper_cli sweep: cannot write %s\n",
-                   o.json.c_str());
-      return 1;
-    }
-    for (const std::string& line : r.trial_lines)
-      std::fprintf(f, "%s\n", line.c_str());
-    std::fprintf(f, "%s\n", r.done_line.c_str());
-    std::fclose(f);
+    std::string body;
+    for (const std::string& line : r.trial_lines) body += line + "\n";
+    body += r.done_line + "\n";
+    if (!stats::write_text_file(o.json, body)) return 1;
     std::printf("  merged response stream written to %s\n", o.json.c_str());
   }
 

@@ -7,7 +7,8 @@ using whisper::isa::Reg;
 
 namespace whisper::baseline {
 
-AvxKaslr::AvxKaslr(os::Machine& m, Options opt) : m_(m), opt_(opt) {
+AvxKaslr::AvxKaslr(os::Machine& m, Options opt)
+    : KaslrAttack(m, "avx", {}), rounds_(opt.rounds) {
   {
     // Transient stage: probe access opens the window; a dependent ALU
     // chain delays the AVX op so only long (unmapped) windows reach it.
@@ -15,7 +16,7 @@ AvxKaslr::AvxKaslr(os::Machine& m, Options opt) : m_(m), opt_(opt) {
     if (m.config().has_tsx) b.tsx_begin("after");
     b.load(Reg::RAX, Reg::RCX);  // the faulting probe access
     b.mov(Reg::R10, 1);
-    for (int i = 0; i < opt_.delay_chain; ++i) b.add(Reg::R10, 1);
+    for (int i = 0; i < opt.delay_chain; ++i) b.add(Reg::R10, 1);
     b.avx(Reg::R10);  // dependent on the chain: issues late
     if (m.config().has_tsx)
       b.tsx_end();
@@ -58,21 +59,12 @@ std::uint64_t AvxKaslr::probe_once(std::uint64_t vaddr) {
   return tsc[1] - tsc[0];
 }
 
-AvxKaslr::Result AvxKaslr::run() {
-  Result r;
-  r.true_base = m_.kernel().kernel_base();
-  const std::uint64_t probe_offset =
-      m_.kernel().kpti() ? os::kKptiTrampolineOffset : 0;
-  const std::uint64_t start = m_.core().cycle();
-
+int AvxKaslr::scan(core::AttackResult& r) {
   r.slot_scores.assign(os::kKaslrSlots, 0);
   for (int s = 0; s < os::kKaslrSlots; ++s) {
-    const std::uint64_t target = os::kKaslrRegionStart +
-                                 static_cast<std::uint64_t>(s) *
-                                     os::kKaslrSlotBytes +
-                                 probe_offset;
+    const std::uint64_t target = slot_target(s);
     std::uint64_t best = 0;  // keep the max: cold readings dominate
-    for (int round = 0; round < opt_.rounds; ++round) {
+    for (int round = 0; round < rounds_; ++round) {
       best = std::max(best, probe_once(target));
       ++r.probes;
     }
@@ -86,21 +78,11 @@ AvxKaslr::Result AvxKaslr::run() {
   const std::uint64_t median = sorted[sorted.size() / 2];
   const std::uint64_t top = sorted.back();
   const std::uint64_t threshold = median + (top - median) / 2;
-  r.found_slot = 0;
   if (top > median + 8) {
     for (int s = 0; s < os::kKaslrSlots; ++s)
-      if (r.slot_scores[static_cast<std::size_t>(s)] >= threshold) {
-        r.found_slot = s;
-        break;
-      }
+      if (r.slot_scores[static_cast<std::size_t>(s)] >= threshold) return s;
   }
-  r.found_base = os::kKaslrRegionStart +
-                 static_cast<std::uint64_t>(r.found_slot) *
-                     os::kKaslrSlotBytes;
-  r.cycles = m_.core().cycle() - start;
-  r.seconds = m_.seconds(r.cycles);
-  r.success = r.found_base == r.true_base;
-  return r;
+  return 0;
 }
 
 }  // namespace whisper::baseline

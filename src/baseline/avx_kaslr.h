@@ -18,14 +18,14 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
+#include "core/attacks/kaslr.h"
 #include "core/gadgets.h"
 #include "os/machine.h"
 
 namespace whisper::baseline {
 
-class AvxKaslr {
+class AvxKaslr final : public core::KaslrAttack {
  public:
   struct Options {
     int rounds = 3;
@@ -33,29 +33,19 @@ class AvxKaslr {
     int delay_chain = 24;
   };
 
-  struct Result {
-    bool success = false;
-    int found_slot = -1;
-    std::uint64_t found_base = 0;
-    std::uint64_t true_base = 0;
-    std::size_t probes = 0;
-    std::uint64_t cycles = 0;
-    double seconds = 0.0;
-    std::vector<std::uint64_t> slot_scores;  // timed-AVX latency per slot
-  };
-
   explicit AvxKaslr(os::Machine& m) : AvxKaslr(m, Options{}) {}
   AvxKaslr(os::Machine& m, Options opt);
-
-  [[nodiscard]] Result run();
 
   /// One probe: returns the timed-AVX latency after the transient window
   /// (small = unit warm = the transient AVX executed = long window).
   [[nodiscard]] std::uint64_t probe_once(std::uint64_t vaddr);
 
  private:
-  os::Machine& m_;
-  Options opt_;
+  /// Per slot the slowest of `rounds` timed-AVX latencies, decoded by
+  /// first_mapped_slot()'s rule inverted (mapped slots read cold).
+  int scan(core::AttackResult& r) override;
+
+  int rounds_;
   core::GadgetProgram transient_;
   isa::Program timer_;
 };

@@ -102,7 +102,6 @@ MeltdownFlushReload::MeltdownFlushReload(os::Machine& m, Options opt)
           opt.window.value_or(core::preferred_window(m.config())))) {}
 
 std::uint8_t MeltdownFlushReload::leak_byte(std::uint64_t kvaddr) {
-  const std::uint64_t start = m_.core().cycle();
   channel_.flush_array();
 
   std::array<std::uint64_t, isa::kNumRegs> regs{};
@@ -111,7 +110,6 @@ std::uint8_t MeltdownFlushReload::leak_byte(std::uint64_t kvaddr) {
   (void)m_.run_user(gadget_.prog, regs, gadget_.signal_handler, 100'000);
 
   const int got = channel_.receive_byte();
-  cycles_ += m_.core().cycle() - start;
   return got < 0 ? 0 : static_cast<std::uint8_t>(got);
 }
 

@@ -57,13 +57,11 @@ class MeltdownFlushReload {
   [[nodiscard]] std::uint8_t leak_byte(std::uint64_t kvaddr);
   [[nodiscard]] std::vector<std::uint8_t> leak(std::uint64_t kvaddr,
                                                std::size_t len);
-  [[nodiscard]] std::uint64_t cycles() const noexcept { return cycles_; }
 
  private:
   os::Machine& m_;
   FlushReloadChannel channel_;
   core::GadgetProgram gadget_;
-  std::uint64_t cycles_ = 0;
 };
 
 }  // namespace whisper::baseline

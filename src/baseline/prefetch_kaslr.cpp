@@ -6,7 +6,9 @@
 namespace whisper::baseline {
 
 PrefetchKaslr::PrefetchKaslr(os::Machine& m, Options opt)
-    : m_(m), opt_(opt), probe_(core::make_prefetch_probe()) {}
+    : KaslrAttack(m, "prefetch", {}),
+      rounds_(opt.rounds),
+      probe_(core::make_prefetch_probe()) {}
 
 std::uint64_t PrefetchKaslr::probe_once(std::uint64_t vaddr) {
   m_.evict_tlbs();
@@ -15,50 +17,20 @@ std::uint64_t PrefetchKaslr::probe_once(std::uint64_t vaddr) {
   return core::run_tote(m_, probe_, regs);
 }
 
-PrefetchKaslr::Result PrefetchKaslr::run() {
-  Result r;
-  r.true_base = m_.kernel().kernel_base();
-  const std::uint64_t probe_offset =
-      m_.kernel().kpti() ? os::kKptiTrampolineOffset : 0;
-
-  const std::uint64_t start = m_.core().cycle();
+int PrefetchKaslr::scan(core::AttackResult& r) {
   r.slot_scores.assign(os::kKaslrSlots,
                        std::numeric_limits<std::uint64_t>::max());
-
   for (int s = 0; s < os::kKaslrSlots; ++s) {
-    const std::uint64_t target = os::kKaslrRegionStart +
-                                 static_cast<std::uint64_t>(s) *
-                                     os::kKaslrSlotBytes +
-                                 probe_offset;
+    const std::uint64_t target = slot_target(s);
     std::uint64_t best = std::numeric_limits<std::uint64_t>::max();
-    for (int round = 0; round < opt_.rounds; ++round) {
+    for (int round = 0; round < rounds_; ++round) {
       const std::uint64_t t = probe_once(target);
       ++r.probes;
       if (t != 0) best = std::min(best, t);
     }
     r.slot_scores[static_cast<std::size_t>(s)] = best;
   }
-
-  // Same first-mapped-slot scan as TetKaslr (the image spans many slots).
-  std::vector<std::uint64_t> sorted = r.slot_scores;
-  std::sort(sorted.begin(), sorted.end());
-  const std::uint64_t fastest = sorted.front();
-  const std::uint64_t median = sorted[sorted.size() / 2];
-  const std::uint64_t threshold = fastest + (median - fastest) / 2;
-  r.found_slot = 0;
-  for (int s = 0; s < os::kKaslrSlots; ++s) {
-    if (r.slot_scores[static_cast<std::size_t>(s)] <= threshold) {
-      r.found_slot = s;
-      break;
-    }
-  }
-  r.found_base = os::kKaslrRegionStart +
-                 static_cast<std::uint64_t>(r.found_slot) *
-                     os::kKaslrSlotBytes;
-  r.cycles = m_.core().cycle() - start;
-  r.seconds = m_.seconds(r.cycles);
-  r.success = r.found_base == r.true_base;
-  return r;
+  return core::first_mapped_slot(r.slot_scores);
 }
 
 }  // namespace whisper::baseline

@@ -5,39 +5,30 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
+#include "core/attacks/kaslr.h"
 #include "core/gadgets.h"
 #include "os/machine.h"
 
 namespace whisper::baseline {
 
-class PrefetchKaslr {
+class PrefetchKaslr final : public core::KaslrAttack {
  public:
   struct Options {
     int rounds = 3;
   };
 
-  struct Result {
-    bool success = false;
-    int found_slot = -1;
-    std::uint64_t found_base = 0;
-    std::uint64_t true_base = 0;
-    std::size_t probes = 0;
-    std::uint64_t cycles = 0;
-    double seconds = 0.0;
-    std::vector<std::uint64_t> slot_scores;
-  };
-
   explicit PrefetchKaslr(os::Machine& m) : PrefetchKaslr(m, Options{}) {}
   PrefetchKaslr(os::Machine& m, Options opt);
 
-  [[nodiscard]] Result run();
   [[nodiscard]] std::uint64_t probe_once(std::uint64_t vaddr);
 
  private:
-  os::Machine& m_;
-  Options opt_;
+  /// Per slot the fastest of `rounds` probes, decoded by the same
+  /// core::first_mapped_slot() rule as TET-KASLR.
+  int scan(core::AttackResult& r) override;
+
+  int rounds_;
   core::GadgetProgram probe_;
 };
 

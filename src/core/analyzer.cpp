@@ -36,10 +36,11 @@ int ArgmaxAnalyzer::decode() const {
       std::max_element(votes_.begin(), votes_.end()) - votes_.begin());
 }
 
-double ArgmaxAnalyzer::confidence() const {
-  if (batches_ == 0) return 0.0;
+double vote_margin(std::span<const std::uint32_t> votes,
+                   std::size_t ballots) {
+  if (ballots == 0) return 0.0;
   std::uint32_t top = 0, second = 0;
-  for (const std::uint32_t v : votes_) {
+  for (const std::uint32_t v : votes) {
     if (v > top) {
       second = top;
       top = v;
@@ -47,7 +48,11 @@ double ArgmaxAnalyzer::confidence() const {
       second = v;
     }
   }
-  return static_cast<double>(top - second) / static_cast<double>(batches_);
+  return static_cast<double>(top - second) / static_cast<double>(ballots);
+}
+
+double ArgmaxAnalyzer::confidence() const {
+  return vote_margin(votes_, batches_);
 }
 
 int ArgmaxAnalyzer::decode_by_mean() const {

@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "stats/histogram.h"
@@ -19,6 +20,12 @@ enum class Polarity : std::uint8_t {
   Max,  // trigger lengthens ToTE (TET-CC, TET-MD)
   Min,  // trigger shortens ToTE (TET-ZBL, TET-RSB)
 };
+
+/// Vote-margin confidence in [0, 1]: (top votes − runner-up votes) /
+/// `ballots`; 0 with no ballots. ArgmaxAnalyzer::confidence() applies it to
+/// the per-value batch votes, TET-KASLR to its per-slot round votes.
+[[nodiscard]] double vote_margin(std::span<const std::uint32_t> votes,
+                                 std::size_t ballots);
 
 class ArgmaxAnalyzer {
  public:

@@ -71,38 +71,17 @@ void ChannelAttack::decode_bytes(std::uint64_t target, std::size_t len,
 std::uint8_t ChannelAttack::decode_byte(std::uint64_t target,
                                         AttackResult& r) {
   analyzer_.reset();
-  return decode_adaptive(target, r);
-}
-
-std::uint8_t ChannelAttack::decode_adaptive(std::uint64_t target,
-                                            AttackResult& r) {
-  const auto conf = [&] {
-    return by_ == DecodeBy::Mean ? analyzer_.mean_confidence()
-                                 : analyzer_.confidence();
-  };
-  const int n0 = std::max(1, opt_.batches.value_or(default_batches_));
-  int done = 0;
-  const auto run_n = [&](int n) {
-    for (int i = 0; i < n; ++i) {
-      checkpoint();
-      sweep(target, done, r);
-      analyzer_.end_batch();
-      ++done;
-    }
-  };
-
-  run_n(n0);
-  if (opt_.adaptive) {
-    const int budget =
-        opt_.batch_budget > 0 ? std::max(opt_.batch_budget, n0) : 8 * n0;
-    // Escalate by doubling the total each pass — confidence either clears
-    // the threshold on the way or the budget bounds the spend.
-    while (conf() < opt_.confidence_threshold && done < budget)
-      run_n(std::min(done, budget - done));
-    if (conf() < opt_.confidence_threshold) ++r.gave_up;
-  }
-
-  r.confidence = std::min(r.confidence, conf());
+  const double conf = escalate(
+      default_batches_, r,
+      [&](int batch) {
+        sweep(target, batch, r);
+        analyzer_.end_batch();
+      },
+      [&] {
+        return by_ == DecodeBy::Mean ? analyzer_.mean_confidence()
+                                     : analyzer_.confidence();
+      });
+  r.confidence = std::min(r.confidence, conf);
   r.tote.merge(analyzer_.tote_histogram());
   return static_cast<std::uint8_t>(by_ == DecodeBy::Mean
                                        ? analyzer_.decode_by_mean()

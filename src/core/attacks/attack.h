@@ -1,7 +1,8 @@
 // The unified attack interface.
 //
-// Every ToTE attack (TET-CC, TET-MD, TET-ZBL, TET-RSB, TET-V1, TET-KASLR)
-// derives from core::Attack and reports through one AttackResult: callers —
+// Every ToTE attack (TET-CC, TET-MD, TET-ZBL, TET-RSB, TET-V1, TET-KASLR,
+// and the two KASLR baselines) derives from core::Attack and reports
+// through one AttackResult: callers —
 // the runner, the CLI, the bench harnesses — construct any attack by name
 // via core::make_attack() (attacks/registry.h) and never touch a per-class
 // result type.
@@ -24,6 +25,7 @@
 // instead of being reported as silently wrong.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -143,10 +145,40 @@ class Attack {
 
   /// Budget checkpoint: fire the injection hook (if any), then throw
   /// BudgetExceeded when the attack has burned past its simulated-cycle or
-  /// wall-clock budget. run() checks once on entry; ChannelAttack checks
-  /// per batch; execute() bodies with their own probe loops (KASLR's round
-  /// sweep) call it per iteration so a wedged loop is bounded too.
+  /// wall-clock budget. run() checks once on entry and escalate() before
+  /// every step (a channel batch, a KASLR sweep round), so a wedged decode
+  /// loop is bounded too.
   void checkpoint();
+
+  /// The adaptive escalation rule, shared by the channel decode (steps are
+  /// batches) and TET-KASLR (steps are sweep rounds): run
+  /// max(1, batches or `default_steps`) steps, then — under opt_.adaptive —
+  /// double the total until `confidence()` clears the threshold or the
+  /// budget (batch_budget, or 8× the initial count) is spent; ending below
+  /// the threshold counts one r.gave_up. Every step is preceded by a
+  /// checkpoint() and receives its 0-based index. Returns the final
+  /// confidence().
+  template <typename Step, typename Confidence>
+  double escalate(int default_steps, AttackResult& r, Step&& step,
+                  Confidence&& confidence) {
+    const int n0 = std::max(1, opt_.batches.value_or(default_steps));
+    int done = 0;
+    const auto run_n = [&](int n) {
+      for (int i = 0; i < n; ++i, ++done) {
+        checkpoint();
+        step(done);
+      }
+    };
+    run_n(n0);
+    if (opt_.adaptive) {
+      const int budget =
+          opt_.batch_budget > 0 ? std::max(opt_.batch_budget, n0) : 8 * n0;
+      while (confidence() < opt_.confidence_threshold && done < budget)
+        run_n(std::min(done, budget - done));
+      if (confidence() < opt_.confidence_threshold) ++r.gave_up;
+    }
+    return confidence();
+  }
 
   os::Machine& m_;
   AttackOptions opt_;
@@ -194,8 +226,8 @@ class ChannelAttack : public Attack {
   /// `batch` numbers this byte's batches from 0.
   virtual void sweep(std::uint64_t target, int batch, AttackResult& r) = 0;
 
-  /// Decode the byte at `target` from a fresh analyzer, folding its
-  /// confidence (min), give-up and ToTE histogram into `r`.
+  /// Decode the byte at `target` from a fresh analyzer through escalate(),
+  /// folding its confidence (min), give-up and ToTE histogram into `r`.
   std::uint8_t decode_byte(std::uint64_t target, AttackResult& r);
   /// decode_byte() of target, ..., target + len - 1, appended to r.bytes.
   void decode_bytes(std::uint64_t target, std::size_t len, AttackResult& r);
@@ -203,11 +235,6 @@ class ChannelAttack : public Attack {
   ArgmaxAnalyzer analyzer_;
 
  private:
-  /// Run the default (or AttackOptions::batches) batch count, then — under
-  /// opt_.adaptive — double the total until the decode margin clears the
-  /// threshold or the budget cap.
-  std::uint8_t decode_adaptive(std::uint64_t target, AttackResult& r);
-
   int default_batches_;
   DecodeBy by_;
 };

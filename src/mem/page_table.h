@@ -73,10 +73,6 @@ class PageTable {
       fn(v, e.paddr, e.flags, e.size);
   }
 
-  [[nodiscard]] std::size_t mapping_count() const noexcept {
-    return entries_.size();
-  }
-
  private:
   struct Entry {
     std::uint64_t paddr = 0;

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "stats/json.h"
+#include "stats/text_file.h"
 
 namespace whisper::obs {
 
@@ -336,17 +337,7 @@ std::string to_chrome_trace(const uarch::EventLog& log,
 
 bool write_chrome_trace(const uarch::EventLog& log, const std::string& path,
                         const ChromeTraceOptions& opt) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "obs: cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  const std::string body = to_chrome_trace(log, opt);
-  const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  std::fputc('\n', f);
-  std::fclose(f);
-  if (!ok) std::fprintf(stderr, "obs: short write to %s\n", path.c_str());
-  return ok;
+  return stats::write_text_file(path, to_chrome_trace(log, opt) + "\n");
 }
 
 }  // namespace whisper::obs

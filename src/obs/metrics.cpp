@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "stats/json.h"
+#include "stats/text_file.h"
 
 namespace whisper::obs {
 
@@ -41,6 +42,16 @@ void MetricsRegistry::import_pmu(const uarch::PmuSnapshot& snap,
   }
 }
 
+void MetricsRegistry::import_topdown(const TopDown& td,
+                                     const std::string& prefix) {
+  const std::string p = prefix + "topdown.";
+  counters_[p + "total_cycles"] = td.total_cycles;
+  counters_[p + "retiring"] = td.retiring;
+  counters_[p + "bad_speculation"] = td.bad_speculation;
+  counters_[p + "frontend_bound"] = td.frontend_bound;
+  counters_[p + "backend_bound"] = td.backend_bound;
+}
+
 void MetricsRegistry::import_summary(const std::string& prefix,
                                      const stats::Summary& s) {
   gauges_[prefix + ".n"] = static_cast<double>(s.n);
@@ -53,12 +64,6 @@ void MetricsRegistry::import_summary(const std::string& prefix,
 
 bool MetricsRegistry::has_counter(const std::string& name) const {
   return counters_.count(name) != 0;
-}
-bool MetricsRegistry::has_gauge(const std::string& name) const {
-  return gauges_.count(name) != 0;
-}
-bool MetricsRegistry::has_histogram(const std::string& name) const {
-  return histograms_.count(name) != 0;
 }
 
 std::uint64_t MetricsRegistry::counter(const std::string& name) const {
@@ -196,28 +201,10 @@ std::string MetricsRegistry::to_csv() const {
   return out;
 }
 
-namespace {
-
-bool write_text_file(const std::string& body, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "obs: cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  std::fclose(f);
-  if (!ok) std::fprintf(stderr, "obs: short write to %s\n", path.c_str());
-  return ok;
-}
-
-}  // namespace
-
-bool MetricsRegistry::write_json_file(const std::string& path) const {
-  return write_text_file(to_json() + "\n", path);
-}
-
-bool MetricsRegistry::write_csv_file(const std::string& path) const {
-  return write_text_file(to_csv(), path);
+bool MetricsRegistry::write_file(const std::string& path) const {
+  const bool csv =
+      path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
+  return stats::write_text_file(path, csv ? to_csv() : to_json() + "\n");
 }
 
 }  // namespace whisper::obs

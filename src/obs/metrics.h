@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/topdown.h"
 #include "stats/histogram.h"
 #include "stats/summary.h"
 #include "uarch/pmu.h"
@@ -43,14 +44,16 @@ class MetricsRegistry {
   void import_pmu(const uarch::PmuSnapshot& snap,
                   const std::string& prefix = "pmu.");
 
+  /// Set the top-down buckets as counters `prefix` + "topdown." +
+  /// total_cycles/retiring/bad_speculation/frontend_bound/backend_bound.
+  void import_topdown(const TopDown& td, const std::string& prefix = "");
+
   /// Register a stats::Summary as gauges `prefix`.n/.mean/.stdev/.min/
   /// .max/.median.
   void import_summary(const std::string& prefix, const stats::Summary& s);
 
   // --- queries ------------------------------------------------------------
   [[nodiscard]] bool has_counter(const std::string& name) const;
-  [[nodiscard]] bool has_gauge(const std::string& name) const;
-  [[nodiscard]] bool has_histogram(const std::string& name) const;
   [[nodiscard]] std::uint64_t counter(const std::string& name) const;
   [[nodiscard]] double gauge(const std::string& name) const;
   [[nodiscard]] const stats::Histogram& histogram(
@@ -70,8 +73,9 @@ class MetricsRegistry {
   /// one bucket row per distinct value.
   [[nodiscard]] std::string to_csv() const;
 
-  bool write_json_file(const std::string& path) const;
-  bool write_csv_file(const std::string& path) const;
+  /// Write to_json() — or to_csv() when `path` ends in ".csv", the
+  /// --metrics-out convention — through stats::write_text_file().
+  bool write_file(const std::string& path) const;
 
  private:
   std::map<std::string, std::uint64_t> counters_;

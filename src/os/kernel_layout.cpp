@@ -80,8 +80,7 @@ void KernelLayout::derive_layout() {
   if (slot_ > max_slot)
     throw std::invalid_argument("KernelLayout: slot places image outside "
                                 "the KASLR region");
-  base_ = kKaslrRegionStart +
-          static_cast<std::uint64_t>(slot_) * kKaslrSlotBytes;
+  base_ = kaslr_slot_base(slot_);
 
   symbols_ = default_symbols();
   if (opts_.fgkaslr) {
@@ -141,8 +140,7 @@ void KernelLayout::install(mem::PageTable& kernel_view,
                               .reserved = true,
                               .no_exec = true};
     for (int s = 0; s < kKaslrSlots; ++s) {
-      const std::uint64_t va =
-          kKaslrRegionStart + static_cast<std::uint64_t>(s) * kKaslrSlotBytes;
+      const std::uint64_t va = kaslr_slot_base(s);
       if (!user_view.lookup(va) &&
           user_view.walk(va).status == mem::WalkStatus::NotPresent) {
         user_view.map(va, dummy_pa_, kKaslrSlotBytes, dummy,

@@ -21,6 +21,11 @@ inline constexpr int kKaslrSlots = 512;
 inline constexpr std::uint64_t kKaslrRegionEnd =
     kKaslrRegionStart + kKaslrSlots * kKaslrSlotBytes;
 
+/// Base address of KASLR slot `slot` (0 ≤ slot < kKaslrSlots).
+[[nodiscard]] constexpr std::uint64_t kaslr_slot_base(int slot) noexcept {
+  return kKaslrRegionStart + static_cast<std::uint64_t>(slot) * kKaslrSlotBytes;
+}
+
 /// KPTI keeps a trampoline mapped in the user tables at this fixed offset
 /// from the kernel image base (§4.5 "remnant trampoline at fixed offset").
 inline constexpr std::uint64_t kKptiTrampolineOffset = 0xe00000ull;
@@ -98,8 +103,7 @@ class KernelLayout {
         static_cast<int>(kKernelImageBytes / kKaslrSlotBytes);
     int s = (slot_ + 64) % (kKaslrSlots - image_slots);
     if (s >= slot_ && s < slot_ + image_slots) s = slot_ + image_slots;
-    return kKaslrRegionStart +
-           static_cast<std::uint64_t>(s) * kKaslrSlotBytes;
+    return kaslr_slot_base(s);
   }
 
  private:

@@ -1,6 +1,6 @@
 #include "runner/json_writer.h"
 
-#include <cstdio>
+#include "stats/text_file.h"
 
 namespace whisper::runner {
 
@@ -214,19 +214,7 @@ std::string to_json(const RunResult& r) {
 }
 
 bool write_json_file(const RunResult& r, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "runner: cannot open %s for writing\n",
-                 path.c_str());
-    return false;
-  }
-  const std::string body = to_json(r);
-  const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  std::fputc('\n', f);
-  std::fclose(f);
-  if (!ok)
-    std::fprintf(stderr, "runner: short write to %s\n", path.c_str());
-  return ok;
+  return stats::write_text_file(path, to_json(r) + "\n");
 }
 
 }  // namespace whisper::runner

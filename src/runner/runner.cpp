@@ -404,13 +404,7 @@ obs::MetricsRegistry to_metrics(const RunResult& r,
   reg.set_counter(prefix + "run.byte_errors", r.total_byte_errors);
   reg.set_counter(prefix + "run.gave_up", r.total_gave_up);
   reg.import_pmu(r.pmu, prefix + "pmu.");
-  reg.set_counter(prefix + "topdown.total_cycles", r.topdown.total_cycles);
-  reg.set_counter(prefix + "topdown.retiring", r.topdown.retiring);
-  reg.set_counter(prefix + "topdown.bad_speculation",
-                  r.topdown.bad_speculation);
-  reg.set_counter(prefix + "topdown.frontend_bound",
-                  r.topdown.frontend_bound);
-  reg.set_counter(prefix + "topdown.backend_bound", r.topdown.backend_bound);
+  reg.import_topdown(r.topdown, prefix);
   reg.import_summary(prefix + "sim_seconds", r.seconds);
   reg.import_summary(prefix + "confidence", r.confidence);
   reg.add_histogram(prefix + "tote", r.tote);

@@ -254,8 +254,8 @@ struct RunResult {
 /// "run.*" counters (trials, successes, probes, bytes, byte_errors,
 /// gave_up), "pmu.*" counters (merged event deltas), "topdown.*" cycle
 /// buckets, "sim_seconds.*" / "confidence.*" gauges and the merged "tote"
-/// histogram. Feed this to MetricsRegistry::write_json_file()/
-/// write_csv_file() for --metrics-out. `prefix` namespaces every name
+/// histogram. Feed this to MetricsRegistry::write_file() for
+/// --metrics-out. `prefix` namespaces every name
 /// ("cc." etc.), so several runs can merge into one registry without
 /// colliding.
 [[nodiscard]] obs::MetricsRegistry to_metrics(const RunResult& r,

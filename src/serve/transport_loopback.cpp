@@ -38,14 +38,6 @@ ReadStatus LineChannel::pop_for(std::string& out, int timeout_ms) {
   return ReadStatus::kLine;
 }
 
-bool LineChannel::try_pop(std::string& out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (lines_.empty()) return false;
-  out = std::move(lines_.front());
-  lines_.pop_front();
-  return true;
-}
-
 void LineChannel::close() {
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -72,10 +64,6 @@ bool LoopbackClient::recv(std::string& out) { return to_client_->pop(out); }
 
 ReadStatus LoopbackClient::recv_for(std::string& out, int timeout_ms) {
   return to_client_->pop_for(out, timeout_ms);
-}
-
-bool LoopbackClient::try_recv(std::string& out) {
-  return to_client_->try_pop(out);
 }
 
 void LoopbackClient::close_send() { to_server_->close(); }

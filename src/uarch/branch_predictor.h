@@ -43,8 +43,6 @@ class BranchPredictor {
 
   void reset();
 
-  [[nodiscard]] int rsb_occupancy() const noexcept { return rsb_valid_; }
-
  private:
   [[nodiscard]] std::size_t pht_index(std::int32_t pc) const noexcept;
 

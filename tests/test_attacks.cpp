@@ -4,14 +4,17 @@
 
 #include <string>
 
+#include "baseline/avx_kaslr.h"
 #include "baseline/flush_reload.h"
 #include "baseline/prefetch_kaslr.h"
 #include "core/attacks/kaslr.h"
 #include "core/attacks/meltdown.h"
+#include "core/attacks/registry.h"
 #include "core/attacks/smt_channel.h"
 #include "core/attacks/spectre_rsb.h"
 #include "core/attacks/zombieload.h"
 #include "core/covert_channel.h"
+#include "support/sim_pin.h"
 
 namespace whisper {
 namespace {
@@ -186,6 +189,65 @@ TEST(BaselinePrefetchKaslr, WorksWithoutFlareFailsWithFlare) {
     baseline::PrefetchKaslr atk(m);
     EXPECT_FALSE(atk.run().success)
         << "FLARE should defeat walk-timing probes";
+  }
+}
+
+// Simulation pin of the KASLR slot scans and of adaptive escalation: the
+// two baselines' exact results (sec45 and extensions E5 configurations) and
+// one escalating run each of TET-KASLR and a channel attack under
+// noisy-server interference (both double up to the 8x budget and give up).
+testing::AssertionResult matches_attack_pin(const std::string& suffix,
+                                            const core::AttackResult& r) {
+  return test_support::matches_pin(test_support::pin_key(suffix),
+                                   test_support::PinText().attack(r).str());
+}
+
+TEST(KaslrScanPin, PrefetchBaselineOnCometLake) {
+  const struct {
+    const char* name;
+    os::KernelOptions kernel;
+    std::uint64_t seed;
+  } cases[] = {{"plain", {}, 11},
+               {"kpti", {.kpti = true}, 22},
+               {"kpti_flare", {.kpti = true, .flare = true}, 33}};
+  for (const auto& c : cases) {
+    os::Machine m({.model = uarch::CpuModel::CometLakeI9_10980XE,
+                   .kernel = c.kernel,
+                   .seed = c.seed});
+    baseline::PrefetchKaslr atk(m, {.rounds = 3});
+    EXPECT_TRUE(matches_attack_pin(c.name, atk.run()));
+  }
+}
+
+TEST(KaslrScanPin, AvxBaselineWithAndWithoutGating) {
+  for (const bool gating : {true, false}) {
+    uarch::CpuConfig cfg =
+        uarch::make_config(uarch::CpuModel::CometLakeI9_10980XE);
+    cfg.avx_power_gating = gating;
+    os::Machine m({.model = cfg.model, .seed = 0xE5, .config = cfg});
+    baseline::AvxKaslr atk(m);
+    EXPECT_TRUE(
+        matches_attack_pin(gating ? "gating_on" : "gating_off", atk.run()));
+  }
+}
+
+TEST(KaslrScanPin, AdaptiveEscalationUnderNoisyServer) {
+  core::AttackOptions opt;
+  opt.adaptive = true;
+  {
+    os::Machine m({.model = uarch::CpuModel::KabyLakeI7_7700,
+                   .seed = 0x19,
+                   .noise = noise::NoiseProfile::noisy_server()});
+    EXPECT_TRUE(
+        matches_attack_pin("kaslr", core::make_attack("kaslr", m, opt)->run({})));
+  }
+  {
+    os::Machine m({.model = uarch::CpuModel::KabyLakeI7_7700,
+                   .seed = 0x19,
+                   .noise = noise::NoiseProfile::noisy_server()});
+    const auto payload = bytes_of("Wh");
+    EXPECT_TRUE(
+        matches_attack_pin("md", core::make_attack("md", m, opt)->run(payload)));
   }
 }
 
