@@ -84,18 +84,24 @@ inline void add_observability_flags(stats::Flags& f, HarnessFlags& h) {
           h.metrics_out);
 }
 
+/// The RunSpec fault-tolerance knobs, landing in `h.spec`.
+inline void add_fault_flags(stats::Flags& f, HarnessFlags& h) {
+  for (const char* field : {"retries", "trial_cycle_budget",
+                            "trial_wall_budget", "verify_reset", "fault_plan"})
+    runner::add_flag(f, h.spec, field);
+}
+
 /// Every shared row: the executor rows, --json, the observability rows and
 /// the RunSpec fault knobs.
 inline void add_harness_flags(stats::Flags& f, HarnessFlags& h) {
   add_executor_flags(f, h);
   f.value("json", "PATH", "write the run's trajectory as JSON", h.json);
   add_observability_flags(f, h);
-  for (const char* field : {"retries", "trial_cycle_budget",
-                            "trial_wall_budget", "verify_reset", "fault_plan"})
-    runner::add_flag(f, h.spec, field);
+  add_fault_flags(f, h);
 }
 
-/// The shared rows alone: the table of a harness with no flags of its own.
+/// Every shared row alone: the table of sec41_throughput, which writes
+/// each output it takes and has no flags of its own.
 inline HarnessFlags parse_harness_flags(int argc, char** argv,
                                         std::string prog) {
   HarnessFlags h;

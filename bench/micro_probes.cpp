@@ -1,8 +1,8 @@
 // Google-benchmark microbenchmarks: host-side cost of the simulator's core
 // operations (one probe of each gadget, one KASLR slot scan, a PMU scenario
 // pair, one machine construction, one whole trial of each registry attack
-// with and without fast-forward). Useful for keeping experiment wall-clock
-// in check as the model grows.
+// with and without fast-forward, and with fast-forward under noise).
+// Useful for keeping experiment wall-clock in check as the model grows.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -13,6 +13,7 @@
 #include "core/attacks/registry.h"
 #include "core/gadgets.h"
 #include "core/pmu_toolset.h"
+#include "noise/noise.h"
 #include "os/machine.h"
 #include "runner/runner.h"
 
@@ -83,10 +84,11 @@ void BM_MachineConstruction(benchmark::State& state) {
 // machine (2 payload bytes, 1 batch), reset to the same seed each time, so
 // every iteration replays the same trial. The fast_forward/structural
 // ratio of a pair is fast-forward's speedup on the trial path; results are
-// byte-identical either way (invariant 10). With fast-forward on, the
-// core's fast-forward counters are reported per trial.
+// byte-identical either way (invariant 10). The fast_forward_desktop
+// variant runs the fast-forward trial under the desktop noise profile. With
+// fast-forward on, the core's fast-forward counters are reported per trial.
 void BM_Trial(benchmark::State& state, const std::string& attack,
-              bool fast_forward) {
+              bool fast_forward, const noise::NoiseProfile& noise) {
   using Stats = uarch::Core::FastForwardStats;
   runner::RunSpec spec;
   spec.model = uarch::CpuModel::KabyLakeI7_7700;
@@ -95,6 +97,7 @@ void BM_Trial(benchmark::State& state, const std::string& attack,
   spec.batches = 1;
   spec.base_seed = 0xbe9cULL;
   spec.fast_forward = fast_forward;
+  spec.noise = noise;
   const std::uint64_t seed = runner::trial_seed(spec.base_seed, 0);
   os::Machine m(runner::machine_options(spec, seed));
   m.snapshot();
@@ -134,12 +137,18 @@ BENCHMARK(BM_PmuScenarioMeasure)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_MachineConstruction)->Unit(benchmark::kMicrosecond);
 
 int main(int argc, char** argv) {
+  const struct {
+    const char* name;
+    bool fast_forward;
+    noise::NoiseProfile noise;
+  } kModes[] = {{"fast_forward", true, noise::NoiseProfile::off()},
+                {"structural", false, noise::NoiseProfile::off()},
+                {"fast_forward_desktop", true, noise::NoiseProfile::desktop()}};
   for (const std::string& attack : core::attack_names())
-    for (const bool ff : {true, false})
+    for (const auto& mode : kModes)
       benchmark::RegisterBenchmark(
-          ("BM_Trial<" + attack + ">/" + (ff ? "fast_forward" : "structural"))
-              .c_str(),
-          BM_Trial, attack, ff)
+          ("BM_Trial<" + attack + ">/" + mode.name).c_str(), BM_Trial, attack,
+          mode.fast_forward, mode.noise)
           ->Unit(benchmark::kMillisecond);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -70,7 +70,12 @@ runner::RunSpec cell_spec(runner::RunSpec spec, uarch::CpuModel model,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = bench::parse_harness_flags(argc, argv, "table2_matrix");
+  // The table writes no output file, so it takes no output flag.
+  bench::HarnessFlags args;
+  stats::Flags flags("table2_matrix");
+  bench::add_executor_flags(flags, args);
+  bench::add_fault_flags(flags, args);
+  flags.parse(argc, argv);
   bench::heading("Table 2 — Environment and experiments");
   std::printf("cell format: model-result (paper-result)\n\n");
   std::printf("%-24s %-12s %-10s %-12s %-12s %-12s %-12s %-12s\n", "CPU",

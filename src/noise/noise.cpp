@@ -189,6 +189,14 @@ std::uint64_t NoiseEngine::on_cycle(std::uint64_t cycle) {
   return 0;
 }
 
+std::uint64_t NoiseEngine::next_due(std::uint64_t cycle) const {
+  std::uint64_t due = ~std::uint64_t{0};
+  if (dvfs_i_ > 0.0) due = std::min(due, dvfs_next_);
+  if (tlb_i_ > 0.0) due = std::min(due, tlb_next_);
+  if (timer_i_ > 0.0) due = std::min(due, timer_next_);
+  return std::max(due, cycle);  // unscheduled (0) or overdue: due now
+}
+
 int NoiseEngine::on_access(const mem::AccessRequest& req,
                            const mem::AccessResult& res) {
   int extra = 0;

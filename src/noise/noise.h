@@ -118,6 +118,10 @@ class NoiseEngine final : public mem::MemInterference,
   /// uarch::CoreInterference: fires due DVFS steps and TLB shootdowns, and
   /// returns a timer-interrupt handler cost when one is due (0 otherwise).
   std::uint64_t on_cycle(std::uint64_t cycle) override;
+  /// uarch::CoreInterference: the earliest due time over the enabled cycle
+  /// sources (DVFS, TLB shootdown, timer), or `cycle` when one of them is
+  /// not yet scheduled; ~0 when the profile has no cycle source.
+  [[nodiscard]] std::uint64_t next_due(std::uint64_t cycle) const override;
 
   /// Return the engine to its post-construction state for a new trial:
   /// counters zeroed, scheduling state cleared, the noise stream re-derived
@@ -150,7 +154,9 @@ class NoiseEngine final : public mem::MemInterference,
   // Scheduling state, all in absolute core cycles. 0 = not yet scheduled
   // (the first on_cycle/on_access draws the first due time), so spans the
   // core skips with advance() simply fire the source once when execution
-  // resumes — never a backlog of missed events.
+  // resumes — never a backlog of missed events. On a cycle before every
+  // cycle source's *_next_, on_cycle only records last_cycle_: that is what
+  // lets next_due() hand the core a closed form for a fast-forwarded span.
   std::uint64_t last_cycle_ = 0;
   std::uint64_t timer_next_ = 0;
   std::uint64_t dvfs_next_ = 0;

@@ -434,8 +434,8 @@ RunResult Core::run_internal(std::uint64_t cycle_limit) {
   };
 
   // An interrupt raised by the noise hook while fast-forwarding is carried
-  // here into the next structural cycle, so the hook fires exactly once per
-  // simulated cycle in both modes.
+  // here into the next structural cycle, so the hook fires exactly once on
+  // each of its due cycles in both modes.
   std::uint64_t pending_interrupt = 0;
   while (!all_done()) {
     if (cycle_ >= deadline) {
@@ -555,12 +555,24 @@ bool Core::try_fast_forward(std::uint64_t deadline,
     charge(horizon - cycle_);
     cycle_ = horizon;
   } else {
-    // With a noise source attached the hook must still run once per cycle
-    // (its schedule is stateful, and it may mutate memory state that the
-    // pipeline doesn't observe during an inert span). An interrupt hands
-    // the cycle back to the structural loop before it is charged or
-    // advanced.
+    // With a noise source attached the hook must see the span as the
+    // per-cycle walk would (its schedule is stateful, and it may mutate
+    // memory state that the pipeline doesn't observe during an inert span).
+    // Up to the hook's next due cycle every call only notes the cycle, so
+    // one call on the last of them stands for all; a due cycle gets its own
+    // call. An interrupt hands the cycle back to the structural loop before
+    // it is charged or advanced.
     while (cycle_ < horizon) {
+      const std::uint64_t quiet =
+          std::min(horizon, noise_->next_due(cycle_));
+      if (quiet > cycle_) {
+        [[maybe_unused]] const std::uint64_t none =
+            noise_->on_cycle(quiet - 1);
+        assert(none == 0);
+        charge(quiet - cycle_);
+        cycle_ = quiet;
+        continue;
+      }
       const std::uint64_t handler = noise_->on_cycle(cycle_);
       if (handler != 0) {
         pending_interrupt = handler;

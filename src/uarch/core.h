@@ -53,20 +53,33 @@
 
 namespace whisper::uarch {
 
-/// Interference hook driven once per simulated cycle while the core is
-/// running (whisper::noise::NoiseEngine implements it). The return value is
-/// an interrupt-handler cost in cycles: non-zero means "an asynchronous
-/// interrupt arrives now" — the core squashes all in-flight work on every
-/// active thread, resteers to the next unretired instruction, and stalls
-/// the front end for the returned cost on top of the machine-clear penalty.
-/// Implementations use the hook's cycle argument for their own scheduling
-/// (DVFS steps, TLB shootdowns) and must be deterministic in (seed, cycle).
-/// The hook is called for every simulated cycle even while the core is
-/// fast-forwarding an inert span, so noise schedules are mode-independent.
+/// Interference hook driven by the simulated clock while the core is
+/// running (whisper::noise::NoiseEngine implements it). The return value of
+/// on_cycle is an interrupt-handler cost in cycles: non-zero means "an
+/// asynchronous interrupt arrives now" — the core squashes all in-flight
+/// work on every active thread, resteers to the next unretired instruction,
+/// and stalls the front end for the returned cost on top of the
+/// machine-clear penalty. Implementations use the hook's cycle argument for
+/// their own scheduling (DVFS steps, TLB shootdowns) and must be
+/// deterministic in (seed, cycle).
+///
+/// The structural loop calls on_cycle for every cycle it steps. Across an
+/// inert span the core fast-forwards, and there on_cycle is called only on
+/// the cycles next_due() names, plus once on the cycle before each one the
+/// core jumps to. An implementation must therefore make every call on a
+/// cycle before next_due(c) a no-op apart from noting the cycle, so that
+/// the one call on the last of them leaves it in the state the per-cycle
+/// walk would: noise schedules stay mode-independent.
 class CoreInterference {
  public:
   virtual ~CoreInterference() = default;
   [[nodiscard]] virtual std::uint64_t on_cycle(std::uint64_t cycle) = 0;
+  /// The first cycle >= `cycle` on which on_cycle may do anything beyond
+  /// noting the cycle (~0 for never). The default, `cycle`, makes the core
+  /// call on_cycle on every cycle, which is correct for any implementer.
+  [[nodiscard]] virtual std::uint64_t next_due(std::uint64_t cycle) const {
+    return cycle;
+  }
 };
 
 /// Initial architectural state for one hardware thread.

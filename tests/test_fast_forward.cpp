@@ -3,7 +3,8 @@
 // survival across Machine::reset) and determinism of the fast-forward path
 // across runner worker counts. Byte-identity of fast-forward itself lives
 // in tests/test_machine_reset.cpp (FastForwardIdentityTest) and
-// tests/test_differential.cpp (FastForwardDifferentialTest).
+// tests/test_differential.cpp (FastForwardDifferentialTest); this file also
+// bounds the noise hook's host cost across fast-forwarded spans.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,6 +14,7 @@
 #include "core/attacks/registry.h"
 #include "core/attacks/smt_channel.h"
 #include "isa/builder.h"
+#include "noise/noise.h"
 #include "os/machine.h"
 #include "runner/runner.h"
 #include "support/sim_pin.h"
@@ -216,6 +218,71 @@ TEST(FastForwardStats, SkippedPlusSteppedCyclesAreTheTrialCycles) {
     EXPECT_EQ(m.core().fast_forward_stats().cycles_stepped,
               kept.cycles_stepped);
   }
+}
+
+// Host cost of a noisy span: fast-forward asks the noise engine for its
+// next due cycle and calls on_cycle only there (and once on the cycle
+// before each jump), so an md trial under desktop noise, nearly all of
+// whose cycles are skipped, makes a few hook calls per noise event rather
+// than one per skipped cycle. Counting the calls must not move a byte.
+class CountingInterference final : public uarch::CoreInterference {
+ public:
+  explicit CountingInterference(uarch::CoreInterference& inner)
+      : inner_(inner) {}
+  std::uint64_t on_cycle(std::uint64_t cycle) override {
+    ++calls;
+    return inner_.on_cycle(cycle);
+  }
+  [[nodiscard]] std::uint64_t next_due(std::uint64_t cycle) const override {
+    return inner_.next_due(cycle);
+  }
+  std::uint64_t calls = 0;
+
+ private:
+  uarch::CoreInterference& inner_;
+};
+
+TEST(FastForwardNoise, NoisySpansCallTheHookPerEventNotPerCycle) {
+  const std::vector<std::uint8_t> payload = {0xa5, 0x3c};
+  struct Run {
+    std::string image;  // AttackResult + PMU delta, pin-formatted
+    FastForwardStats ff;
+    std::uint64_t calls = 0;
+  };
+  os::MachineOptions opts;
+  opts.model = uarch::CpuModel::KabyLakeI7_7700;
+  opts.seed = 0xbe9cULL;
+  opts.noise = noise::NoiseProfile::desktop();
+  auto run = [&](bool counted) {
+    os::Machine m(opts);
+    EXPECT_NE(m.noise(), nullptr);
+    CountingInterference counting(*m.noise());
+    if (counted) m.core().set_interference(&counting);
+    core::AttackOptions opt;
+    opt.batches = 1;
+    auto attack = core::make_attack("md", m, opt);
+    const FastForwardStats ff_before = m.core().fast_forward_stats();
+    const uarch::PmuSnapshot pmu_before = m.core().pmu().snapshot();
+    const core::AttackResult r = attack->run(payload);
+    const uarch::PmuSnapshot pmu =
+        uarch::pmu_delta(pmu_before, m.core().pmu().snapshot());
+    EXPECT_GT(m.noise()->stats().timer_interrupts, 0u);
+    EXPECT_GT(m.noise()->stats().dvfs_steps, 0u);
+    return Run{test_support::PinText().attack(r).pmu("pmu", pmu).str(),
+               ff_delta(ff_before, m.core().fast_forward_stats()),
+               counting.calls};
+  };
+  const Run plain = run(false);
+  const Run counted = run(true);
+
+  EXPECT_EQ(plain.image, counted.image);
+  EXPECT_EQ(plain.ff.cycles_skipped, counted.ff.cycles_skipped);
+  EXPECT_EQ(plain.ff.spans, counted.ff.spans);
+  EXPECT_EQ(plain.ff.bail_noise, counted.ff.bail_noise);
+  ASSERT_GT(counted.ff.cycles_skipped, 0u);
+  EXPECT_LT(counted.calls * 100, counted.ff.cycles_skipped)
+      << counted.calls << " on_cycle calls for " << counted.ff.cycles_skipped
+      << " skipped cycles";
 }
 
 // run_smt never fast-forwards, but it shares the issue/complete stages with

@@ -4,6 +4,8 @@
 // registry round-trip.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -12,6 +14,7 @@
 #include "noise/noise.h"
 #include "os/machine.h"
 #include "runner/runner.h"
+#include "stats/rng.h"
 
 namespace whisper {
 namespace {
@@ -105,6 +108,164 @@ TEST(NoiseDeterminism, DifferentSeedsDifferentStreams) {
     return core::make_attack("cc", m)->run(payload).cycles;
   };
   EXPECT_NE(cycles_with_seed(1), cycles_with_seed(2));
+}
+
+// ---------------------------------------------------------------------------
+// next_due: the closed form the core uses across a fast-forwarded span
+// ---------------------------------------------------------------------------
+
+// One event of a drive: the cycle a hook fired on and what it returned (a
+// timer-interrupt handler cost, or an access's latency delta).
+struct HookEvent {
+  std::uint64_t cycle = 0;
+  std::int64_t value = 0;
+  bool operator==(const HookEvent&) const = default;
+};
+
+struct Drive {
+  std::vector<HookEvent> interrupts;
+  std::vector<HookEvent> deltas;
+  noise::NoiseStats stats;
+  double dvfs_scale = 0.0;
+  std::uint64_t on_cycle_calls = 0;
+};
+
+// A seeded access stream over [0, kDriveCycles). A structural access runs
+// on a cycle the core steps (on_cycle(cycle) first); an out-of-band one
+// lands after the clock reached `cycle` without a hook call on it, as an
+// access made between two runs does.
+struct Access {
+  std::uint64_t cycle = 0;
+  bool structural = true;
+  mem::AccessResult res;
+};
+
+constexpr std::uint64_t kDriveCycles = 3'000'000;
+
+std::vector<Access> access_stream(std::uint64_t seed) {
+  stats::Xoshiro256 rng(seed);
+  std::vector<Access> out;
+  for (std::uint64_t c = 1 + rng.next_below(4'000); c < kDriveCycles;
+       c += 1 + rng.next_below(4'000)) {
+    Access a;
+    a.cycle = c;
+    a.structural = rng.next_below(4) != 0;
+    a.res.paddr = 0x100000 + 64 * rng.next_below(4096);
+    a.res.cache_level = 1 + static_cast<int>(rng.next_below(4));
+    a.res.walk_cycles = rng.next_below(3) == 0 ? 30 : 0;
+    out.push_back(a);
+  }
+  return out;
+}
+
+void record_cycle(noise::NoiseEngine& e, std::uint64_t cycle, Drive& d) {
+  const std::uint64_t handler = e.on_cycle(cycle);
+  ++d.on_cycle_calls;
+  if (handler != 0)
+    d.interrupts.push_back({cycle, static_cast<std::int64_t>(handler)});
+}
+
+void record_access(noise::NoiseEngine& e, const Access& a, Drive& d) {
+  d.deltas.push_back({a.cycle, e.on_access({}, a.res)});
+}
+
+void finish(const noise::NoiseEngine& e, Drive& d) {
+  d.stats = e.stats();
+  d.dvfs_scale = e.dvfs_scale();
+}
+
+// The per-cycle walk: on_cycle on every cycle the clock passes.
+Drive walk_every_cycle(noise::NoiseEngine& e, const std::vector<Access>& as) {
+  Drive d;
+  std::size_t i = 0;
+  for (std::uint64_t c = 0; c < kDriveCycles; ++c) {
+    for (; i < as.size() && as[i].cycle == c && !as[i].structural; ++i)
+      record_access(e, as[i], d);
+    record_cycle(e, c, d);
+    for (; i < as.size() && as[i].cycle == c; ++i) record_access(e, as[i], d);
+  }
+  finish(e, d);
+  return d;
+}
+
+// Core::try_fast_forward's rule: jump to next_due with one on_cycle on the
+// cycle before it, then on_cycle on the due cycle itself. Structural
+// access cycles are stepped, so they get their own on_cycle. (An interrupt
+// from the jump's call would land on a cycle the per-cycle walk has none.)
+Drive walk_next_due(noise::NoiseEngine& e, const std::vector<Access>& as) {
+  Drive d;
+  auto fast_forward = [&](std::uint64_t& c, std::uint64_t horizon) {
+    while (c < horizon) {
+      const std::uint64_t quiet = std::min(horizon, e.next_due(c));
+      if (quiet > c) {
+        record_cycle(e, quiet - 1, d);
+        c = quiet;
+      } else {
+        record_cycle(e, c++, d);
+      }
+    }
+  };
+  std::uint64_t c = 0;
+  for (const Access& a : as) {
+    fast_forward(c, a.cycle);
+    if (a.structural) record_cycle(e, c++, d);
+    record_access(e, a, d);
+  }
+  fast_forward(c, kDriveCycles);
+  finish(e, d);
+  return d;
+}
+
+TEST(NoiseNextDue, ClosedFormWalkMatchesPerCycleWalk) {
+  std::vector<noise::NoiseProfile> profiles = {
+      noise::NoiseProfile::desktop(), noise::NoiseProfile::noisy_server()};
+  for (std::size_t k = 0; k < noise::kNumNoiseKinds; ++k)
+    profiles.push_back(single_source(static_cast<noise::NoiseKind>(k), 1.0));
+
+  const std::vector<Access> accesses = access_stream(0xacce55ULL);
+  for (const noise::NoiseProfile& profile : profiles) {
+    SCOPED_TRACE(profile.name);
+    // Each engine mutates its own memory system (TLB shootdowns, prefetch
+    // and sibling fills), as it would inside a Machine.
+    os::Machine ma(os::MachineOptions{});
+    os::Machine mb(os::MachineOptions{});
+    noise::NoiseEngine a(profile, 0x5eedULL);
+    noise::NoiseEngine b(profile, 0x5eedULL);
+    a.attach(&ma.memsys());
+    b.attach(&mb.memsys());
+
+    const Drive per_cycle = walk_every_cycle(a, accesses);
+    const Drive closed = walk_next_due(b, accesses);
+
+    EXPECT_EQ(per_cycle.interrupts, closed.interrupts);
+    EXPECT_EQ(per_cycle.deltas, closed.deltas);
+    EXPECT_EQ(per_cycle.stats.contended_accesses,
+              closed.stats.contended_accesses);
+    EXPECT_EQ(per_cycle.stats.contention_cycles,
+              closed.stats.contention_cycles);
+    EXPECT_EQ(per_cycle.stats.timer_interrupts, closed.stats.timer_interrupts);
+    EXPECT_EQ(per_cycle.stats.dvfs_steps, closed.stats.dvfs_steps);
+    EXPECT_EQ(per_cycle.stats.prefetch_fills, closed.stats.prefetch_fills);
+    EXPECT_EQ(per_cycle.stats.tlb_shootdowns, closed.stats.tlb_shootdowns);
+    EXPECT_EQ(per_cycle.dvfs_scale, closed.dvfs_scale);
+    // The closed form is the point: a few calls per event, not per cycle.
+    EXPECT_LT(closed.on_cycle_calls, kDriveCycles / 100);
+  }
+}
+
+TEST(NoiseNextDue, NoCycleSourceIsNeverDueAndUnscheduledIsDueNow) {
+  noise::NoiseEngine smt(single_source(noise::NoiseKind::SmtContention, 1.0),
+                         1);
+  EXPECT_EQ(smt.next_due(123), ~std::uint64_t{0});
+
+  noise::NoiseEngine timer(
+      single_source(noise::NoiseKind::TimerInterrupt, 1.0), 1);
+  EXPECT_EQ(timer.next_due(123), 123u);  // not yet scheduled
+  EXPECT_EQ(timer.on_cycle(123), 0u);    // draws the first tick
+  const std::uint64_t tick = timer.next_due(124);
+  EXPECT_GT(tick, 124u);
+  EXPECT_EQ(timer.next_due(tick + 7), tick + 7);  // overdue: due now
+  EXPECT_NE(timer.on_cycle(tick), 0u);
 }
 
 // ---------------------------------------------------------------------------
