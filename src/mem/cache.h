@@ -2,6 +2,12 @@
 // replacement and CLFLUSH support. Instances are stacked into an
 // L1/L2/LLC hierarchy by MemorySystem; the Flush+Reload baseline depends on
 // transient fills being architecturally persistent here.
+//
+// Storage is sparse: a set owns no ways until its first fill, when one block
+// of `ways` is appended to the way storage. Construction, snapshot(),
+// flush_all() and occupancy() therefore cost the sets a machine has touched,
+// not the geometry (a default LLC has 8,192 sets x 16 ways, about 3 MiB of
+// ways a fresh machine never reads).
 #pragma once
 
 #include <cstdint>
@@ -39,7 +45,7 @@ class Cache {
   [[nodiscard]] bool snapshotted() const noexcept { return has_baseline_; }
   /// Sets touched by a fill since the last snapshot()/reset().
   [[nodiscard]] std::size_t dirty_sets() const noexcept {
-    return dirty_sets_.size();
+    return dirty_blocks_.size();
   }
 
   [[nodiscard]] std::size_t sets() const noexcept { return sets_; }
@@ -57,24 +63,36 @@ class Cache {
     return static_cast<std::size_t>(line) & (sets_ - 1);
   }
 
-  void touch_set(std::size_t set);
+  /// The ways of `set`, or nullptr if the set was never filled.
+  [[nodiscard]] Way* set_ways(std::size_t set) noexcept {
+    const std::uint32_t block = block_of_set_[set];
+    return block == 0 ? nullptr : &ways_storage_[(block - 1) * ways_];
+  }
+  [[nodiscard]] const Way* set_ways(std::size_t set) const noexcept {
+    return const_cast<Cache*>(this)->set_ways(set);
+  }
+
+  void touch_block(std::uint32_t block);
 
   std::size_t sets_;
   std::size_t ways_;
   std::uint64_t tick_ = 0;
+  // Per set: 1 + the index of its block of ways in ways_storage_, or 0 if
+  // the set was never filled. Blocks are appended and never freed or moved.
+  std::vector<std::uint32_t> block_of_set_;
   std::vector<Way> ways_storage_;
 
   // Snapshot/reset state. Baseline ways are stored as (storage index, Way)
   // and reapplied unconditionally on reset — any in-place mutation of a
   // baseline line (LRU bump, flush, eviction) is healed without having been
-  // tracked. Only *fills* need marking, so reset() knows which sets hold
+  // tracked. Only *fills* need marking, so reset() knows which blocks hold
   // post-snapshot lines to invalidate.
   bool has_baseline_ = false;
   std::uint64_t baseline_tick_ = 0;
   std::vector<std::pair<std::uint32_t, Way>> baseline_ways_;
   std::uint64_t epoch_ = 1;
-  std::vector<std::uint64_t> set_epoch_;
-  std::vector<std::uint32_t> dirty_sets_;
+  std::vector<std::uint64_t> block_epoch_;  // one per block
+  std::vector<std::uint32_t> dirty_blocks_;
 };
 
 }  // namespace whisper::mem

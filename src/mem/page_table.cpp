@@ -1,6 +1,7 @@
 #include "mem/page_table.h"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 
@@ -32,38 +33,58 @@ void PageTable::map(std::uint64_t vaddr, std::uint64_t paddr,
         << " paddr=0x" << paddr << " len=0x" << len;
     throw std::invalid_argument(msg.str());
   }
-  for (std::uint64_t off = 0; off < len; off += page) {
-    std::uint64_t base = 0;
-    if (const Entry* existing = find(vaddr + off, &base);
-        existing != nullptr && existing->size != size) {
+  const std::uint64_t last = vaddr + (len - 1);
+  for (auto it = run_from(vaddr); it != entries_.end() && it->first <= last;
+       ++it) {
+    if (it->second.size != size)
       throw std::invalid_argument(
           "PageTable::map: overlapping mapping with different page size");
-    }
-    entries_[vaddr + off] = Entry{paddr + off, flags, size};
   }
+  carve(vaddr, last);
+  entries_.emplace(vaddr, Entry{paddr, flags, size, len});
 }
 
 void PageTable::unmap(std::uint64_t vaddr, std::uint64_t len) {
-  auto it = entries_.lower_bound(vaddr);
-  // A 2 MiB page starting below vaddr may cover it; step back once.
+  if (len != 0) carve(vaddr, vaddr + (len - 1));
+}
+
+std::map<std::uint64_t, PageTable::Entry>::const_iterator PageTable::run_from(
+    std::uint64_t vaddr) const {
+  auto it = entries_.upper_bound(vaddr);
   if (it != entries_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->first + bytes(prev->second.size) > vaddr) it = prev;
+    const auto prev = std::prev(it);
+    if (vaddr - prev->first < prev->second.len) return prev;
   }
-  while (it != entries_.end() && it->first < vaddr + len)
+  return it;
+}
+
+void PageTable::carve(std::uint64_t vaddr, std::uint64_t last) {
+  auto it = run_from(vaddr);
+  while (it != entries_.end() && it->first <= last) {
+    const std::uint64_t base = it->first;
+    const Entry e = it->second;
+    const std::uint64_t page = bytes(e.size);
     it = entries_.erase(it);
+    // Keep the whole pages below vaddr and above last.
+    const std::uint64_t below = vaddr > base ? (vaddr - base) / page * page : 0;
+    if (below != 0)
+      entries_.emplace_hint(it, base, Entry{e.paddr, e.flags, e.size, below});
+    const std::uint64_t last_page = (last - base) / page;
+    if (last_page + 1 < e.len / page) {
+      const std::uint64_t above = (last_page + 1) * page;
+      it = entries_.emplace_hint(
+          it, base + above,
+          Entry{e.paddr + above, e.flags, e.size, e.len - above});
+    }
+  }
 }
 
 const PageTable::Entry* PageTable::find(std::uint64_t vaddr,
                                         std::uint64_t* entry_base) const {
-  auto it = entries_.upper_bound(vaddr);
-  if (it == entries_.begin()) return nullptr;
-  --it;
-  if (vaddr < it->first + bytes(it->second.size)) {
-    if (entry_base) *entry_base = it->first;
-    return &it->second;
-  }
-  return nullptr;
+  const auto it = run_from(vaddr);
+  if (it == entries_.end() || it->first > vaddr) return nullptr;
+  if (entry_base) *entry_base = it->first;
+  return &it->second;
 }
 
 WalkResult PageTable::walk(std::uint64_t vaddr, int psc_hits) const {
@@ -95,17 +116,18 @@ WalkResult PageTable::walk(std::uint64_t vaddr, int psc_hits) const {
 
   // Unmapped: the walker follows whatever upper-level tables exist for this
   // prefix and stops at the first non-present entry. Depth is derived from
-  // the nearest existing mappings (they imply which intermediate tables are
-  // allocated).
+  // the nearest existing leaf pages (they imply which intermediate tables
+  // are allocated): the next run's first page and the previous run's last.
   int deepest = 1;
   auto it = entries_.lower_bound(vaddr);
   if (it != entries_.end())
     deepest = std::max(deepest,
                        std::min(first_divergent_level(vaddr, it->first), 4));
   if (it != entries_.begin()) {
-    const auto& prev = *std::prev(it);
+    const auto& [base, prev] = *std::prev(it);
+    const std::uint64_t last_page = base + prev.len - bytes(prev.size);
     deepest = std::max(deepest,
-                       std::min(first_divergent_level(vaddr, prev.first), 4));
+                       std::min(first_divergent_level(vaddr, last_page), 4));
   }
   r.status = WalkStatus::NotPresent;
   r.miss_level = deepest;

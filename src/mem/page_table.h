@@ -44,18 +44,22 @@ struct WalkResult {
   int miss_level = 0;         // level at which NotPresent terminated (1..4)
 };
 
-/// A single address space's page tables. Entries are stored sparsely; the
-/// class also exposes enumeration used by the KPTI shadow-table builder.
+/// A single address space's page tables. Entries are stored one per run: a
+/// map() call becomes a single entry covering its whole range, so the cost of
+/// building an address space follows the number of map() calls, not the
+/// number of leaf pages. Every query still answers per leaf page.
 class PageTable {
  public:
   /// Map [vaddr, vaddr+len) to [paddr, ...) with the given flags and page
   /// size. vaddr/paddr/len must be page-aligned for the chosen size.
-  /// Throws std::invalid_argument on misalignment or overlap with an
-  /// existing mapping of a different geometry.
+  /// Pages of the same size already mapped in the range are replaced.
+  /// Throws std::invalid_argument, leaving the table unchanged, on
+  /// misalignment or on any overlap with a mapping of the other page size.
   void map(std::uint64_t vaddr, std::uint64_t paddr, std::uint64_t len,
            PteFlags flags, PageSize size = PageSize::k4K);
 
-  /// Remove the mapping covering [vaddr, vaddr+len). Silently ignores holes.
+  /// Remove every leaf page that overlaps [vaddr, vaddr+len), splitting a
+  /// run that extends past either end. Silently ignores holes.
   void unmap(std::uint64_t vaddr, std::uint64_t len);
 
   /// Walk the tables for `vaddr`. `psc_hits` is the number of upper levels
@@ -66,25 +70,35 @@ class PageTable {
   /// Leaf lookup without timing bookkeeping (for OS-level assertions).
   [[nodiscard]] std::optional<WalkResult> lookup(std::uint64_t vaddr) const;
 
-  /// Visit every mapping as (vaddr, paddr, flags, size). Order: ascending.
+  /// Visit every leaf page as (vaddr, paddr, flags, size). Order: ascending.
   template <typename Fn>
   void for_each(Fn&& fn) const {
     for (const auto& [v, e] : entries_)
-      fn(v, e.paddr, e.flags, e.size);
+      for (std::uint64_t off = 0; off < e.len; off += bytes(e.size))
+        fn(v + off, e.paddr + off, e.flags, e.size);
   }
 
  private:
+  /// A run of `len` bytes of same-size, same-flags leaf pages, mapped to
+  /// physically contiguous frames starting at `paddr`.
   struct Entry {
     std::uint64_t paddr = 0;
     PteFlags flags;
     PageSize size = PageSize::k4K;
+    std::uint64_t len = 0;
   };
 
-  /// Find the entry covering vaddr, if any.
+  /// Find the run covering vaddr, if any.
   [[nodiscard]] const Entry* find(std::uint64_t vaddr,
                                   std::uint64_t* entry_base) const;
+  /// The run covering vaddr, or else the first run above it.
+  [[nodiscard]] std::map<std::uint64_t, Entry>::const_iterator run_from(
+      std::uint64_t vaddr) const;
+  /// Remove every leaf page overlapping [vaddr, last], keeping the whole
+  /// pages of a run that lie outside it.
+  void carve(std::uint64_t vaddr, std::uint64_t last);
 
-  // Keyed by page-aligned virtual base of each leaf page.
+  // Keyed by the virtual base of each run; runs never overlap.
   std::map<std::uint64_t, Entry> entries_;
 };
 

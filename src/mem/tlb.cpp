@@ -24,7 +24,7 @@ Tlb::Way* Tlb::find(std::uint64_t vaddr) {
     const std::size_t set = set_index(vpn);
     for (std::size_t w = 0; w < ways_; ++w) {
       Way& way = ways_storage_[set * ways_ + w];
-      if (way.valid && way.entry.size == size && way.entry.vpn == vpn)
+      if (valid(way) && way.entry.size == size && way.entry.vpn == vpn)
         return &way;
     }
   }
@@ -66,29 +66,27 @@ void Tlb::insert(std::uint64_t vaddr, std::uint64_t paddr, PteFlags flags,
   Way* victim = &ways_storage_[set * ways_];
   for (std::size_t w = 0; w < ways_; ++w) {
     Way& way = ways_storage_[set * ways_ + w];
-    if (!way.valid) {
+    if (!valid(way)) {
       victim = &way;
       break;
     }
     if (way.lru < victim->lru) victim = &way;
   }
   touch_set(set);
-  victim->valid = true;
+  victim->stamp = generation_;
   victim->entry = TlbEntry{vpn, paddr >> shift, flags, size, flags.global};
   victim->lru = ++tick_;
 }
 
 void Tlb::invalidate_page(std::uint64_t vaddr) {
-  while (Way* way = find(vaddr)) way->valid = false;
+  while (Way* way = find(vaddr)) way->stamp = 0;
 }
 
-void Tlb::flush_all() {
-  for (Way& way : ways_storage_) way.valid = false;
-}
+void Tlb::flush_all() { ++generation_; }
 
 void Tlb::flush_non_global() {
   for (Way& way : ways_storage_)
-    if (way.valid && !way.entry.global) way.valid = false;
+    if (valid(way) && !way.entry.global) way.stamp = 0;
 }
 
 void Tlb::touch_set(std::size_t set) {
@@ -102,7 +100,7 @@ void Tlb::snapshot() {
   baseline_tick_ = tick_;
   baseline_ways_.clear();
   for (std::size_t i = 0; i < ways_storage_.size(); ++i) {
-    if (ways_storage_[i].valid)
+    if (valid(ways_storage_[i]))
       baseline_ways_.emplace_back(static_cast<std::uint32_t>(i),
                                   ways_storage_[i]);
   }
@@ -115,9 +113,12 @@ void Tlb::reset() {
   if (!has_baseline_) throw std::logic_error("Tlb::reset: no snapshot taken");
   for (const std::uint32_t set : dirty_sets_) {
     for (std::size_t w = 0; w < ways_; ++w)
-      ways_storage_[set * ways_ + w].valid = false;
+      ways_storage_[set * ways_ + w].stamp = 0;
   }
-  for (const auto& [i, way] : baseline_ways_) ways_storage_[i] = way;
+  for (const auto& [i, way] : baseline_ways_) {
+    ways_storage_[i] = way;
+    ways_storage_[i].stamp = generation_;
+  }
   tick_ = baseline_tick_;
   dirty_sets_.clear();
   ++epoch_;
@@ -126,7 +127,7 @@ void Tlb::reset() {
 std::size_t Tlb::occupancy() const noexcept {
   std::size_t n = 0;
   for (const Way& way : ways_storage_)
-    if (way.valid) ++n;
+    if (valid(way)) ++n;
   return n;
 }
 

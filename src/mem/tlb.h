@@ -45,7 +45,7 @@ class Tlb {
 
   /// Invalidate the entry covering vaddr (INVLPG).
   void invalidate_page(std::uint64_t vaddr);
-  /// Flush everything (MOV CR3 with non-PCID semantics)…
+  /// Flush everything (MOV CR3 with non-PCID semantics) in O(1)…
   void flush_all();
   /// …or everything except global entries (kernel text under CR3 switch).
   void flush_non_global();
@@ -66,11 +66,18 @@ class Tlb {
   [[nodiscard]] std::size_t occupancy() const noexcept;
 
  private:
+  // A way is valid while its stamp equals the TLB's generation: flush_all()
+  // bumps the generation instead of touching every way. Generations only
+  // grow, so a stale stamp can never become valid again.
   struct Way {
-    bool valid = false;
+    std::uint64_t stamp = 0;  // 0 = never valid
     TlbEntry entry;
     std::uint64_t lru = 0;  // larger = more recently used
   };
+
+  [[nodiscard]] bool valid(const Way& way) const noexcept {
+    return way.stamp == generation_;
+  }
 
   [[nodiscard]] std::size_t set_index(std::uint64_t vpn) const noexcept {
     return static_cast<std::size_t>(vpn) & (sets_ - 1);
@@ -85,10 +92,12 @@ class Tlb {
   std::size_t sets_;
   std::size_t ways_;
   std::uint64_t tick_ = 0;
+  std::uint64_t generation_ = 1;
   std::vector<Way> ways_storage_;  // sets_ * ways_, row-major by set
 
   // Snapshot/reset state (see Cache): baseline ways reapplied wholesale on
-  // reset heal in-place mutations; only new-way installs mark their set.
+  // reset, re-stamped with the current generation, heal in-place mutations
+  // and flushes; only new-way installs mark their set.
   bool has_baseline_ = false;
   std::uint64_t baseline_tick_ = 0;
   std::vector<std::pair<std::uint32_t, Way>> baseline_ways_;

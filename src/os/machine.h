@@ -66,9 +66,12 @@ class Machine {
   explicit Machine(const MachineOptions& opts);
 
   /// Capture the machine's current memory contents as the baseline that
-  /// reset() restores. O(1) — dirty tracking starts here; nothing is copied
-  /// until frames/sets are actually written. Call once after construction
-  /// (and any shared setup all trials should see), then reset() per trial.
+  /// reset() restores. Costs the state the machine holds, not its cache
+  /// geometry: the cache sets it has filled, the TLB ways and the frames
+  /// held locally (none after construction). Dirty tracking starts here;
+  /// nothing is copied until frames/sets are actually written. Call once
+  /// after construction (and any shared setup all trials should see), then
+  /// reset() per trial.
   void snapshot();
 
   /// The trial fast path: restore the snapshot and return every

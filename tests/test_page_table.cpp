@@ -115,6 +115,47 @@ TEST(PageTableTest, OverlapWithDifferentPageSizeThrows) {
   pt.map(0x40000000, 0x80000000, 2ull << 20, kernel_ro(), PageSize::k2M);
   EXPECT_THROW(pt.map(0x40000000, 0x90000000, 0x1000, user_rw()),
                std::invalid_argument);
+
+  // A 2M map over a range whose 4K pages lie away from its base.
+  pt.map(0x40601000, 0x90000000, 0x1000, user_rw());
+  EXPECT_THROW(pt.map(0x40600000, 0xa0000000, 2ull << 20, kernel_ro(),
+                      PageSize::k2M),
+               std::invalid_argument);
+  EXPECT_EQ(pt.walk(0x40600000).status, WalkStatus::NotPresent);
+  EXPECT_EQ(pt.walk(0x40601000).page_size, PageSize::k4K);
+  EXPECT_EQ(pt.walk(0x40601000).paddr, 0x90000000u);
+
+  // A refused map changes nothing, not even the pages before the overlap.
+  EXPECT_THROW(pt.map(0x3fffe000, 0x91000000, 0x3000, user_rw()),
+               std::invalid_argument);
+  EXPECT_EQ(pt.walk(0x3fffe000).status, WalkStatus::NotPresent);
+  EXPECT_EQ(pt.walk(0x3ffff000).status, WalkStatus::NotPresent);
+  EXPECT_EQ(pt.walk(0x40000000).page_size, PageSize::k2M);
+  std::size_t leaves = 0;
+  pt.for_each([&](std::uint64_t, std::uint64_t, const PteFlags&, PageSize) {
+    ++leaves;
+  });
+  EXPECT_EQ(leaves, 2u);
+}
+
+TEST(PageTableTest, UnmapSplitsARunAndRemapReplacesItsMiddle) {
+  PageTable pt;
+  pt.map(0x400000, 0x1000000, 0x8000, user_rw());
+  pt.unmap(0x402800, 0x1000);  // straddles two pages: both go
+  EXPECT_EQ(pt.walk(0x401fff).paddr, 0x1001fffu);
+  EXPECT_EQ(pt.walk(0x402000).status, WalkStatus::NotPresent);
+  EXPECT_EQ(pt.walk(0x403fff).status, WalkStatus::NotPresent);
+  EXPECT_EQ(pt.walk(0x404000).paddr, 0x1004000u);
+
+  pt.map(0x405000, 0x2000000, 0x1000, kernel_ro());
+  EXPECT_EQ(pt.walk(0x405000).paddr, 0x2000000u);
+  EXPECT_FALSE(pt.walk(0x405000).flags.user);
+  EXPECT_EQ(pt.walk(0x406000).paddr, 0x1006000u);
+
+  // Just past the last page: the walk still reaches the PT level.
+  const WalkResult past = pt.walk(0x408000);
+  EXPECT_EQ(past.status, WalkStatus::NotPresent);
+  EXPECT_EQ(past.miss_level, 4);
 }
 
 TEST(PageTableTest, ForEachVisitsAscending) {
