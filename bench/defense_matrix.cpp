@@ -86,19 +86,6 @@ struct Cell {
   std::string cpu;     // CLI key
   std::string noise;   // CLI key
   runner::RunResult result;
-
-  [[nodiscard]] double success_rate() const {
-    return result.trials.empty()
-               ? 0.0
-               : static_cast<double>(result.successes) /
-                     static_cast<double>(result.trials.size());
-  }
-  [[nodiscard]] double error_rate() const {
-    return result.total_bytes
-               ? static_cast<double>(result.total_byte_errors) /
-                     static_cast<double>(result.total_bytes)
-               : 1.0 - success_rate();
-  }
 };
 
 /// Deterministic trajectory: no wall-clock, no job count — the bytes are a
@@ -138,34 +125,11 @@ std::string render_json(const MatrixArgs& m, const std::vector<Cell>& cells) {
     total_successes += c.result.successes;
     total_byte_errors += c.result.total_byte_errors;
     w.begin_object();
-    w.key("attack");
-    w.value(c.attack);
-    w.key("defenses");
-    w.value(c.stack);
-    w.key("cpu");
-    w.value(c.cpu);
-    w.key("noise");
-    w.value(c.noise);
-    w.key("trials");
-    w.value(static_cast<std::uint64_t>(c.result.trials.size()));
-    w.key("successes");
-    w.value(static_cast<std::uint64_t>(c.result.successes));
-    w.key("success_rate");
-    w.value(c.success_rate());
-    w.key("bytes");
-    w.value(static_cast<std::uint64_t>(c.result.total_bytes));
-    w.key("byte_errors");
-    w.value(static_cast<std::uint64_t>(c.result.total_byte_errors));
-    w.key("error_rate");
-    w.value(c.error_rate());
-    w.key("probes");
-    w.value(static_cast<std::uint64_t>(c.result.total_probes));
-    w.key("gave_up");
-    w.value(static_cast<std::uint64_t>(c.result.total_gave_up));
-    w.key("confidence_mean");
-    w.value(c.result.confidence.mean);
-    w.key("sim_seconds_mean");
-    w.value(c.result.seconds.mean);
+    w.field("attack", c.attack);
+    w.field("defenses", c.stack);
+    w.field("cpu", c.cpu);
+    w.field("noise", c.noise);
+    runner::write_cell_summary(w, c.result);
     w.end_object();
   }
   w.end_array();
@@ -206,10 +170,6 @@ std::string validate_matrix_json(const std::string& body,
     return "grid incomplete: " + std::to_string(cells->array.size()) +
            " cells, expected " + std::to_string(expected);
 
-  static const char* kCellKeys[] = {
-      "attack", "defenses", "cpu", "noise", "trials", "successes",
-      "success_rate", "bytes", "byte_errors", "error_rate", "probes",
-      "gave_up", "confidence_mean", "sim_seconds_mean"};
   std::uint64_t successes = 0;
   std::uint64_t byte_errors = 0;
   std::size_t i = 0;
@@ -221,9 +181,12 @@ std::string validate_matrix_json(const std::string& body,
         for (const auto& nz : m.noise) {
           const stats::JsonValue& cell = cells->array[i++];
           const std::string where = "cell " + std::to_string(i - 1);
-          for (const char* key : kCellKeys)
+          for (const char* key : {"attack", "defenses", "cpu", "noise"})
             if (cell.get(key) == nullptr)
               return where + " missing key '" + key + "'";
+          for (const runner::CellField& f : runner::cell_fields())
+            if (cell.get(f.name) == nullptr)
+              return where + " missing key '" + f.name + "'";
           if (cell.get("attack")->string != attack ||
               cell.get("defenses")->string != canonical ||
               cell.get("cpu")->string != cpu ||

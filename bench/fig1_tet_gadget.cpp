@@ -22,9 +22,7 @@ int main(int argc, char** argv) {
   bench::HarnessFlags args;
   std::string plot_dir;
   stats::Flags flags("fig1_tet_gadget");
-  bench::add_executor_flags(flags, args);
   bench::add_observability_flags(flags, args);
-  bench::add_fault_flags(flags, args);
   flags.positional("DIR",
                    "write the plot data (fig1_tote_hist.dat, "
                    "fig1_argmax.dat) into DIR",

@@ -32,23 +32,6 @@ struct Cell {
   double intensity = 0.0;
   bool adaptive = false;
   runner::RunResult result;
-
-  [[nodiscard]] double error_rate() const {
-    return result.total_bytes
-               ? static_cast<double>(result.total_byte_errors) /
-                     static_cast<double>(result.total_bytes)
-               : (result.trials.empty()
-                      ? 0.0
-                      : 1.0 - static_cast<double>(result.successes) /
-                                  static_cast<double>(result.trials.size()));
-  }
-  [[nodiscard]] double probes_per_byte() const {
-    const std::size_t denom =
-        result.total_bytes ? result.total_bytes : result.trials.size();
-    return denom ? static_cast<double>(result.total_probes) /
-                       static_cast<double>(denom)
-                 : 0.0;
-  }
 };
 
 }  // namespace
@@ -124,9 +107,9 @@ int main(int argc, char** argv) {
   for (const Cell& c : cells) {
     std::printf("%-7s %-10.2f %-9s %-8.2f %-10.1f %-8zu %-10.2f\n",
                 c.attack.c_str(), c.intensity,
-                c.adaptive ? "adaptive" : "fixed", 100.0 * c.error_rate(),
-                c.probes_per_byte(), c.result.total_gave_up,
-                c.result.confidence.mean);
+                c.adaptive ? "adaptive" : "fixed",
+                100.0 * c.result.error_rate(), c.result.probes_per_byte(),
+                c.result.total_gave_up, c.result.confidence.mean);
   }
   std::printf("\n(fixed = the attack's default batch count; adaptive "
               "escalates until the vote margin\n clears %.2f or the budget "
@@ -152,32 +135,10 @@ int main(int argc, char** argv) {
     w.begin_array();
     for (const Cell& c : cells) {
       w.begin_object();
-      w.key("attack");
-      w.value(c.attack);
-      w.key("intensity");
-      w.value(c.intensity);
-      w.key("adaptive");
-      w.value(c.adaptive);
-      w.key("trials");
-      w.value(static_cast<std::uint64_t>(c.result.trials.size()));
-      w.key("successes");
-      w.value(static_cast<std::uint64_t>(c.result.successes));
-      w.key("bytes");
-      w.value(static_cast<std::uint64_t>(c.result.total_bytes));
-      w.key("byte_errors");
-      w.value(static_cast<std::uint64_t>(c.result.total_byte_errors));
-      w.key("error_rate");
-      w.value(c.error_rate());
-      w.key("probes");
-      w.value(static_cast<std::uint64_t>(c.result.total_probes));
-      w.key("probes_per_byte");
-      w.value(c.probes_per_byte());
-      w.key("gave_up");
-      w.value(static_cast<std::uint64_t>(c.result.total_gave_up));
-      w.key("confidence_mean");
-      w.value(c.result.confidence.mean);
-      w.key("sim_seconds_mean");
-      w.value(c.result.seconds.mean);
+      w.field("attack", c.attack);
+      w.field("intensity", c.intensity);
+      w.field("adaptive", c.adaptive);
+      runner::write_cell_summary(w, c.result);
       w.end_object();
     }
     w.end_array();

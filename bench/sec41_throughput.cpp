@@ -71,11 +71,7 @@ int main(int argc, char** argv) {
     char buf[128];
     std::snprintf(buf, sizeof buf,
                   "%zu bytes, %zu byte errors (%.2f%%), %s over %.2f s (sim)",
-                  r.total_bytes, r.total_byte_errors,
-                  r.total_bytes
-                      ? 100.0 * static_cast<double>(r.total_byte_errors) /
-                            static_cast<double>(r.total_bytes)
-                      : 0.0,
+                  r.total_bytes, r.total_byte_errors, 100.0 * r.error_rate(),
                   stats::format_rate(rate).c_str(), r.seconds.mean);
     return std::string(buf);
   };

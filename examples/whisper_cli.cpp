@@ -168,7 +168,7 @@ bool write_machine_outputs(const Options& o, os::Machine& m,
   return written;
 }
 
-int cmd_models(const Options&, const stats::Flags&) {
+int cmd_models(const Options&) {
   std::printf("%-4s %-24s %-12s %-6s %-28s\n", "idx", "name", "uarch", "TSX",
               "vulnerabilities");
   int i = 0;
@@ -184,7 +184,7 @@ int cmd_models(const Options&, const stats::Flags&) {
   return 0;
 }
 
-int cmd_tote(const Options& o, const stats::Flags&) {
+int cmd_tote(const Options& o) {
   os::Machine m(runner::machine_options(o.spec, /*seed=*/0));
   m.core().set_fast_forward(o.spec.fast_forward);
   m.poke8(os::Machine::kSharedBase, 'S');
@@ -214,7 +214,7 @@ int cmd_tote(const Options& o, const stats::Flags&) {
   return write_machine_outputs(o, m, pmu_before, log, "all 8 probes") ? 0 : 1;
 }
 
-int cmd_attacks(const Options&, const stats::Flags&) {
+int cmd_attacks(const Options&) {
   std::printf("%-8s %-8s %s\n", "name", "kind", "description");
   for (const core::AttackInfo& info : core::attack_registry())
     std::printf("%-8s %-8s %s\n", info.name.c_str(),
@@ -222,7 +222,7 @@ int cmd_attacks(const Options&, const stats::Flags&) {
   return 0;
 }
 
-int cmd_defenses(const Options&, const stats::Flags&) {
+int cmd_defenses(const Options&) {
   std::printf("%-12s %-20s %s\n", "name", "params", "description");
   for (const defense::DefenseInfo& d : defense::registry()) {
     std::string params;
@@ -238,7 +238,7 @@ int cmd_defenses(const Options&, const stats::Flags&) {
   return 0;
 }
 
-int cmd_leak(const Options& o, const stats::Flags&) {
+int cmd_leak(const Options& o) {
   const std::string& what = o.spec.attack;
   const core::AttackInfo& info = core::attack_or_throw(what);
 
@@ -282,48 +282,23 @@ int cmd_leak(const Options& o, const stats::Flags&) {
   return r.success && written ? 0 : 1;
 }
 
-int cmd_kaslr(const Options& o, const stats::Flags& flags) {
-  if (o.spec.trials <= 1) {
-    // Single shot: the interactive view, with found vs true base.
-    // --seed defaults to 0 here, and to the runner's 1 for a sweep.
-    os::Machine m(runner::machine_options(
-        o.spec, flags.seen("seed") ? o.spec.base_seed : 0));
-    const std::vector<defense::DefenseSpec>& stack = o.spec.defenses;
-    m.core().set_fast_forward(o.spec.fast_forward);
-    uarch::EventLog log;
-    if (!o.trace_out.empty()) m.core().set_trace(&log);
-    const uarch::PmuSnapshot pmu_before = m.core().pmu().snapshot();
-    core::AttackOptions opt;
-    opt.adaptive = o.spec.adaptive;
-    const auto atk = core::make_attack("kaslr", m, opt);
-    const core::AttackResult r = atk->run({});
-    m.core().set_trace(nullptr);
-    std::string defense_suffix;
-    if (!stack.empty()) defense_suffix = " +" + defense::format_list(stack);
-    std::printf("TET-KASLR on %s%s: %s  found %#llx true %#llx  (%.4f s, "
-                "%zu probes)\n",
-                m.config().name.c_str(), defense_suffix.c_str(),
-                r.success ? "BROKEN" : "held",
-                static_cast<unsigned long long>(r.found_base),
-                static_cast<unsigned long long>(r.true_base), r.seconds,
-                r.probes);
-    const bool written =
-        write_machine_outputs(o, m, pmu_before, log, "the slot sweep");
-    return r.success && written ? 0 : 1;
-  }
-
-  // Multi-trial sweep through the parallel runner: every trial is a fresh
-  // machine with a fresh KASLR draw, seeded from --seed ⊕ trial index.
+int cmd_kaslr(const Options& o) {
+  // A sweep through the parallel runner, one trial included: every trial
+  // is a fresh KASLR draw seeded from --seed ⊕ trial index. `leak --attack
+  // kaslr` is the one-machine view with the found and true bases.
   runner::RunSpec spec = o.spec;
   spec.collect_trace = !o.trace_out.empty();
   const auto r = runner::run(spec, o.jobs, /*progress=*/true);
-  std::printf("TET-KASLR sweep: %s\n", spec.label().c_str());
+  std::printf("TET-KASLR sweep: %s, base seed %#llx\n", spec.label().c_str(),
+              static_cast<unsigned long long>(spec.base_seed));
   std::printf("  broke KASLR in %zu/%zu trials; sim time %.4f s mean "
               "(sd %.4f, min %.4f, max %.4f)\n",
               r.successes, r.trials.size(), r.seconds.mean, r.seconds.stdev,
               r.seconds.min, r.seconds.max);
-  std::printf("  %zu probes total; host wall %.2f s with %d jobs\n",
-              r.total_probes, r.wall_seconds, r.jobs);
+  std::printf("  %zu probes total\n", r.total_probes);
+  // Host time is not a result: stdout stays a function of the spec.
+  std::fprintf(stderr, "  host wall %.2f s with %d jobs\n", r.wall_seconds,
+               r.jobs);
   if (r.failed || r.retried || r.quarantined)
     std::printf("  fault layer: %zu/%zu completed, %zu retried, "
                 "%zu quarantined, %zu degraded\n",
@@ -360,7 +335,7 @@ bool trial_identical(const runner::TrialResult& a,
          a.pmu == b.pmu;
 }
 
-int cmd_chaos(const Options& o, const stats::Flags&) {
+int cmd_chaos(const Options& o) {
   const runner::RunSpec& spec = o.spec;
 
   runner::RunSpec clean = spec;
@@ -417,7 +392,7 @@ int cmd_chaos(const Options& o, const stats::Flags&) {
   return ok ? 0 : 1;
 }
 
-int cmd_matrix(const Options& o, const stats::Flags&) {
+int cmd_matrix(const Options& o) {
   // The Table 2 matrix (5 CPUs × 5 attacks) through the parallel runner;
   // bench/table2_matrix prints the full paper comparison.
   const std::vector<std::string> attacks = core::attack_names();
@@ -457,7 +432,7 @@ int cmd_matrix(const Options& o, const stats::Flags&) {
 /// Distributed sweep: shard --trials across --endpoints and merge by
 /// index. Exit 0 only on a complete (and, with --verify, byte-identical)
 /// merge; endpoint failures along the way are counters, not errors.
-int cmd_sweep(const Options& o, const stats::Flags&) {
+int cmd_sweep(const Options& o) {
   const std::string& endpoints_csv = o.endpoints;
   if (endpoints_csv.empty()) {
     std::fprintf(stderr,
@@ -526,7 +501,7 @@ struct Command {
   const char* summary;
   std::initializer_list<std::string_view> rows;  // add_row() names
   void (*defaults)(Options& o);  // nullptr: RunSpec's own
-  int (*run)(const Options& o, const stats::Flags& flags);
+  int (*run)(const Options& o);
 };
 
 const Command kCommands[] = {
@@ -541,7 +516,7 @@ const Command kCommands[] = {
       "confidence_threshold", "batch_budget", "trace-out", "metrics-out",
       "no-fast-forward", "fast_forward"},
      [](Options& o) { o.spec.attack = "md"; }, cmd_leak},
-    {"kaslr", "break KASLR once, or sweep --trials through the runner",
+    {"kaslr", "sweep --trials TET-KASLR trials through the runner",
      {"cpu", "defenses", "seed", "trials", "jobs", "json", "noise",
       "adaptive", "retries", "trial_cycle_budget", "trial_wall_budget",
       "verify_reset", "fault_plan", "no-fast-forward", "fast_forward",
@@ -610,7 +585,7 @@ void usage(std::FILE* out) {
 int main(int argc, char** argv) try {
   const std::string cmd = argc > 1 ? argv[1] : "";
   Options o;
-  if (cmd == "--list-attacks") return cmd_attacks(o, stats::Flags(cmd));
+  if (cmd == "--list-attacks") return cmd_attacks(o);
   if (cmd == "--help" || cmd == "-h") {
     usage(stdout);
     for (const Command& c : kCommands)
@@ -621,7 +596,7 @@ int main(int argc, char** argv) try {
     if (cmd != c.name) continue;
     stats::Flags flags = command_flags(c, o);
     flags.parse(argc, argv, 2);
-    return o.list_attacks ? cmd_attacks(o, flags) : c.run(o, flags);
+    return o.list_attacks ? cmd_attacks(o) : c.run(o);
   }
   usage(stderr);
   return 2;

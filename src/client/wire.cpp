@@ -3,7 +3,6 @@
 #include <cctype>
 #include <stdexcept>
 
-#include "noise/noise.h"
 #include "serve/protocol.h"
 
 namespace whisper::client {
@@ -14,10 +13,6 @@ std::string run_request_json(std::uint64_t id, const runner::RunSpec& spec,
     throw std::invalid_argument(
         "client: collect_trace cannot cross the wire (the protocol carries "
         "no event logs); run traced specs locally");
-  if (!noise::NoiseProfile::by_name(spec.noise.name))
-    throw std::invalid_argument(
-        "client: noise profile '" + spec.noise.name +
-        "' is not a named preset; the wire carries preset name + seed only");
 
   serve::Request req;
   req.id = id;

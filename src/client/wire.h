@@ -26,8 +26,9 @@ namespace whisper::client {
 /// whisper_serve run-request line (serve::run_request_line()). Lossless
 /// for everything the wire can carry, 64-bit seeds and doubles included;
 /// throws std::invalid_argument for specs it cannot represent
-/// (collect_trace, a noise profile that is not a named preset, a model
-/// outside uarch::all_models()) — those must fail loudly, not silently run
+/// (collect_trace here; the schema rows refuse a noise profile that is not
+/// a named preset at its own intensities and a model outside
+/// uarch::all_models()) — those must fail loudly, not silently run
 /// different physics on the server.
 [[nodiscard]] std::string run_request_json(std::uint64_t id,
                                            const runner::RunSpec& spec,

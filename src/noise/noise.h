@@ -55,6 +55,8 @@ inline constexpr std::size_t kNumNoiseKinds = 5;
 struct NoiseSource {
   NoiseKind kind = NoiseKind::SmtContention;
   double intensity = 0.0;
+
+  bool operator==(const NoiseSource&) const = default;
 };
 
 /// A named composition of sources. The profile seed decorrelates the noise

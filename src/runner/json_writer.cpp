@@ -1,10 +1,18 @@
 #include "runner/json_writer.h"
 
+#include <cstdio>
+#include <limits>
+#include <stdexcept>
+#include <type_traits>
+
+#include "runner/spec_schema.h"
 #include "stats/text_file.h"
 
 namespace whisper::runner {
 
 namespace {
+
+using stats::JsonValue;
 
 void write_histogram(JsonWriter& w, const stats::Histogram& h) {
   w.begin_object();
@@ -54,35 +62,141 @@ void write_topdown(JsonWriter& w, const obs::TopDown& td) {
   w.end_object();
 }
 
+// --- The trial record ------------------------------------------------------
+
+const JsonValue& required(const JsonValue& obj, const char* key) {
+  const JsonValue* v = obj.get(key);
+  if (v == nullptr)
+    throw std::invalid_argument(std::string("missing field '") + key + "'");
+  return *v;
+}
+
+/// One member of a trial record, of the fault-layer account (TrialOutcome)
+/// or of the result slot (TrialResult): its key and its encode and decode.
+/// Decoders throw std::invalid_argument.
+template <typename C>
+struct RecordField {
+  const char* name;
+  void (*encode)(JsonWriter& w, const C& c);
+  void (*decode)(C& c, const JsonValue& v, const char* name);
+};
+
+/// A row for a member carried as-is.
+template <typename C, auto M>
+constexpr RecordField<C> plain(const char* name) {
+  return {name, [](JsonWriter& w, const C& c) { w.value(c.*M); },
+          [](C& c, const JsonValue& v, const char* n) {
+            c.*M = json_read<std::remove_cvref_t<decltype(c.*M)>>(v, n);
+          }};
+}
+
+using O = TrialOutcome;
+const RecordField<O> kOutcomeFields[] = {
+    plain<O, &O::ok>("ok"),
+    plain<O, &O::attempts>("attempts"),
+    plain<O, &O::quarantined>("quarantined"),
+    {"errors",
+     [](JsonWriter& w, const O& o) {
+       w.begin_array();
+       for (const TrialError& e : o.errors) {
+         w.begin_object();
+         w.field("kind", to_string(e.kind));
+         w.field("attempt", e.attempt);
+         w.field("what", e.what);
+         w.end_object();
+       }
+       w.end_array();
+     },
+     [](O& o, const JsonValue& v, const char* n) {
+       if (!v.is_array())
+         throw std::invalid_argument(std::string("field '") + n +
+                                     "' must be an array of objects");
+       for (const JsonValue& e : v.array) {
+         TrialError err;
+         const auto kind = json_read<std::string>(required(e, "kind"), "kind");
+         std::size_t k = 0;
+         while (k < kNumTrialErrorKinds &&
+                kind != to_string(static_cast<TrialErrorKind>(k)))
+           ++k;
+         if (k == kNumTrialErrorKinds)
+           throw std::invalid_argument("unknown trial error kind '" + kind +
+                                       "'");
+         err.kind = static_cast<TrialErrorKind>(k);
+         err.attempt = json_read<int>(required(e, "attempt"), "attempt");
+         err.what = json_read<std::string>(required(e, "what"), "what");
+         o.errors.push_back(std::move(err));
+       }
+     }},
+};
+
+using R = TrialResult;
+const RecordField<R> kResultFields[] = {
+    plain<R, &R::seed>("seed"),
+    plain<R, &R::success>("success"),
+    plain<R, &R::cycles>("cycles"),
+    plain<R, &R::seconds>("seconds"),
+    plain<R, &R::probes>("probes"),
+    plain<R, &R::bytes>("bytes"),
+    plain<R, &R::byte_errors>("byte_errors"),
+    // -1 means no slot found, so the range starts below zero.
+    {"found_slot", [](JsonWriter& w, const R& t) { w.value(t.found_slot); },
+     [](R& t, const JsonValue& v, const char* n) {
+       t.found_slot = json_int<int>(v, n, std::numeric_limits<int>::min());
+     }},
+    plain<R, &R::confidence>("confidence"),
+    plain<R, &R::gave_up>("gave_up"),
+};
+
+// --- The cell summary ------------------------------------------------------
+
+using Run = const RunResult&;
+const CellField kCellFields[] = {
+    {"trials", [](JsonWriter& w, Run r) { w.value(r.trials.size()); }},
+    {"successes", [](JsonWriter& w, Run r) { w.value(r.successes); }},
+    {"success_rate", [](JsonWriter& w, Run r) { w.value(r.success_rate()); }},
+    {"bytes", [](JsonWriter& w, Run r) { w.value(r.total_bytes); }},
+    {"byte_errors", [](JsonWriter& w, Run r) { w.value(r.total_byte_errors); }},
+    {"error_rate", [](JsonWriter& w, Run r) { w.value(r.error_rate()); }},
+    {"probes", [](JsonWriter& w, Run r) { w.value(r.total_probes); }},
+    {"probes_per_byte",
+     [](JsonWriter& w, Run r) { w.value(r.probes_per_byte()); }},
+    {"gave_up", [](JsonWriter& w, Run r) { w.value(r.total_gave_up); }},
+    {"confidence_mean",
+     [](JsonWriter& w, Run r) { w.value(r.confidence.mean); }},
+    {"sim_seconds_mean", [](JsonWriter& w, Run r) { w.value(r.seconds.mean); }},
+};
+
 }  // namespace
 
 void write_trial_record(JsonWriter& w, const TrialResult& t,
                         const TrialOutcome* outcome) {
-  if (outcome != nullptr) {
-    w.field("ok", outcome->ok);
-    w.field("attempts", outcome->attempts);
-    w.field("quarantined", outcome->quarantined);
-    w.key("errors");
-    w.begin_array();
-    for (const TrialError& e : outcome->errors) {
-      w.begin_object();
-      w.field("kind", std::string(to_string(e.kind)));
-      w.field("attempt", e.attempt);
-      w.field("what", e.what);
-      w.end_object();
+  if (outcome != nullptr)
+    for (const RecordField<O>& f : kOutcomeFields) {
+      w.key(f.name);
+      f.encode(w, *outcome);
     }
-    w.end_array();
+  for (const RecordField<R>& f : kResultFields) {
+    w.key(f.name);
+    f.encode(w, t);
   }
-  w.field("seed", t.seed);
-  w.field("success", t.success);
-  w.field("cycles", t.cycles);
-  w.field("seconds", t.seconds);
-  w.field("probes", static_cast<std::uint64_t>(t.probes));
-  w.field("bytes", static_cast<std::uint64_t>(t.bytes));
-  w.field("byte_errors", static_cast<std::uint64_t>(t.byte_errors));
-  w.field("found_slot", t.found_slot);
-  w.field("confidence", t.confidence);
-  w.field("gave_up", static_cast<std::uint64_t>(t.gave_up));
+}
+
+ScheduledTrial read_trial_record(const JsonValue& record) {
+  ScheduledTrial t;
+  for (const RecordField<O>& f : kOutcomeFields)
+    f.decode(t.outcome, required(record, f.name), f.name);
+  for (const RecordField<R>& f : kResultFields)
+    f.decode(t.result, required(record, f.name), f.name);
+  return t;
+}
+
+std::span<const CellField> cell_fields() { return kCellFields; }
+
+void write_cell_summary(JsonWriter& w, const RunResult& r) {
+  for (const CellField& f : kCellFields) {
+    w.key(f.name);
+    f.encode(w, r);
+  }
 }
 
 std::string to_json(const RunResult& r) {
@@ -91,61 +205,10 @@ std::string to_json(const RunResult& r) {
 
   w.key("spec");
   w.begin_object();
-  w.key("model");
-  w.value(uarch::make_config(r.spec.model).name);
-  w.key("attack");
-  w.value(r.spec.attack);
-  w.key("trials");
-  w.value(r.spec.trials);
-  w.key("base_seed");
-  w.value(r.spec.base_seed);
-  w.key("defenses");
-  w.begin_array();
-  for (const defense::DefenseSpec& d : r.spec.defenses)
-    w.value(defense::format(d));
-  w.end_array();
-  w.key("docker");
-  w.value(r.spec.docker);
-  w.key("batches");
-  w.value(r.spec.batches);
-  w.key("payload_bytes");
-  w.value(static_cast<std::uint64_t>(r.spec.payload_bytes));
-  w.key("payload_seed");
-  w.value(r.spec.payload_seed);
-  w.key("noise");
-  w.begin_object();
-  w.key("profile");
-  w.value(r.spec.noise.name);
-  w.key("seed");
-  w.value(r.spec.noise.seed);
-  w.key("sources");
-  w.begin_array();
-  for (const noise::NoiseSource& s : r.spec.noise.sources) {
-    w.begin_object();
-    w.key("kind");
-    w.value(noise::to_string(s.kind));
-    w.key("intensity");
-    w.value(s.intensity);
-    w.end_object();
+  for (const SpecField& f : spec_fields()) {
+    w.key(f.name);
+    f.encode(w, r.spec);
   }
-  w.end_array();
-  w.end_object();
-  w.key("adaptive");
-  w.value(r.spec.adaptive);
-  w.key("confidence_threshold");
-  w.value(r.spec.confidence_threshold);
-  w.key("batch_budget");
-  w.value(r.spec.batch_budget);
-  w.key("retries");
-  w.value(r.spec.retries);
-  w.key("trial_cycle_budget");
-  w.value(r.spec.trial_cycle_budget);
-  w.key("trial_wall_budget");
-  w.value(r.spec.trial_wall_budget);
-  w.key("verify_reset");
-  w.value(r.spec.verify_reset);
-  w.key("fault_plan");
-  w.value(r.spec.fault_plan);
   w.end_object();
 
   w.key("jobs");
@@ -214,7 +277,14 @@ std::string to_json(const RunResult& r) {
 }
 
 bool write_json_file(const RunResult& r, const std::string& path) {
-  return stats::write_text_file(path, to_json(r) + "\n");
+  std::string body;
+  try {
+    body = to_json(r) + "\n";
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "cannot write %s: %s\n", path.c_str(), e.what());
+    return false;
+  }
+  return stats::write_text_file(path, body);
 }
 
 }  // namespace whisper::runner

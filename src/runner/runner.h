@@ -246,6 +246,25 @@ struct RunResult {
   [[nodiscard]] bool all_succeeded() const noexcept {
     return successes == trials.size();
   }
+  /// successes over scheduled trials; 0 for a run with no trials.
+  [[nodiscard]] double success_rate() const noexcept {
+    return trials.empty() ? 0.0
+                          : static_cast<double>(successes) /
+                                static_cast<double>(trials.size());
+  }
+  /// Byte errors over bytes moved; for a run that moved no bytes (KASLR,
+  /// or every channel trial failed), the share of trials that failed.
+  [[nodiscard]] double error_rate() const noexcept {
+    return total_bytes ? static_cast<double>(total_byte_errors) /
+                             static_cast<double>(total_bytes)
+                       : 1.0 - success_rate();
+  }
+  /// Probes per byte moved; per trial for a run that moved no bytes.
+  [[nodiscard]] double probes_per_byte() const noexcept {
+    const std::size_t per = total_bytes ? total_bytes : trials.size();
+    return per ? static_cast<double>(total_probes) / static_cast<double>(per)
+               : 0.0;
+  }
   /// Every scheduled trial produced a result (possibly after retries).
   [[nodiscard]] bool all_completed() const noexcept { return failed == 0; }
 };

@@ -63,6 +63,18 @@ void set_noise(RunSpec& s, const std::string& name) {
   if (keep_seed != 0) s.noise.seed = keep_seed;
 }
 
+/// The noise row carries a preset's name only, so a profile must be that
+/// preset at every source's intensity: a scaled or hand-built profile
+/// would be decoded as the full preset, different physics.
+void check_preset(const noise::NoiseProfile& p) {
+  const auto preset = noise::NoiseProfile::by_name(p.name);
+  if (!preset || preset->sources != p.sources)
+    throw std::invalid_argument("noise profile '" + p.name +
+                                "' is not a named preset at its own "
+                                "intensities; a spec carries preset name "
+                                "and seed only");
+}
+
 const SpecField kFields[] = {
     plain<&RunSpec::attack>("attack", "attack", "NAME",
                             "attack registry key (whisper_cli attacks)"),
@@ -74,7 +86,7 @@ const SpecField kFields[] = {
        const auto it = std::find(models.begin(), models.end(), s.model);
        if (it == models.end())
          throw std::invalid_argument(
-             "run request: spec.model is not in uarch::all_models()");
+             "spec.model is not in uarch::all_models()");
        w.value(static_cast<std::uint64_t>(it - models.begin()));
      },
      [](RunSpec& s, const JsonValue& v, const char* n) {
@@ -93,7 +105,10 @@ const SpecField kFields[] = {
                                "base seed; trial i runs on trial_seed(S, i)"),
     {"noise", "noise", Arity::kValue, "PROFILE",
      "interference preset: off, quiet, desktop, noisy-server",
-     [](JsonWriter& w, const RunSpec& s) { w.value(s.noise.name); },
+     [](JsonWriter& w, const RunSpec& s) {
+       check_preset(s.noise);
+       w.value(s.noise.name);
+     },
      [](RunSpec& s, const JsonValue& v, const char* n) {
        set_noise(s, json_read<std::string>(v, n));
      },

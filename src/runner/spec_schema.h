@@ -3,14 +3,15 @@
 // One row per field a run request or a command line can set, in wire
 // order: the field's JSON encode and decode, and its command-line decode.
 // serve::parse_request() and run_request_line() drive the wire from these
-// rows; whisper_cli and the harnesses add the rows they take as flags with
+// rows, runner::to_json() spells a trajectory's "spec" object with them, and
+// whisper_cli and the harnesses add the rows they take as flags with
 // add_flag(). So the cpu index range check, the noise preset lookup and
-// the defense grammar are each written once. Every decoder throws
-// std::invalid_argument: the JSON decoders name the field, the text
-// decoders describe the value for a flag table to print after the flag.
-//
-// The trajectory writer (json_writer.h) keeps its own spec encoding on
-// purpose: it names the model, says "base_seed" and nests the noise.
+// the defense grammar are each written once, and a trajectory's spec is a
+// run-request body. Every decoder throws std::invalid_argument: the JSON
+// decoders name the field, the text decoders describe the value for a
+// flag table to print after the flag. The encoders throw it too, for a
+// spec no row can spell: a model outside uarch::all_models(), or a noise
+// profile that is not a named preset at that preset's intensities.
 #pragma once
 
 #include <concepts>

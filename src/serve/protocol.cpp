@@ -26,19 +26,6 @@ JsonValue parse_json(const std::string& line) {
   }
 }
 
-const JsonValue& required(const JsonValue& obj, const char* field) {
-  const JsonValue* v = obj.get(field);
-  if (v == nullptr)
-    throw ProtocolError(std::string("missing field '") + field + "'");
-  return *v;
-}
-
-/// runner::json_read() of a required member of `obj`.
-template <typename T>
-T member(const JsonValue& obj, const char* field) {
-  return runner::json_read<T>(required(obj, field), field);
-}
-
 std::string join_verbs() {
   std::string out;
   for (const char* v : kVerbs) {
@@ -52,7 +39,7 @@ std::string join_verbs() {
 // (runner/spec_schema.h), in its order, with the shard window start
 // "trial_first" (a Request member, not a RunSpec knob) after "trials". A
 // member with no row is an error: a typoed "trails" must not silently run
-// 1 trial. parse_request() and decode_trial() rethrow the schema's
+// 1 trial. parse_request() and decode_trial() rethrow the runner's
 // std::invalid_argument as a ProtocolError.
 
 }  // namespace
@@ -143,7 +130,8 @@ std::string response_trial(std::uint64_t id, std::size_t index,
   // The trajectory's "trials_detail" record (runner::write_trial_record),
   // minus anything non-deterministic across worker counts (there is
   // nothing: invariant 8 keeps pool identity out of results, and no
-  // wall-clock is emitted).
+  // wall-clock is emitted). decode_trial() reads it back by the same
+  // field table.
   runner::write_trial_record(w, t.result, &t.outcome);
   w.field("tote_total", t.result.tote.total());
   w.end_object();
@@ -152,43 +140,10 @@ std::string response_trial(std::uint64_t id, std::size_t index,
 
 runner::ScheduledTrial decode_trial(const std::string& line) try {
   const JsonValue doc = parse_json(line);
-  if (member<std::string>(doc, "type") != "trial")
+  const JsonValue* type = doc.get("type");
+  if (type == nullptr || !type->is_string() || type->string != "trial")
     throw ProtocolError("not a trial response");
-  runner::ScheduledTrial t;
-  t.outcome.ok = member<bool>(doc, "ok");
-  t.outcome.attempts = member<int>(doc, "attempts");
-  t.outcome.quarantined = member<bool>(doc, "quarantined");
-  const JsonValue& errors = required(doc, "errors");
-  if (!errors.is_array())
-    throw ProtocolError("field 'errors' must be an array of objects");
-  for (const JsonValue& e : errors.array) {
-    runner::TrialError err;
-    const std::string kind = member<std::string>(e, "kind");
-    std::size_t k = 0;
-    while (k < runner::kNumTrialErrorKinds &&
-           kind != runner::to_string(static_cast<runner::TrialErrorKind>(k)))
-      ++k;
-    if (k == runner::kNumTrialErrorKinds)
-      throw ProtocolError("unknown trial error kind '" + kind + "'");
-    err.kind = static_cast<runner::TrialErrorKind>(k);
-    err.attempt = member<int>(e, "attempt");
-    err.what = member<std::string>(e, "what");
-    t.outcome.errors.push_back(std::move(err));
-  }
-  runner::TrialResult& r = t.result;
-  r.seed = member<std::uint64_t>(doc, "seed");
-  r.success = member<bool>(doc, "success");
-  r.cycles = member<std::uint64_t>(doc, "cycles");
-  r.seconds = member<double>(doc, "seconds");
-  r.probes = member<std::size_t>(doc, "probes");
-  r.bytes = member<std::size_t>(doc, "bytes");
-  r.byte_errors = member<std::size_t>(doc, "byte_errors");
-  r.found_slot = runner::json_int<int>(required(doc, "found_slot"),
-                                      "found_slot",
-                                      std::numeric_limits<int>::min());
-  r.confidence = member<double>(doc, "confidence");
-  r.gave_up = member<std::size_t>(doc, "gave_up");
-  return t;
+  return runner::read_trial_record(doc);
 } catch (const std::invalid_argument& e) {
   throw ProtocolError(e.what());
 }

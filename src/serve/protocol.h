@@ -93,7 +93,8 @@ struct Request {
 /// spelled explicitly in table order, doubles with %.17g, so
 /// parse_request() rebuilds the same Request and re-encoding it gives the
 /// same bytes. req.spec.trials is the window size. Throws
-/// std::invalid_argument when req.spec.model is not in uarch::all_models().
+/// std::invalid_argument when req.spec.model is not in uarch::all_models()
+/// or req.spec.noise is not its named preset (runner/spec_schema.h).
 [[nodiscard]] std::string run_request_line(const Request& req);
 
 // --- Responses -------------------------------------------------------------
@@ -104,7 +105,8 @@ struct Request {
 [[nodiscard]] std::string response_trial(std::uint64_t id, std::size_t index,
                                          const runner::ScheduledTrial& t);
 /// The inverse of response_trial() for every field a fold reads: the
-/// outcome, the errors and the result scalars. The ToTE histogram, PMU
+/// outcome, the errors and the result scalars, read by the trial record's
+/// one field table (runner::read_trial_record). The ToTE histogram, PMU
 /// deltas and event log do not cross the wire, so they come back empty.
 /// Throws ProtocolError on a line that is not a well-formed trial response.
 [[nodiscard]] runner::ScheduledTrial decode_trial(const std::string& line);

@@ -5,6 +5,11 @@
 //     run_request_json gives the same bytes (64-bit seeds and doubles such
 //     as 0.1+0.2 included). A golden literal pins field order and number
 //     spelling.
+//   * A trajectory's "spec" object is the same table's spelling: wrapped
+//     with an id and the run verb it parses as a run request, and
+//     re-encoding that request's spec gives the same bytes.
+//   * The noise row carries a preset name only, so a profile that is not
+//     its preset at every intensity is refused, not sent.
 //   * decode_trial() inverts response_trial(), and folding decoded lines
 //     with runner::fold() rebuilds a local run's done line.
 //   * parse_request() answers ANY line with a Request or a ProtocolError:
@@ -24,6 +29,7 @@
 #include "core/attacks/registry.h"
 #include "defense/defense.h"
 #include "noise/noise.h"
+#include "runner/json_writer.h"
 #include "runner/runner.h"
 #include "serve/protocol.h"
 #include "stats/rng.h"
@@ -163,6 +169,42 @@ TEST(WireCodec, EveryRepresentableSpecRoundTripsByteForByte) {
               std::bit_cast<std::uint64_t>(spec.confidence_threshold))
         << line;
   }
+}
+
+/// The bytes of to_json()'s "spec" object for a run of `spec`: the
+/// document's first member, ending where "jobs" begins.
+std::string trajectory_spec(const runner::RunSpec& spec) {
+  runner::RunResult r;
+  r.spec = spec;
+  const std::string json = runner::to_json(r);
+  const std::string head = R"({"spec":)";
+  EXPECT_EQ(json.compare(0, head.size(), head), 0) << json;
+  return json.substr(head.size(), json.find(R"(,"jobs":)") - head.size());
+}
+
+TEST(WireCodec, TrajectorySpecIsARunRequestBody) {
+  stats::Xoshiro256 rng(0x5bec);
+  for (int i = 0; i < 500; ++i) {
+    const std::string spec = trajectory_spec(random_spec(rng));
+    ASSERT_EQ(spec.front(), '{');
+    const serve::Request req =
+        serve::parse_request(R"({"id":1,"verb":"run",)" + spec.substr(1));
+    ASSERT_EQ(trajectory_spec(req.spec), spec);
+  }
+}
+
+TEST(WireCodec, RefusesANoiseProfileThatIsNotItsPreset) {
+  runner::RunSpec spec;
+  spec.noise = noise::NoiseProfile::desktop().scaled(0.25);
+  ASSERT_EQ(spec.noise.name, "desktop");
+  EXPECT_THROW((void)client::run_request_json(1, spec, 0, 1),
+               std::invalid_argument);
+  spec.noise = noise::NoiseProfile::desktop();
+  spec.noise.sources.pop_back();
+  EXPECT_THROW((void)client::run_request_json(1, spec, 0, 1),
+               std::invalid_argument);
+  spec.noise = noise::NoiseProfile::desktop().scaled(1.0);
+  EXPECT_NO_THROW((void)client::run_request_json(1, spec, 0, 1));
 }
 
 TEST(WireCodec, DecodedTrialsFoldIntoTheLocalDoneLine) {
