@@ -323,18 +323,6 @@ int cmd_kaslr(const Options& o) {
   return r.all_succeeded() && written ? 0 : 1;
 }
 
-/// Field-by-field trial comparison for the chaos self-test — the CLI-side
-/// mirror of tests/test_runner.cpp's expect_identical.
-bool trial_identical(const runner::TrialResult& a,
-                     const runner::TrialResult& b) {
-  return a.seed == b.seed && a.success == b.success && a.cycles == b.cycles &&
-         a.seconds == b.seconds && a.probes == b.probes &&
-         a.bytes == b.bytes && a.byte_errors == b.byte_errors &&
-         a.found_slot == b.found_slot && a.confidence == b.confidence &&
-         a.gave_up == b.gave_up && a.tote.buckets() == b.tote.buckets() &&
-         a.pmu == b.pmu;
-}
-
 int cmd_chaos(const Options& o) {
   const runner::RunSpec& spec = o.spec;
 
@@ -369,12 +357,12 @@ int cmd_chaos(const Options& o) {
     ok = false;
   } else {
     for (std::size_t i = 0; i < faulted.trials.size(); ++i)
-      if (!trial_identical(faulted.trials[i], reference.trials[i])) {
+      if (faulted.trials[i] != reference.trials[i]) {
         std::printf("  FAIL: trial %zu differs from the clean run\n", i);
         ok = false;
       }
   }
-  if (faulted.tote.buckets() != reference.tote.buckets()) {
+  if (faulted.tote != reference.tote) {
     std::printf("  FAIL: merged ToTE histogram differs from the clean run\n");
     ok = false;
   }

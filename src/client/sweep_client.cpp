@@ -53,9 +53,10 @@ std::optional<std::uint64_t> u64_member(const stats::JsonValue& doc,
   return v != nullptr ? v->as_int<std::uint64_t>() : std::nullopt;
 }
 
-/// One endpoint's worker: claims chunks (home queue first, then orphans),
-/// executes each against the endpoint with retries, and dies after too
-/// many consecutive failures — donating its remaining chunks.
+/// One endpoint's worker: keeps up to `window_` chunks in flight on its one
+/// connection (home queue first, then orphans), routes each response line
+/// to its chunk by id, and dies after too many consecutive failures —
+/// donating its remaining chunks.
 class EndpointWorker {
  public:
   EndpointWorker(const SweepOptions& opts, const runner::RunSpec& spec,
@@ -72,156 +73,203 @@ class EndpointWorker {
 
   void run() {
     for (;;) {
-      Chunk chunk;
-      bool from_orphans = false;
-      {
-        std::unique_lock<std::mutex> lock(state_.mu);
-        state_.cv.wait(lock, [this] {
-          return state_.finished() || !state_.owned[index_].empty() ||
-                 !state_.orphaned.empty();
-        });
-        if (state_.finished()) return;
-        if (!state_.owned[index_].empty()) {
-          chunk = state_.owned[index_].front();
-          state_.owned[index_].pop_front();
-        } else {
-          chunk = state_.orphaned.front();
-          state_.orphaned.pop_front();
-          from_orphans = true;
-          ++state_.stats.reassigned;
-        }
+      if (!await_work()) return;
+      if (!conn_ && !dial()) {
+        if (give_up()) return;
+        continue;
       }
-      (void)from_orphans;
-      if (!execute(chunk)) return;  // endpoint declared dead
+      if (!fill_window()) return;  // fatal
+      if (!conn_) {                // a request could not be written
+        if (give_up()) return;
+        continue;
+      }
+      if (inflight_.empty()) continue;  // survivors took the orphans first
+      const Step step = read_one();
+      if (step == Step::kFatal) return;
+      if (step == Step::kDropped && give_up()) return;
     }
   }
 
  private:
-  /// Run one chunk to completion. Returns false when the endpoint died
-  /// (the chunk and the home queue have been donated to the orphan pool).
-  bool execute(Chunk chunk) {
-    for (;;) {
-      {
-        std::lock_guard<std::mutex> lock(state_.mu);
-        if (state_.fatal) return false;
-      }
-      if (!conn_ && !dial()) {
-        if (give_up(chunk)) return false;
-        continue;
-      }
-      if (attempt_request(chunk)) {
-        consecutive_failures_ = 0;
-        backoff_attempt_ = 0;
-        std::lock_guard<std::mutex> lock(state_.mu);
-        ++state_.chunks_done;
-        if (state_.finished()) state_.cv.notify_all();
-        return true;
-      }
-      // attempt_request() already tore the connection down (or fatal'd).
-      if (give_up(chunk)) return false;
-    }
+  using Clock = std::chrono::steady_clock;
+
+  /// A chunk whose request is on the wire. `last` is the request's send
+  /// time or its latest response line: the chunk's deadline runs from it.
+  struct InFlight {
+    std::uint64_t id = 0;
+    Chunk chunk;
+    Clock::time_point last;
+  };
+
+  enum class Step : std::uint8_t { kOk, kDropped, kFatal };
+
+  /// False when the sweep is over (complete or fatal). With nothing in
+  /// flight, blocks until this endpoint has work to claim.
+  bool await_work() {
+    std::unique_lock<std::mutex> lock(state_.mu);
+    state_.cv.wait(lock, [this] {
+      return state_.finished() || !inflight_.empty() ||
+             !state_.owned[index_].empty() || !state_.orphaned.empty();
+    });
+    return !state_.finished();
   }
 
+  /// Dial, then ask the daemon its worker count with one ping on the raw
+  /// connection — before any FlakyConnection wrapping, so flaky request
+  /// ordinals count run requests only.
   bool dial() {
+    std::unique_ptr<serve::Connection> raw;
     try {
-      std::unique_ptr<serve::Connection> raw =
-          endpoint_.dial(opts_.connect_timeout_ms);
-      if (!flaky_.empty())
-        conn_ = std::make_unique<FlakyConnection>(
-            std::move(raw), flaky_, sent_requests_, opts_.flaky_stall_ms);
-      else
-        conn_ = std::move(raw);
-      return true;
+      raw = endpoint_.dial(opts_.connect_timeout_ms);
     } catch (const serve::DialError&) {
       std::lock_guard<std::mutex> lock(state_.mu);
       ++state_.stats.unreachable;
       return false;
     }
+    const std::optional<std::uint64_t> workers = ping(*raw);
+    if (!workers) {
+      raw->close();
+      std::lock_guard<std::mutex> lock(state_.mu);
+      ++state_.stats.reconnects;
+      return false;
+    }
+    window_ = *workers;
+    if (!flaky_.empty())
+      conn_ = std::make_unique<FlakyConnection>(
+          std::move(raw), flaky_, sent_requests_, opts_.flaky_stall_ms);
+    else
+      conn_ = std::move(raw);
+    return true;
   }
 
-  /// Send the chunk's request and consume its response stream. True on a
-  /// verified done line; false after tearing down the connection (retry)
-  /// or flagging a fatal error.
-  bool attempt_request(const Chunk& chunk) {
+  /// The daemon's worker count off its pong: the window size. A pong
+  /// without "workers" means 1. Nullopt when no pong arrives in time.
+  std::optional<std::uint64_t> ping(serve::Connection& conn) {
     const std::uint64_t id = next_id_.fetch_add(1) + 1;
-    std::string request;
-    try {
-      request = run_request_json(id, spec_, chunk.first, chunk.count);
-    } catch (const std::exception& e) {
-      fail_fatal(e.what());
-      return false;
-    }
-    {
-      std::lock_guard<std::mutex> lock(state_.mu);
-      ++state_.stats.requests;
-    }
-    const bool wrote = conn_->write_line(request);
-    ++sent_requests_;  // mirrors FlakyConnection's ordinal, drop included
-    if (!wrote) {
-      drop_connection();
-      return false;
-    }
-
-    const auto start = std::chrono::steady_clock::now();
+    if (!conn.write_line("{\"id\":" + std::to_string(id) +
+                         ",\"verb\":\"ping\"}"))
+      return std::nullopt;
     std::string line;
-    for (;;) {
-      int remaining = opts_.deadline_ms;
-      if (opts_.deadline_ms >= 0) {
-        const auto spent =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-        remaining = opts_.deadline_ms > spent
-                        ? static_cast<int>(opts_.deadline_ms - spent)
-                        : 0;
-      }
-      const serve::ReadStatus st = conn_->read_line_for(line, remaining);
-      if (st == serve::ReadStatus::kTimeout) {
-        {
-          std::lock_guard<std::mutex> lock(state_.mu);
-          ++state_.stats.timed_out;
-        }
-        drop_connection();
-        return false;
-      }
-      if (st == serve::ReadStatus::kClosed) {
-        drop_connection();
-        return false;
-      }
-      stats::JsonValue doc;
-      try {
-        doc = stats::json_parse(line);
-      } catch (const std::exception&) {
-        // Torn line (a shortread, a daemon crash mid-write): transport
-        // failure, not data.
-        drop_connection();
-        return false;
-      }
-      const stats::JsonValue* type = doc.get("type");
-      if (type == nullptr || !type->is_string()) {
-        drop_connection();
-        return false;
-      }
-      if (type->string == "error") {
-        // A refusal is deterministic — every endpoint would refuse the
-        // same spec — so retrying elsewhere cannot help.
-        const stats::JsonValue* msg = doc.get("error");
-        fail_fatal(msg != nullptr && msg->is_string() ? msg->string
-                                                      : "server error");
-        return false;
-      }
-      if (u64_member(doc, "id") != id) {
-        drop_connection();  // stream out of sync with the request
-        return false;
-      }
-      if (type->string == "trial") {
-        if (!store_trial(doc, line)) return false;  // fatal
-        continue;
-      }
-      if (type->string == "done") return verify_chunk(chunk);
-      drop_connection();  // unexpected response type mid-run
-      return false;
+    const serve::ReadStatus st = conn.read_line_for(line, opts_.deadline_ms);
+    if (st == serve::ReadStatus::kTimeout) {
+      std::lock_guard<std::mutex> lock(state_.mu);
+      ++state_.stats.timed_out;
     }
+    if (st != serve::ReadStatus::kLine) return std::nullopt;
+    stats::JsonValue doc;
+    try {
+      doc = stats::json_parse(line);
+    } catch (const std::exception&) {
+      return std::nullopt;
+    }
+    const stats::JsonValue* type = doc.get("type");
+    if (type == nullptr || !type->is_string() || type->string != "pong" ||
+        u64_member(doc, "id") != id)
+      return std::nullopt;
+    return std::max<std::uint64_t>(1, u64_member(doc, "workers").value_or(1));
+  }
+
+  /// Claim and send chunks until the window is full or no work is left.
+  /// False on a fatal error.
+  bool fill_window() {
+    while (conn_ && inflight_.size() < window_) {
+      Chunk chunk;
+      {
+        std::lock_guard<std::mutex> lock(state_.mu);
+        if (state_.fatal) return false;
+        if (!state_.owned[index_].empty()) {
+          chunk = state_.owned[index_].front();
+          state_.owned[index_].pop_front();
+        } else if (!state_.orphaned.empty()) {
+          chunk = state_.orphaned.front();
+          state_.orphaned.pop_front();
+          ++state_.stats.reassigned;
+        } else {
+          return true;
+        }
+      }
+      const std::uint64_t id = next_id_.fetch_add(1) + 1;
+      std::string request;
+      try {
+        request = run_request_json(id, spec_, chunk.first, chunk.count);
+      } catch (const std::exception& e) {
+        fail_fatal(e.what());
+        return false;
+      }
+      inflight_.push_back({id, chunk, Clock::now()});
+      {
+        std::lock_guard<std::mutex> lock(state_.mu);
+        ++state_.stats.requests;
+      }
+      const bool wrote = conn_->write_line(request);
+      ++sent_requests_;  // mirrors FlakyConnection's ordinal, drop included
+      if (!wrote) drop_connection();
+    }
+    return true;
+  }
+
+  /// Read one response line under the earliest in-flight deadline and
+  /// route it to its chunk.
+  Step read_one() {
+    int timeout_ms = -1;
+    if (opts_.deadline_ms >= 0) {
+      Clock::time_point due = Clock::time_point::max();
+      for (const InFlight& f : inflight_)
+        due = std::min(due,
+                       f.last + std::chrono::milliseconds(opts_.deadline_ms));
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                            due - Clock::now())
+                            .count();
+      timeout_ms = left > 0 ? static_cast<int>(left) : 0;
+    }
+    std::string line;
+    const serve::ReadStatus st = conn_->read_line_for(line, timeout_ms);
+    if (st == serve::ReadStatus::kTimeout) {
+      {
+        std::lock_guard<std::mutex> lock(state_.mu);
+        ++state_.stats.timed_out;
+      }
+      return drop_connection();
+    }
+    if (st == serve::ReadStatus::kClosed) return drop_connection();
+    stats::JsonValue doc;
+    try {
+      doc = stats::json_parse(line);
+    } catch (const std::exception&) {
+      // Torn line (a shortread, a daemon crash mid-write): transport
+      // failure, not data.
+      return drop_connection();
+    }
+    const stats::JsonValue* type = doc.get("type");
+    if (type == nullptr || !type->is_string()) return drop_connection();
+    if (type->string == "error") {
+      // A refusal is deterministic — every endpoint would refuse the
+      // same spec — so retrying elsewhere cannot help.
+      const stats::JsonValue* msg = doc.get("error");
+      fail_fatal(msg != nullptr && msg->is_string() ? msg->string
+                                                    : "server error");
+      return Step::kFatal;
+    }
+    const std::optional<std::uint64_t> id = u64_member(doc, "id");
+    const auto it =
+        std::find_if(inflight_.begin(), inflight_.end(),
+                     [&](const InFlight& f) { return id == f.id; });
+    if (it == inflight_.end()) return drop_connection();  // out of sync
+    if (type->string == "trial") {
+      if (!store_trial(doc, line)) return Step::kFatal;
+      it->last = Clock::now();
+      return Step::kOk;
+    }
+    // A done line counts only if every trial of its chunk is stored.
+    if (type->string != "done" || !chunk_stored(it->chunk))
+      return drop_connection();
+    inflight_.erase(it);
+    consecutive_failures_ = 0;
+    backoff_attempt_ = 0;
+    std::lock_guard<std::mutex> lock(state_.mu);
+    ++state_.chunks_done;
+    if (state_.finished()) state_.cv.notify_all();
+    return Step::kOk;
   }
 
   /// Store one trial line by absolute index; duplicates must match the
@@ -257,10 +305,9 @@ class EndpointWorker {
     return true;
   }
 
-  /// The done line arrived: the chunk counts only if every one of its
-  /// trials is stored (a torn stream could lose lines yet deliver done
-  /// through a replay on another connection).
-  bool verify_chunk(const Chunk& chunk) {
+  /// Whether every trial of `chunk` is stored (a torn stream could lose
+  /// lines yet deliver done through a replay on another connection).
+  bool chunk_stored(const Chunk& chunk) {
     std::lock_guard<std::mutex> lock(state_.mu);
     for (std::size_t i = chunk.first;
          i < chunk.first + static_cast<std::size_t>(chunk.count); ++i)
@@ -268,30 +315,34 @@ class EndpointWorker {
     return true;
   }
 
-  void drop_connection() {
-    if (conn_) {
-      conn_->close();
-      conn_.reset();
-      std::lock_guard<std::mutex> lock(state_.mu);
-      ++state_.stats.reconnects;
-    }
+  /// Tear the connection down and put every in-flight chunk back at the
+  /// front of the home queue, in order, for the next connection.
+  Step drop_connection() {
+    conn_->close();
+    conn_.reset();
+    std::lock_guard<std::mutex> lock(state_.mu);
+    ++state_.stats.reconnects;
+    std::deque<Chunk>& home = state_.owned[index_];
+    for (auto it = inflight_.rbegin(); it != inflight_.rend(); ++it)
+      home.push_front(it->chunk);
+    inflight_.clear();
+    return Step::kDropped;
   }
 
-  /// Account one failure; after too many in a row the endpoint dies:
-  /// its current chunk and home queue are donated to the orphan pool.
+  /// Account one failure (a failed dial or a dropped connection, whose
+  /// chunks are already back on the home queue); after too many in a row
+  /// the endpoint dies and its home queue goes to the orphan pool.
   /// Otherwise back off and let the caller retry. True = endpoint dead.
-  bool give_up(const Chunk& chunk) {
+  bool give_up() {
     ++consecutive_failures_;
     if (consecutive_failures_ <= opts_.endpoint_failures) {
       backoff();
       return false;
     }
     std::lock_guard<std::mutex> lock(state_.mu);
-    state_.orphaned.push_back(chunk);
-    while (!state_.owned[index_].empty()) {
-      state_.orphaned.push_back(state_.owned[index_].front());
-      state_.owned[index_].pop_front();
-    }
+    std::deque<Chunk>& home = state_.owned[index_];
+    state_.orphaned.insert(state_.orphaned.end(), home.begin(), home.end());
+    home.clear();
     ++state_.stats.dead_endpoints;
     state_.cv.notify_all();
     return true;
@@ -338,6 +389,10 @@ class EndpointWorker {
   const fault::FaultPlan& flaky_;
 
   std::unique_ptr<serve::Connection> conn_;
+  /// The daemon's worker count from the last pong; in-flight requests
+  /// never exceed it.
+  std::uint64_t window_ = 1;
+  std::vector<InFlight> inflight_;  // send order
   std::uint64_t sent_requests_ = 0;
   int consecutive_failures_ = 0;
   std::uint64_t backoff_attempt_ = 0;

@@ -7,12 +7,19 @@
 // from a local runner::run. Concretely:
 //
 //   * Trials are cut into fixed-size chunks; chunk c starts on endpoint
-//     c % N. Each endpoint gets one worker thread that dials (with a
-//     connect timeout), sends one run request per chunk using the
-//     trial_first shard window, and reads the absolute-indexed trial
-//     stream under a per-request deadline.
-//   * Failures back off exponentially with seeded deterministic jitter
-//     and reconnect. After `endpoint_failures` consecutive failures the
+//     c % N. Each endpoint gets one worker thread and one connection. The
+//     worker dials (with a connect timeout) and pings: the pong's
+//     "workers" is the daemon's worker count W (1 when absent). It then
+//     keeps up to W chunks in flight, one run request per chunk using the
+//     trial_first shard window, so a single sweep keeps every daemon
+//     worker busy (a daemon runs one request on one worker, invariant
+//     11). Response lines are routed to their chunk by id; each chunk's
+//     deadline runs from its send or its latest line.
+//   * A tear, a timeout or a line whose id is not in flight drops the
+//     connection; the in-flight chunks go back to the front of the home
+//     queue, in order. Failures back off exponentially with seeded
+//     deterministic jitter and reconnect. After `endpoint_failures`
+//     consecutive failures (one per torn connection or failed dial) the
 //     endpoint is declared dead and every chunk it still owns goes to a
 //     reassignment queue that surviving workers drain — the sweep
 //     completes as long as one endpoint lives, and the failures become
@@ -27,8 +34,9 @@
 //     count and ANY failure schedule that completes: invariant 13,
 //     pinned by tests/test_dist.cpp and soaked by bench/dist_soak.
 //   * An optional flaky plan (fault grammar, drop/shortread/stall kinds)
-//     wraps every dialed connection in a FlakyConnection, so all of the
-//     above is exercised deterministically, without real packet loss.
+//     wraps every dialed connection in a FlakyConnection after its ping,
+//     so all of the above is exercised deterministically, without real
+//     packet loss, and the plan's request ordinals count run requests only.
 #pragma once
 
 #include <cstddef>
@@ -47,9 +55,9 @@ struct SweepOptions {
   /// Trials per request. Small chunks spread load and shrink the re-run
   /// window after a failure; large chunks amortize request overhead.
   int chunk_trials = 4;
-  /// Per-request response deadline in ms (< 0 = wait forever). The clock
-  /// restarts on every received line, so a healthy long run never trips
-  /// it — only a silent daemon does.
+  /// Per-request response deadline in ms (< 0 = wait forever), kept per
+  /// in-flight chunk. A chunk's clock restarts on each of its lines, so a
+  /// healthy long run never trips it — only a silent daemon does.
   int deadline_ms = 60'000;
   /// Connect timeout per dial in ms (< 0 = block).
   int connect_timeout_ms = 2'000;
@@ -75,7 +83,8 @@ struct SweepOptions {
 };
 
 struct SweepStats {
-  std::size_t requests = 0;          // run requests written (incl. retries)
+  std::size_t requests = 0;          // run requests written (incl. retries;
+                                     // the per-dial ping is not one)
   std::size_t unreachable = 0;       // dials that threw DialError
   std::size_t timed_out = 0;         // requests that hit the deadline
   std::size_t reconnects = 0;        // live connections torn down and redialed

@@ -47,6 +47,8 @@ struct TopDown {
 
   /// One-line report: "retiring 41.2% | bad-spec 30.1% | ...".
   [[nodiscard]] std::string to_string() const;
+
+  bool operator==(const TopDown&) const = default;
 };
 
 /// Attribute the cycles of one measurement interval from a pmu_delta()

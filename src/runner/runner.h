@@ -203,6 +203,9 @@ struct TrialResult {
   obs::TopDown topdown;
   /// Pipeline events of the trial; empty unless spec.collect_trace.
   uarch::EventLog events;
+
+  /// Every field, so a field added later cannot escape an identity check.
+  bool operator==(const TrialResult&) const = default;
 };
 
 /// A finished RunSpec: the ordered per-trial results plus the merged view.

@@ -68,7 +68,10 @@ FdConnection::FdConnection(int fd, std::string peer)
   ignore_sigpipe();
 }
 
-FdConnection::~FdConnection() { close(); }
+FdConnection::~FdConnection() {
+  close();
+  ::close(fd_);
+}
 
 ReadStatus FdConnection::fill(int timeout_ms) {
   if (timeout_ms >= 0) {
@@ -146,7 +149,7 @@ ReadStatus FdConnection::read_line_for(std::string& out, int timeout_ms) {
 bool FdConnection::write_line(const std::string& line) {
   // One lock per line keeps concurrent workers' lines from interleaving.
   std::lock_guard<std::mutex> lock(write_mu_);
-  if (fd_ < 0) return false;
+  if (closed_) return false;
   std::string framed = line;
   framed.push_back('\n');
   std::size_t off = 0;
@@ -163,11 +166,13 @@ bool FdConnection::write_line(const std::string& line) {
 }
 
 void FdConnection::close() {
+  // shutdown() ends both directions and wakes a reader parked in recv() or
+  // poll(); the fd itself stays open until the destructor, so a concurrent
+  // reader never races a close() or reaches a reused fd number.
   std::lock_guard<std::mutex> lock(write_mu_);
-  if (fd_ >= 0) {
+  if (!closed_) {
+    closed_ = true;
     ::shutdown(fd_, SHUT_RDWR);
-    ::close(fd_);
-    fd_ = -1;
   }
 }
 

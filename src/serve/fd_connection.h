@@ -59,11 +59,12 @@ class FdConnection : public Connection {
   /// kLine here means "made progress, loop again".
   ReadStatus fill(int timeout_ms);
 
-  int fd_;
+  const int fd_;  // never written after construction; closed by the destructor
   std::string peer_;
   std::string buf_;
   bool discarding_ = false;  // dropping an oversized line's tail until '\n'
   std::mutex write_mu_;
+  bool closed_ = false;  // under write_mu_
 };
 
 /// Nonblocking connect with a bounded wait, shared by both dialers:

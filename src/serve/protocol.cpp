@@ -181,9 +181,10 @@ std::string response_error(std::uint64_t id, const std::string& message) {
   return w.str();
 }
 
-std::string response_pong(std::uint64_t id) {
+std::string response_pong(std::uint64_t id, int workers) {
   stats::JsonWriter w;
   head(w, id, "pong");
+  w.field("workers", static_cast<std::uint64_t>(workers));
   w.end_object();
   return w.str();
 }

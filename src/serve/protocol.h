@@ -10,7 +10,7 @@
 // Responses (one JSON object per line, "id" echoes the request):
 //   {"id":1,"type":"trial","index":0,...}   one per trial, index order
 //   {"id":1,"type":"done",...}              terminates a run's stream
-//   {"id":2,"type":"pong"}
+//   {"id":2,"type":"pong","workers":2}     workers = the daemon's --jobs
 //   {"id":3,"type":"attacks","attacks":[...],"defenses":[...]}
 //   {"id":4,"type":"metrics","metrics":{...}}
 //   {"id":5,"type":"bye"}
@@ -22,7 +22,9 @@
 // response stream is a pure function of the request, so the same request
 // line yields byte-identical responses whatever the daemon's --jobs or
 // client interleaving. Wall-clock lives in the metrics verb and
-// BENCH_serve.json only.
+// BENCH_serve.json only. The pong's "workers" is daemon configuration,
+// not run output: a sweep client sizes its window of in-flight requests
+// by it (client/sweep_client.h).
 //
 // Lines are read with stats::json_parse() (nesting-capped, exact 64-bit
 // integers) and written with stats::JsonWriter. A run request's fields are
@@ -114,7 +116,9 @@ struct Request {
                                         const runner::RunResult& merged);
 [[nodiscard]] std::string response_error(std::uint64_t id,
                                          const std::string& message);
-[[nodiscard]] std::string response_pong(std::uint64_t id);
+/// `workers` is the daemon's worker count: how many run requests it
+/// executes at once.
+[[nodiscard]] std::string response_pong(std::uint64_t id, int workers);
 [[nodiscard]] std::string response_attacks(std::uint64_t id);
 /// `metrics_json` must be a complete JSON object (MetricsRegistry::to_json)
 /// — it is spliced, not escaped.

@@ -154,7 +154,7 @@ bool Server::handle_line(const std::string& line,
   }
 
   if (req.verb == "ping") {
-    conn->write_line(response_pong(req.id));
+    conn->write_line(response_pong(req.id, opts_.jobs));
     return true;
   }
   if (req.verb == "list") {

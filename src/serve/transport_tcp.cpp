@@ -109,7 +109,13 @@ TcpTransport::TcpTransport(const std::string& address) {
   address_ = host + ":" + std::to_string(port_);
 }
 
-TcpTransport::~TcpTransport() { shutdown(); }
+TcpTransport::~TcpTransport() {
+  shutdown();
+  // Closed only here, after the accept loop has returned: a close() under
+  // a concurrent accept() would race on the fd and could let the loop's
+  // EINTR retry reach a reused fd number.
+  if (listen_fd_ >= 0) ::close(listen_fd_);
+}
 
 std::unique_ptr<Connection> TcpTransport::accept() {
   for (;;) {
@@ -123,13 +129,11 @@ std::unique_ptr<Connection> TcpTransport::accept() {
 }
 
 void TcpTransport::shutdown() {
-  if (listen_fd_ >= 0) {
-    // Same trick as the unix transport: shutdown() unblocks a concurrent
-    // accept(); close() alone leaves it parked on Linux.
+  // Same trick as the unix transport: shutdown() unblocks a concurrent
+  // accept() and refuses later connects; the fd stays open (and
+  // listen_fd_ unwritten) until the destructor.
+  if (listen_fd_ >= 0 && !shut_down_.exchange(true))
     ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
 }
 
 std::unique_ptr<Connection> TcpTransport::dial(const std::string& address,

@@ -15,6 +15,7 @@
 // so callers degrade to loopback/unix instead of crashing.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -50,7 +51,10 @@ class TcpTransport : public Transport {
  private:
   std::string address_;
   std::uint16_t port_ = 0;
+  /// Written only by the constructor; shutdown() and accept() just read
+  /// it, so the accept thread never races a writer.
   int listen_fd_ = -1;
+  std::atomic<bool> shut_down_{false};
   std::size_t next_id_ = 0;
 };
 

@@ -49,7 +49,12 @@ UnixSocketTransport::UnixSocketTransport(const std::string& path)
   }
 }
 
-UnixSocketTransport::~UnixSocketTransport() { shutdown(); }
+UnixSocketTransport::~UnixSocketTransport() {
+  shutdown();
+  // Closed only here, after the accept loop has returned (see
+  // TcpTransport's destructor).
+  if (listen_fd_ >= 0) ::close(listen_fd_);
+}
 
 std::unique_ptr<Connection> UnixSocketTransport::accept() {
   for (;;) {
@@ -63,12 +68,11 @@ std::unique_ptr<Connection> UnixSocketTransport::accept() {
 }
 
 void UnixSocketTransport::shutdown() {
-  if (listen_fd_ >= 0) {
-    // shutdown() on the listening fd unblocks a concurrent accept();
-    // plain close() alone leaves it hanging on Linux.
+  if (listen_fd_ >= 0 && !shut_down_.exchange(true)) {
+    // shutdown() on the listening fd unblocks a concurrent accept() and
+    // refuses later connects; plain close() alone leaves accept() hanging
+    // on Linux. The fd itself is closed by the destructor.
     ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
     ::unlink(path_.c_str());
   }
 }

@@ -6,6 +6,7 @@
 // constructor throws and the daemon falls back to loopback-only mode.
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <string>
 
@@ -39,7 +40,10 @@ class UnixSocketTransport : public Transport {
 
  private:
   std::string path_;
+  /// Written only by the constructor; shutdown() and accept() just read
+  /// it, so the accept thread never races a writer.
   int listen_fd_ = -1;
+  std::atomic<bool> shut_down_{false};
   std::size_t next_id_ = 0;
 };
 

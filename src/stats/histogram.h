@@ -41,6 +41,8 @@ class Histogram {
   /// Fixed-width ASCII rendering, `rows` buckets, for table/figure benches.
   [[nodiscard]] std::string ascii(int rows = 16, int width = 50) const;
 
+  bool operator==(const Histogram&) const = default;
+
  private:
   std::map<std::int64_t, std::uint64_t> counts_;
   std::uint64_t total_ = 0;

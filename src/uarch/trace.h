@@ -45,6 +45,8 @@ struct TraceRecord {
   isa::Opcode op = isa::Opcode::Nop;
 
   [[nodiscard]] std::string to_string() const;
+
+  bool operator==(const TraceRecord&) const = default;
 };
 
 /// The pipeline event sink: every record of a run, in emission order, so
@@ -77,6 +79,8 @@ class EventLog {
 
   /// Multi-line dump.
   [[nodiscard]] std::string to_string() const;
+
+  bool operator==(const EventLog&) const = default;
 
  private:
   std::vector<TraceRecord> records_;

@@ -14,9 +14,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -274,7 +277,7 @@ TEST(DistServe, OversizedRequestRefusedAndConnectionSurvives) {
   // Same connection, next request: alive and well.
   ASSERT_TRUE(conn->write_line(R"({"id":10,"verb":"ping"})"));
   ASSERT_EQ(conn->read_line_for(line, 5000), serve::ReadStatus::kLine);
-  EXPECT_EQ(line, serve::response_pong(10));
+  EXPECT_EQ(line, serve::response_pong(10, 1));
 
   // A line under the byte cap that nests 65,000 levels deep: the parser's
   // nesting cap answers it with one id-0 error instead of overflowing the
@@ -286,7 +289,7 @@ TEST(DistServe, OversizedRequestRefusedAndConnectionSurvives) {
       << line;
   ASSERT_TRUE(conn->write_line(R"({"id":11,"verb":"ping"})"));
   ASSERT_EQ(conn->read_line_for(line, 5000), serve::ReadStatus::kLine);
-  EXPECT_EQ(line, serve::response_pong(11));
+  EXPECT_EQ(line, serve::response_pong(11, 1));
   conn->close();
   server.stop();
 }
@@ -328,7 +331,7 @@ TEST(DistTcp, ListenDialRoundTrip) {
   ASSERT_TRUE(conn->write_line(R"({"id":3,"verb":"ping"})"));
   std::string line;
   ASSERT_EQ(conn->read_line_for(line, 5000), serve::ReadStatus::kLine);
-  EXPECT_EQ(line, serve::response_pong(3));
+  EXPECT_EQ(line, serve::response_pong(3, 1));
   conn->close();
   server.stop();
 }
@@ -422,7 +425,7 @@ TEST(DistFlaky, DropsExactlyTheNamedRequestOrdinal) {
   std::string line;
   ASSERT_TRUE(flaky.write_line(R"({"id":1,"verb":"ping"})"));  // request 0
   ASSERT_EQ(flaky.read_line_for(line, 5000), serve::ReadStatus::kLine);
-  EXPECT_EQ(line, serve::response_pong(1));
+  EXPECT_EQ(line, serve::response_pong(1, 1));
   // Request 1 is the named ordinal: the write severs instead of sending.
   EXPECT_FALSE(flaky.write_line(R"({"id":2,"verb":"ping"})"));
   EXPECT_EQ(flaky.next_request(), 2u);
@@ -491,11 +494,11 @@ struct LoopbackCluster {
   std::vector<std::unique_ptr<serve::Server>> servers;
   std::vector<std::shared_ptr<Endpoint>> endpoints;
 
-  explicit LoopbackCluster(std::size_t n) {
+  explicit LoopbackCluster(std::size_t n, int jobs = 1) {
     for (std::size_t i = 0; i < n; ++i) {
       transports.push_back(std::make_unique<serve::LoopbackTransport>());
       servers.push_back(std::make_unique<serve::Server>(
-          *transports.back(), serve::ServerOptions{}));
+          *transports.back(), serve::ServerOptions{.jobs = jobs}));
       servers.back()->start();
       endpoints.push_back(std::make_shared<LoopbackEndpoint>(
           *transports.back(), "loopback:" + std::to_string(i)));
@@ -640,6 +643,253 @@ TEST(DistSweep, TcpEndpointsAreByteIdenticalToo) {
     GTEST_SKIP() << "TCP unavailable: " << e.what();
   }
   SweepClient sweeper(fast_opts());
+  const SweepResult r = sweeper.sweep(spec, endpoints);
+  for (auto& s : servers) s->stop();
+
+  ASSERT_TRUE(r.complete) << r.error;
+  EXPECT_EQ(r.trial_lines, canonical_trial_lines(local));
+  EXPECT_EQ(r.done_line, canonical_done_line(local));
+}
+#endif  // WHISPER_HAVE_FD_CONNECTION
+
+// ---------------------------------------------------------------------------
+// The window: against a daemon with W workers an endpoint keeps W chunks in
+// flight, so one sweep keeps every worker busy. The merge is by absolute
+// index, so the bytes cannot move.
+
+TEST(DistWindow, ByteIdenticalAcrossEndpointCountsAtTwoWorkers) {
+  const runner::RunSpec spec = cheap_spec(8);
+  const runner::RunResult local = runner::run(spec, 1);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2},
+                              std::size_t{4}}) {
+    LoopbackCluster cluster(n, /*jobs=*/2);
+    SweepClient sweeper(fast_opts());
+    const SweepResult r = sweeper.sweep(spec, cluster.endpoints);
+    ASSERT_TRUE(r.complete) << n << " endpoints: " << r.error;
+    EXPECT_EQ(r.trial_lines, canonical_trial_lines(local)) << n;
+    EXPECT_EQ(r.done_line, canonical_done_line(local)) << n;
+    EXPECT_EQ(r.stats.duplicate_trials, 0u);
+    // Four chunks, four run requests: the per-dial ping is not one.
+    EXPECT_EQ(r.stats.requests, 4u) << n;
+  }
+}
+
+TEST(DistWindow, KillMidSweepAtTwoWorkersStaysByteIdentical) {
+  const runner::RunSpec spec = cheap_spec(8);
+  const runner::RunResult local = runner::run(spec, 1);
+
+  LoopbackCluster cluster(3, /*jobs=*/2);
+  auto lever = std::make_shared<KillSwitchEndpoint>(
+      std::make_unique<LoopbackEndpoint>(*cluster.transports[1],
+                                         "loopback:1"));
+  std::vector<std::shared_ptr<Endpoint>> endpoints = cluster.endpoints;
+  endpoints[1] = lever;
+
+  SweepOptions opts = fast_opts();
+  opts.chunk_trials = 1;  // endpoint 1 has chunks 1 and 4 in flight at once
+  opts.endpoint_failures = 2;
+  opts.on_trial = [lever](std::size_t endpoint, std::size_t delivered) {
+    if (endpoint == 1 && delivered >= 1) lever->kill();
+  };
+  SweepClient sweeper(opts);
+  const SweepResult r = sweeper.sweep(spec, endpoints);
+
+  ASSERT_TRUE(r.complete) << r.error;
+  EXPECT_EQ(r.trial_lines, canonical_trial_lines(local));
+  EXPECT_EQ(r.done_line, canonical_done_line(local));
+  EXPECT_EQ(r.stats.dead_endpoints, 1u);
+  EXPECT_GT(r.stats.reassigned, 0u);
+  EXPECT_EQ(r.stats.trials_by_endpoint[0] + r.stats.trials_by_endpoint[1] +
+                r.stats.trials_by_endpoint[2],
+            8u);
+}
+
+TEST(DistWindow, FlakyTransportAtTwoWorkersRecoversByteIdentical) {
+  const runner::RunSpec spec = cheap_spec(8);
+  const runner::RunResult local = runner::run(spec, 1);
+
+  LoopbackCluster cluster(2, /*jobs=*/2);
+  SweepOptions opts = fast_opts();
+  opts.chunk_trials = 1;
+  opts.flaky_plan = "drop@1;shortread@3;stall@5";
+  opts.flaky_stall_ms = 10;
+  SweepClient sweeper(opts);
+  const SweepResult r = sweeper.sweep(spec, cluster.endpoints);
+
+  ASSERT_TRUE(r.complete) << r.error;
+  EXPECT_EQ(r.trial_lines, canonical_trial_lines(local));
+  EXPECT_EQ(r.done_line, canonical_done_line(local));
+  EXPECT_GT(r.stats.reconnects, 0u);
+  EXPECT_GT(r.stats.timed_out, 0u);  // the stall reached its deadline
+}
+
+/// Server side of a loopback daemon that holds each "done" line back until
+/// a trial line of another request has been written on the same
+/// connection, or until a bound passes. Chunks that execute one after the
+/// other can only be released by the bound.
+class DoneGateConnection : public serve::Connection {
+ public:
+  DoneGateConnection(std::unique_ptr<serve::Connection> inner,
+                     std::atomic<int>& bound_hits)
+      : inner_(std::move(inner)), bound_hits_(bound_hits) {}
+
+  bool read_line(std::string& out) override { return inner_->read_line(out); }
+  bool write_line(const std::string& line) override {
+    const stats::JsonValue doc = stats::json_parse(line);
+    const std::string type = doc.get("type")->string;
+    const std::uint64_t id = *doc.get("id")->as_int<std::uint64_t>();
+    std::unique_lock<std::mutex> lock(mu_);
+    if (type == "trial") {
+      trial_ids_.push_back(id);
+      cv_.notify_all();
+    } else if (type == "done") {
+      const auto other = [&] {
+        return std::any_of(trial_ids_.begin(), trial_ids_.end(),
+                           [id](std::uint64_t t) { return t != id; });
+      };
+      if (!cv_.wait_for(lock, std::chrono::seconds(3), other)) ++bound_hits_;
+    }
+    lock.unlock();
+    return inner_->write_line(line);
+  }
+  void close() override { inner_->close(); }
+  [[nodiscard]] std::string peer() const override { return inner_->peer(); }
+
+
+ private:
+  std::unique_ptr<serve::Connection> inner_;
+  std::atomic<int>& bound_hits_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<std::uint64_t> trial_ids_;
+};
+
+class DoneGateTransport : public serve::Transport {
+ public:
+  std::unique_ptr<serve::Connection> accept() override {
+    std::unique_ptr<serve::Connection> conn = inner.accept();
+    if (!conn) return nullptr;
+    return std::make_unique<DoneGateConnection>(std::move(conn), bound_hits);
+  }
+  void shutdown() override { inner.shutdown(); }
+
+  serve::LoopbackTransport inner;
+  /// Done lines released by the bound instead of by a concurrent chunk.
+  std::atomic<int> bound_hits{0};
+};
+
+TEST(DistWindow, OneSweepRunsTwoChunksAtOnceOnATwoWorkerDaemon) {
+  const runner::RunSpec spec = cheap_spec(4);
+  const runner::RunResult local = runner::run(spec, 1);
+
+  DoneGateTransport transport;
+  serve::Server server(transport, serve::ServerOptions{.jobs = 2});
+  server.start();
+  const std::vector<std::shared_ptr<Endpoint>> endpoints = {
+      std::make_shared<LoopbackEndpoint>(transport.inner)};
+  SweepClient sweeper(fast_opts());  // 2 chunks of 2 trials
+  const SweepResult r = sweeper.sweep(spec, endpoints);
+  // Chunk 0's done line waits for a trial of chunk 1: only a chunk that
+  // runs while chunk 0 is still open can write one.
+  EXPECT_EQ(transport.bound_hits.load(), 0);
+  server.stop();
+
+  ASSERT_TRUE(r.complete) << r.error;
+  EXPECT_EQ(r.trial_lines, canonical_trial_lines(local));
+  EXPECT_EQ(r.done_line, canonical_done_line(local));
+}
+
+/// Client side of a loopback endpoint that counts run requests in flight
+/// (written, done line not yet read) and can strip "workers" from pongs,
+/// as a daemon that predates the member would answer.
+class InFlightProbe : public Endpoint {
+ public:
+  InFlightProbe(serve::LoopbackTransport& transport, bool strip_workers)
+      : inner_(transport), strip_workers_(strip_workers) {}
+
+  std::unique_ptr<serve::Connection> dial(int timeout_ms) override {
+    return std::make_unique<Conn>(inner_.dial(timeout_ms), *this);
+  }
+  std::string label() const override { return inner_.label(); }
+
+  int max_in_flight = 0;  // read after the sweep returns
+
+ private:
+  class Conn : public serve::Connection {
+   public:
+    Conn(std::unique_ptr<serve::Connection> inner, InFlightProbe& probe)
+        : inner_(std::move(inner)), probe_(probe) {}
+    bool read_line(std::string& out) override {
+      return read_line_for(out, -1) == serve::ReadStatus::kLine;
+    }
+    serve::ReadStatus read_line_for(std::string& out,
+                                    int timeout_ms) override {
+      const serve::ReadStatus st = inner_->read_line_for(out, timeout_ms);
+      if (st != serve::ReadStatus::kLine) return st;
+      if (out.find(R"("type":"done")") != std::string::npos) --in_flight_;
+      const std::size_t workers = out.find(R"(,"workers":)");
+      if (probe_.strip_workers_ && workers != std::string::npos)
+        out.erase(workers, out.find('}', workers) - workers);
+      return st;
+    }
+    bool write_line(const std::string& line) override {
+      if (line.find(R"("verb":"run")") != std::string::npos)
+        probe_.max_in_flight = std::max(probe_.max_in_flight, ++in_flight_);
+      return inner_->write_line(line);
+    }
+    void close() override { inner_->close(); }
+    std::string peer() const override { return inner_->peer(); }
+
+   private:
+    std::unique_ptr<serve::Connection> inner_;
+    InFlightProbe& probe_;
+    int in_flight_ = 0;
+  };
+
+  LoopbackEndpoint inner_;
+  bool strip_workers_;
+};
+
+TEST(DistWindow, PongWithoutWorkersKeepsOneChunkInFlight) {
+  const runner::RunSpec spec = cheap_spec(8);
+  const runner::RunResult local = runner::run(spec, 1);
+  LoopbackCluster cluster(1, /*jobs=*/2);
+  for (const bool strip : {true, false}) {
+    auto probe = std::make_shared<InFlightProbe>(*cluster.transports[0],
+                                                 strip);
+    SweepClient sweeper(fast_opts());
+    const SweepResult r = sweeper.sweep(spec, {probe});
+    ASSERT_TRUE(r.complete) << r.error;
+    EXPECT_EQ(r.trial_lines, canonical_trial_lines(local));
+    EXPECT_EQ(probe->max_in_flight, strip ? 1 : 2) << "strip " << strip;
+  }
+}
+
+#if WHISPER_HAVE_FD_CONNECTION
+TEST(DistWindow, TcpEndpointsAtTwoWorkersAreByteIdentical) {
+  const runner::RunSpec spec = cheap_spec(6);
+  const runner::RunResult local = runner::run(spec, 1);
+
+  std::vector<std::unique_ptr<serve::TcpTransport>> transports;
+  std::vector<std::unique_ptr<serve::Server>> servers;
+  std::vector<std::shared_ptr<Endpoint>> endpoints;
+  try {
+    for (int i = 0; i < 2; ++i) {
+      transports.push_back(
+          std::make_unique<serve::TcpTransport>("127.0.0.1:0"));
+      servers.push_back(std::make_unique<serve::Server>(
+          *transports.back(), serve::ServerOptions{.jobs = 2}));
+      servers.back()->start();
+      endpoints.push_back(make_endpoint(
+          parse_endpoint("tcp:" + transports.back()->address())));
+    }
+  } catch (const std::exception& e) {
+    for (auto& s : servers) s->stop();
+    GTEST_SKIP() << "TCP unavailable: " << e.what();
+  }
+  SweepOptions opts = fast_opts();
+  opts.chunk_trials = 1;  // three chunks per endpoint, two in flight
+  SweepClient sweeper(opts);
   const SweepResult r = sweeper.sweep(spec, endpoints);
   for (auto& s : servers) s->stop();
 

@@ -57,6 +57,9 @@ void expect_identical(const TrialResult& a, const TrialResult& b) {
   EXPECT_EQ(a.confidence, b.confidence);
   EXPECT_EQ(a.gave_up, b.gave_up);
   EXPECT_EQ(a.tote.buckets(), b.tote.buckets());
+  // The defaulted operator== covers the fields listed above and any
+  // field added later (PMU deltas, top-down, events).
+  EXPECT_TRUE(a == b);
 }
 
 TEST(TrialSeed, DeterministicNonZeroAndDistinct) {

@@ -215,7 +215,7 @@ TEST(ServeGolden, PingPongExactBytes) {
   server.start();
   const auto lines = transact(transport, {R"({"id":5,"verb":"ping"})"});
   ASSERT_EQ(lines.size(), 1u);
-  EXPECT_EQ(lines[0], R"({"id":5,"type":"pong"})");
+  EXPECT_EQ(lines[0], R"({"id":5,"type":"pong","workers":1})");
   server.stop();
 }
 
@@ -281,7 +281,7 @@ TEST(ServeGolden, MalformedJsonAnswersWithErrorIdZero) {
     EXPECT_NE(lines[i].find(R"("id":0,"type":"error")"), std::string::npos);
     EXPECT_NE(lines[i].find("bad JSON"), std::string::npos);
   }
-  EXPECT_EQ(lines[2], R"({"id":4,"type":"pong"})");
+  EXPECT_EQ(lines[2], R"({"id":4,"type":"pong","workers":1})");
   server.stop();
 }
 

@@ -234,7 +234,7 @@ TEST(WireCodec, DecodedTrialsFoldIntoTheLocalDoneLine) {
 }
 
 TEST(WireCodec, DecodeTrialRefusesOtherLines) {
-  EXPECT_THROW((void)serve::decode_trial(serve::response_pong(1)),
+  EXPECT_THROW((void)serve::decode_trial(serve::response_pong(1, 1)),
                serve::ProtocolError);
   EXPECT_THROW((void)serve::decode_trial("{\"type\":\"trial\""),
                serve::ProtocolError);
