@@ -42,7 +42,7 @@
 #include "runner/runner.h"
 #include "serve/server.h"
 #include "serve/transport_loopback.h"
-#include "serve/transport_tcp.h"
+#include "serve/transport_socket.h"
 #include "stats/json.h"
 
 using namespace whisper;

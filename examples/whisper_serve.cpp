@@ -23,8 +23,7 @@
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "serve/transport_loopback.h"
-#include "serve/transport_tcp.h"
-#include "serve/transport_unix.h"
+#include "serve/transport_socket.h"
 #include "stats/flags.h"
 
 using namespace whisper;

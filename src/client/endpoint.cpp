@@ -3,8 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "serve/transport_tcp.h"
-#include "serve/transport_unix.h"
+#include "serve/transport_socket.h"
 
 namespace whisper::client {
 
@@ -73,51 +72,19 @@ std::vector<EndpointSpec> parse_endpoint_list(const std::string& csv) {
 
 namespace {
 
-class TcpEndpoint : public Endpoint {
+/// A TCP or unix-domain daemon, dialed through its transport's dial().
+class SocketEndpoint : public Endpoint {
  public:
-  explicit TcpEndpoint(std::string address) : address_(std::move(address)) {}
+  explicit SocketEndpoint(EndpointSpec spec) : spec_(std::move(spec)) {}
   std::unique_ptr<serve::Connection> dial(int timeout_ms) override {
-    return serve::TcpTransport::dial(address_, timeout_ms);
+    if (spec_.kind == EndpointSpec::Kind::kTcp)
+      return serve::TcpTransport::dial(spec_.address, timeout_ms);
+    return serve::UnixSocketTransport::dial(spec_.address, timeout_ms);
   }
-  std::string label() const override { return "tcp:" + address_; }
+  std::string label() const override { return spec_.canonical(); }
 
  private:
-  std::string address_;
-};
-
-class UnixEndpoint : public Endpoint {
- public:
-  explicit UnixEndpoint(std::string path) : path_(std::move(path)) {}
-  std::unique_ptr<serve::Connection> dial(int timeout_ms) override {
-    return serve::UnixSocketTransport::dial(path_, timeout_ms);
-  }
-  std::string label() const override { return "unix:" + path_; }
-
- private:
-  std::string path_;
-};
-
-/// Client side of a loopback connection pair as a serve::Connection.
-class LoopbackClientConnection : public serve::Connection {
- public:
-  LoopbackClientConnection(std::unique_ptr<serve::LoopbackClient> client,
-                           std::string label)
-      : client_(std::move(client)), label_(std::move(label)) {}
-  ~LoopbackClientConnection() override { close(); }
-
-  bool read_line(std::string& out) override { return client_->recv(out); }
-  serve::ReadStatus read_line_for(std::string& out, int timeout_ms) override {
-    return client_->recv_for(out, timeout_ms);
-  }
-  bool write_line(const std::string& line) override {
-    return client_->send(line);
-  }
-  void close() override { client_->close(); }
-  [[nodiscard]] std::string peer() const override { return label_; }
-
- private:
-  std::unique_ptr<serve::LoopbackClient> client_;
-  std::string label_;
+  EndpointSpec spec_;
 };
 
 /// Forwards to a shared inner connection so KillSwitchEndpoint can keep a
@@ -126,7 +93,6 @@ class SharedConnection : public serve::Connection {
  public:
   explicit SharedConnection(std::shared_ptr<serve::Connection> inner)
       : inner_(std::move(inner)) {}
-  bool read_line(std::string& out) override { return inner_->read_line(out); }
   serve::ReadStatus read_line_for(std::string& out, int timeout_ms) override {
     return inner_->read_line_for(out, timeout_ms);
   }
@@ -134,7 +100,6 @@ class SharedConnection : public serve::Connection {
     return inner_->write_line(line);
   }
   void close() override { inner_->close(); }
-  [[nodiscard]] std::string peer() const override { return inner_->peer(); }
 
  private:
   std::shared_ptr<serve::Connection> inner_;
@@ -143,9 +108,7 @@ class SharedConnection : public serve::Connection {
 }  // namespace
 
 std::unique_ptr<Endpoint> make_endpoint(const EndpointSpec& spec) {
-  if (spec.kind == EndpointSpec::Kind::kTcp)
-    return std::make_unique<TcpEndpoint>(spec.address);
-  return std::make_unique<UnixEndpoint>(spec.address);
+  return std::make_unique<SocketEndpoint>(spec);
 }
 
 LoopbackEndpoint::LoopbackEndpoint(serve::LoopbackTransport& transport,
@@ -161,7 +124,7 @@ std::unique_ptr<serve::Connection> LoopbackEndpoint::dial(int timeout_ms) {
   if (!client->send(""))
     throw serve::DialError("cannot connect to " + label_ +
                            ": transport shut down");
-  return std::make_unique<LoopbackClientConnection>(std::move(client), label_);
+  return client;
 }
 
 std::string LoopbackEndpoint::label() const { return label_; }

@@ -58,8 +58,7 @@ class Endpoint {
 [[nodiscard]] std::unique_ptr<Endpoint> make_endpoint(const EndpointSpec& spec);
 
 /// In-process endpoint over a LoopbackTransport (which must outlive it).
-/// The returned connections adapt LoopbackClient's channel pair to the
-/// Connection interface, including timed reads.
+/// dial() returns the client end of a fresh loopback connection pair.
 class LoopbackEndpoint : public Endpoint {
  public:
   explicit LoopbackEndpoint(serve::LoopbackTransport& transport,

@@ -9,10 +9,10 @@ namespace whisper::client {
 
 FlakyConnection::FlakyConnection(std::unique_ptr<serve::Connection> inner,
                                  fault::FaultPlan plan,
-                                 std::uint64_t request_base, int stall_ms)
+                                 std::uint64_t& next_request, int stall_ms)
     : inner_(std::move(inner)),
       plan_(std::move(plan)),
-      next_request_(request_base),
+      next_request_(next_request),
       stall_ms_(stall_ms) {
   for (const fault::Kind k :
        {fault::Kind::kThrow, fault::Kind::kCorrupt, fault::Kind::kSleep}) {
@@ -60,14 +60,6 @@ serve::ReadStatus FlakyConnection::read_line_for(std::string& out,
   return st;
 }
 
-bool FlakyConnection::read_line(std::string& out) {
-  return read_line_for(out, -1) == serve::ReadStatus::kLine;
-}
-
 void FlakyConnection::close() { inner_->close(); }
-
-std::string FlakyConnection::peer() const {
-  return inner_->peer() + "+flaky";
-}
 
 }  // namespace whisper::client

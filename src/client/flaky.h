@@ -20,8 +20,9 @@
 // RunSpec::fault_plan, mirrored by runner::validate() rejecting the
 // transport kinds there.
 //
-// `request_base` offsets the ordinal so one plan spans an endpoint's
-// successive connections (reconnects do not reset the coordinates).
+// The ordinal is a counter the owner passes in and FlakyConnection advances
+// on every write, so one plan spans an endpoint's successive connections
+// (reconnects do not reset the coordinates).
 #pragma once
 
 #include <cstdint>
@@ -35,26 +36,21 @@ namespace whisper::client {
 
 class FlakyConnection : public serve::Connection {
  public:
-  /// Throws std::invalid_argument if the plan uses a trial-only kind.
+  /// `next_request` is the next request's ordinal; each write_line()
+  /// advances it, and it must outlive this connection. Throws
+  /// std::invalid_argument if the plan uses a trial-only kind.
   FlakyConnection(std::unique_ptr<serve::Connection> inner,
-                  fault::FaultPlan plan, std::uint64_t request_base = 0,
+                  fault::FaultPlan plan, std::uint64_t& next_request,
                   int stall_ms = 50);
 
-  bool read_line(std::string& out) override;
   serve::ReadStatus read_line_for(std::string& out, int timeout_ms) override;
   bool write_line(const std::string& line) override;
   void close() override;
-  [[nodiscard]] std::string peer() const override;
-
-  /// Requests written so far (base + local count): the next request's
-  /// coordinate, which the owner threads through to the replacement
-  /// connection after a reconnect.
-  [[nodiscard]] std::uint64_t next_request() const { return next_request_; }
 
  private:
   std::unique_ptr<serve::Connection> inner_;
   fault::FaultPlan plan_;
-  std::uint64_t next_request_;
+  std::uint64_t& next_request_;
   int stall_ms_;
   bool stalled_ = false;
   bool shortread_pending_ = false;

@@ -21,6 +21,9 @@ namespace whisper::client {
 
 namespace {
 
+/// Seeds the backoff jitter; it times sleeps only, never a result byte.
+constexpr std::uint64_t kJitterSeed = 0x5eedULL;
+
 struct Chunk {
   std::size_t first = 0;
   int count = 0;
@@ -136,7 +139,7 @@ class EndpointWorker {
     window_ = *workers;
     if (!flaky_.empty())
       conn_ = std::make_unique<FlakyConnection>(
-          std::move(raw), flaky_, sent_requests_, opts_.flaky_stall_ms);
+          std::move(raw), flaky_, flaky_requests_, opts_.flaky_stall_ms);
     else
       conn_ = std::move(raw);
     return true;
@@ -201,9 +204,7 @@ class EndpointWorker {
         std::lock_guard<std::mutex> lock(state_.mu);
         ++state_.stats.requests;
       }
-      const bool wrote = conn_->write_line(request);
-      ++sent_requests_;  // mirrors FlakyConnection's ordinal, drop included
-      if (!wrote) drop_connection();
+      if (!conn_->write_line(request)) drop_connection();
     }
     return true;
   }
@@ -358,7 +359,7 @@ class EndpointWorker {
     // schedule replays exactly; spread, so N clients hammering one
     // recovering daemon do not sync up.
     const std::uint64_t roll =
-        stats::SplitMix64(opts_.jitter_seed ^
+        stats::SplitMix64(kJitterSeed ^
                           (index_ * 0x100000001b3ULL) ^ attempt)
             .next() %
         1000;
@@ -393,7 +394,9 @@ class EndpointWorker {
   /// never exceed it.
   std::uint64_t window_ = 1;
   std::vector<InFlight> inflight_;  // send order
-  std::uint64_t sent_requests_ = 0;
+  /// The flaky plan's request ordinal, advanced by FlakyConnection on each
+  /// write: one count across this endpoint's successive connections.
+  std::uint64_t flaky_requests_ = 0;
   int consecutive_failures_ = 0;
   std::uint64_t backoff_attempt_ = 0;
 };
@@ -417,7 +420,8 @@ SweepResult SweepClient::sweep(
   const fault::FaultPlan flaky = fault::FaultPlan::parse(opts_.flaky_plan);
   if (!flaky.empty()) {
     // Surface trial-kind misuse before any thread spawns.
-    FlakyConnection probe(nullptr, flaky, 0, 0);
+    std::uint64_t unused = 0;
+    FlakyConnection probe(nullptr, flaky, unused, 0);
     (void)probe;
   }
 

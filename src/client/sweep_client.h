@@ -66,10 +66,9 @@ struct SweepOptions {
   int endpoint_failures = 3;
   /// Exponential backoff between an endpoint's retries: base * 2^attempt,
   /// capped, scaled by a deterministic jitter factor in [0.5, 1) seeded
-  /// from (jitter_seed, endpoint, attempt).
+  /// from (endpoint, attempt).
   int backoff_base_ms = 5;
   int backoff_max_ms = 250;
-  std::uint64_t jitter_seed = 0x5eedULL;
   /// Flaky-transport plan (drop/shortread/stall; fault grammar) applied
   /// to every connection, with per-endpoint request ordinals as
   /// coordinates. Empty = no injection.

@@ -63,10 +63,7 @@ int poll_fd(int fd, short events, int timeout_ms) {
 
 }  // namespace
 
-FdConnection::FdConnection(int fd, std::string peer)
-    : fd_(fd), peer_(std::move(peer)) {
-  ignore_sigpipe();
-}
+FdConnection::FdConnection(int fd) : fd_(fd) { ignore_sigpipe(); }
 
 FdConnection::~FdConnection() {
   close();
@@ -99,10 +96,6 @@ ReadStatus FdConnection::fill(int timeout_ms) {
     if (n < 0 && errno == EINTR) continue;
     return ReadStatus::kClosed;  // EOF or hard error
   }
-}
-
-bool FdConnection::read_line(std::string& out) {
-  return read_line_for(out, -1) == ReadStatus::kLine;
 }
 
 ReadStatus FdConnection::read_line_for(std::string& out, int timeout_ms) {
@@ -175,8 +168,6 @@ void FdConnection::close() {
     ::shutdown(fd_, SHUT_RDWR);
   }
 }
-
-std::string FdConnection::peer() const { return peer_; }
 
 int dial_fd(int domain, const void* addr, std::size_t addr_len, int timeout_ms,
             const std::string& what) {

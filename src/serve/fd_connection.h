@@ -1,15 +1,15 @@
 // File-descriptor Connection: the line framing shared by the unix-domain
 // and TCP transports.
 //
-// Extracted from transport_unix.cpp when TcpTransport arrived so both
-// socket transports (and their dial() client sides) share one hardened
-// read/write path:
+// A stream socket carries the same newline-framed bytes whatever its
+// address family, so both socket kinds — the listener's accepted
+// connections and both dial() client sides — share one hardened
+// read/write path, and a fix to it lands once:
 //
-//   * read_line() buffers recv() chunks and serves newline-framed lines;
-//     a final unterminated fragment at EOF still counts as a line.
-//   * read_line_for() bounds the wait with poll(): the sweep client's
-//     per-request deadline, not a wedged daemon, decides how long a
-//     response may take.
+//   * read_line_for() buffers recv() chunks and serves newline-framed
+//     lines; a final unterminated fragment at EOF still counts as a line.
+//     It bounds the wait with poll(): the sweep client's per-request
+//     deadline, not a wedged daemon, decides how long a response may take.
 //   * Lines are capped at kMaxLineBytes. An overlong line is delivered
 //     truncated (so protocol.cpp's kMaxRequestBytes check rejects it with
 //     a well-formed error response) and the tail through the next newline
@@ -43,16 +43,13 @@ class FdConnection : public Connection {
   /// parse_request() with an attributable error line.
   static constexpr std::size_t kMaxLineBytes = 256 * 1024;
 
-  /// Takes ownership of `fd` (closed on destruction). `peer` is the label
-  /// peer() reports.
-  FdConnection(int fd, std::string peer);
+  /// Takes ownership of `fd` (closed on destruction).
+  explicit FdConnection(int fd);
   ~FdConnection() override;
 
-  bool read_line(std::string& out) override;
   ReadStatus read_line_for(std::string& out, int timeout_ms) override;
   bool write_line(const std::string& line) override;
   void close() override;
-  [[nodiscard]] std::string peer() const override;
 
  private:
   /// Pull one recv() chunk into buf_, honouring the poll deadline.
@@ -60,7 +57,6 @@ class FdConnection : public Connection {
   ReadStatus fill(int timeout_ms);
 
   const int fd_;  // never written after construction; closed by the destructor
-  std::string peer_;
   std::string buf_;
   bool discarding_ = false;  // dropping an oversized line's tail until '\n'
   std::mutex write_mu_;

@@ -2,23 +2,24 @@
 //
 // The serving stack is transport-agnostic: the protocol is newline-framed
 // JSON in both directions (src/serve/protocol.h), so a transport only has
-// to move lines. Three implementations:
+// to move lines. Three transports:
 //
-//   * LoopbackTransport (transport_loopback.h) — in-process queue pairs;
-//     what the tests and bench/serve_soak drive, no sockets, no fds.
-//   * UnixSocketTransport (transport_unix.h) — a SOCK_STREAM unix-domain
-//     socket; what examples/whisper_serve binds by default.
-//   * TcpTransport (transport_tcp.h) — TCP on host:port; what turns one
-//     daemon into one endpoint of a sweep pool (whisper_serve --listen,
-//     whisper_cli sweep --endpoints).
+//   * LoopbackTransport (transport_loopback.h) — in-process channel pairs;
+//     what the tests and bench/serve_soak drive, no sockets, no fds. Both
+//     ends of a pair are one class, LoopbackConnection.
+//   * UnixSocketTransport and TcpTransport (transport_socket.h) — a
+//     SOCK_STREAM unix-domain socket (what examples/whisper_serve binds by
+//     default) and TCP on host:port (what turns one daemon into one
+//     endpoint of a sweep pool). Both are one listener, SocketTransport,
+//     handing out FdConnections (fd_connection.h).
 //
 // Threading contract:
 //   * accept() is called from exactly one thread (the server's accept
 //     loop); it blocks until a client connects and returns nullptr once
 //     shutdown() has been called.
-//   * Connection::read_line() / read_line_for() are called from exactly
-//     one thread per connection (the server's per-connection reader, or
-//     the sweep client's per-endpoint worker).
+//   * Connection::read_line_for() (and read_line(), its blocking form) is
+//     called from exactly one thread per connection (the server's
+//     per-connection reader, or the sweep client's per-endpoint worker).
 //   * Connection::write_line() is thread-safe — any worker may stream
 //     response lines at any time; each line is written atomically (no
 //     interleaving inside a line).
@@ -41,19 +42,15 @@ class Connection {
  public:
   virtual ~Connection() = default;
 
-  /// Block for the next newline-terminated request line (the newline is
-  /// stripped). Returns false once the peer has closed and every buffered
-  /// line has been consumed.
-  virtual bool read_line(std::string& out) = 0;
+  /// Block up to `timeout_ms` milliseconds (< 0 = forever) for the next
+  /// newline-terminated line (the newline is stripped). kClosed once the
+  /// peer has closed and every buffered line has been consumed.
+  virtual ReadStatus read_line_for(std::string& out, int timeout_ms) = 0;
 
-  /// Timed read: block up to `timeout_ms` milliseconds for the next line.
-  /// `timeout_ms < 0` blocks forever (== read_line). The base default has
-  /// no timer — transports that can wait bounded (fd poll, channel
-  /// wait_for) override; the server only ever blocks, so it keeps the
-  /// plain path.
-  virtual ReadStatus read_line_for(std::string& out, int timeout_ms) {
-    (void)timeout_ms;
-    return read_line(out) ? ReadStatus::kLine : ReadStatus::kClosed;
+  /// The blocking read: false once the peer has closed and every buffered
+  /// line has been consumed.
+  bool read_line(std::string& out) {
+    return read_line_for(out, -1) == ReadStatus::kLine;
   }
 
   /// Queue one response line (a trailing newline is appended). Thread-safe;
@@ -61,11 +58,8 @@ class Connection {
   virtual bool write_line(const std::string& line) = 0;
 
   /// Tear the connection down in both directions; unblocks a pending
-  /// read_line(). Idempotent.
+  /// read. Idempotent.
   virtual void close() = 0;
-
-  /// Short peer label for logs and metrics ("loopback:2", "unix:7").
-  [[nodiscard]] virtual std::string peer() const = 0;
 };
 
 /// A dial that could not produce a live connection: refused, unreachable,

@@ -1,20 +1,20 @@
-// In-process transport: line queues instead of sockets.
+// In-process transport: line channels instead of sockets.
 //
 // LoopbackTransport is the deterministic test double for the serving
-// stack. A client side (LoopbackClient) and the server-side Connection
-// share a pair of LineChannels; tests and bench/serve_soak connect any
-// number of clients without touching the filesystem or file descriptors,
-// which keeps the protocol/determinism suites runnable under sandboxes
-// and sanitizers.
+// stack. connect() makes a pair of LineChannels and two LoopbackConnections
+// over them — one reads what the other writes — and hands one end to the
+// caller and the other to the server's accept(). Tests and
+// bench/serve_soak connect any number of clients without touching the
+// filesystem or file descriptors, which keeps the protocol/determinism
+// suites runnable under sandboxes and sanitizers.
 //
 // Close semantics mirror a real stream socket half-close: closing the
-// writer end lets the reader drain every line already queued before
-// read_line() reports end-of-stream. The soak test's "zero lost
-// responses" invariant depends on this.
+// writer end lets the reader drain every line already queued before its
+// read reports end-of-stream. The soak test's "zero lost responses"
+// invariant depends on this.
 #pragma once
 
 #include <condition_variable>
-#include <cstddef>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -24,58 +24,40 @@
 
 namespace whisper::serve {
 
-/// One direction of a loopback connection: an unbounded FIFO of lines
-/// with socket-like close semantics (drain, then EOF).
-class LineChannel {
+class LineChannel;  // one direction: a FIFO of lines (transport_loopback.cpp)
+
+/// One end of a loopback connection pair. The server's end comes out of
+/// accept(); the client's end comes out of connect() and also answers to
+/// the client spellings send/recv/recv_for/close_send. Destroying an end
+/// closes both directions, so the peer reads EOF once it has drained.
+class LoopbackConnection : public Connection {
  public:
-  /// Append a line. Returns false (drops the line) once closed.
-  bool push(const std::string& line);
+  LoopbackConnection(std::shared_ptr<LineChannel> in,
+                     std::shared_ptr<LineChannel> out);
+  ~LoopbackConnection() override;
+  LoopbackConnection(const LoopbackConnection&) = delete;
+  LoopbackConnection& operator=(const LoopbackConnection&) = delete;
 
-  /// Block for the next line. Returns false only when the channel is
-  /// closed AND empty — buffered lines are always delivered first.
-  bool pop(std::string& out);
+  ReadStatus read_line_for(std::string& out, int timeout_ms) override;
+  bool write_line(const std::string& line) override;
+  void close() override;
 
-  /// Timed pop: wait up to `timeout_ms` (< 0 = block like pop()). Same
-  /// drain-then-EOF close semantics; kTimeout leaves the queue untouched.
-  ReadStatus pop_for(std::string& out, int timeout_ms);
-
-  void close();
-  [[nodiscard]] bool closed() const;
-  [[nodiscard]] std::size_t size() const;
-
- private:
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<std::string> lines_;
-  bool closed_ = false;
-};
-
-/// The client's handle to a loopback connection.
-class LoopbackClient {
- public:
-  /// Send one request line to the server. False once the connection
-  /// is closed.
-  bool send(const std::string& line);
-
-  /// Block for the next response line. False once the server side has
-  /// closed and every buffered response was consumed.
-  bool recv(std::string& out);
-
-  /// Timed recv — the loopback spelling of FdConnection::read_line_for(),
-  /// so the sweep client's deadlines work identically on both transports.
-  ReadStatus recv_for(std::string& out, int timeout_ms);
-
-  /// Half-close: no more requests, but responses still drain.
+  /// Half-close: no more lines from this end, but the peer's still drain.
   void close_send();
 
-  /// Full close of both directions.
-  void close();
+  bool send(const std::string& line) { return write_line(line); }
+  bool recv(std::string& out) { return read_line(out); }
+  ReadStatus recv_for(std::string& out, int timeout_ms) {
+    return read_line_for(out, timeout_ms);
+  }
 
  private:
-  friend class LoopbackTransport;
-  std::shared_ptr<LineChannel> to_server_;
-  std::shared_ptr<LineChannel> to_client_;
+  std::shared_ptr<LineChannel> in_;
+  std::shared_ptr<LineChannel> out_;
 };
+
+/// The end connect() hands a client.
+using LoopbackClient = LoopbackConnection;
 
 /// Transport whose accept() yields connections created by connect().
 class LoopbackTransport : public Transport {
@@ -94,7 +76,6 @@ class LoopbackTransport : public Transport {
   std::condition_variable cv_;
   std::deque<std::unique_ptr<Connection>> pending_;
   bool down_ = false;
-  std::size_t next_id_ = 0;
 };
 
 }  // namespace whisper::serve

@@ -1,4 +1,4 @@
-#include "serve/transport_tcp.h"
+#include "serve/transport_socket.h"
 
 #include <optional>
 #include <stdexcept>
@@ -6,12 +6,12 @@
 #include "serve/fd_connection.h"
 #include "stats/parse.h"
 
-#if defined(WHISPER_HAVE_FD_CONNECTION)
-#define WHISPER_HAVE_TCP 1
+#if WHISPER_HAVE_FD_CONNECTION
 #include <arpa/inet.h>
 #include <netdb.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -20,9 +20,18 @@
 
 namespace whisper::serve {
 
-#if WHISPER_HAVE_TCP
+#if WHISPER_HAVE_FD_CONNECTION
 
 namespace {
+
+sockaddr_un unix_addr(const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  if (path.size() >= sizeof addr.sun_path)
+    throw std::runtime_error("serve: socket path too long: " + path);
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  return addr;
+}
 
 struct HostPort {
   std::string host;
@@ -79,61 +88,81 @@ sockaddr_in resolve(const std::string& host, std::uint16_t port, bool listen,
 
 }  // namespace
 
-TcpTransport::TcpTransport(const std::string& address) {
-  const HostPort hp = split_host_port(address, "listen");
-  std::string host;
-  sockaddr_in addr = resolve(hp.host, hp.port, /*listen=*/true, &host);
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+SocketTransport::SocketTransport(std::string unlink_path)
+    : unlink_path_(std::move(unlink_path)) {}
+
+void SocketTransport::listen_on(int domain, const void* addr,
+                                std::size_t addr_len, const std::string& what) {
+  listen_fd_ = ::socket(domain, SOCK_STREAM, 0);
   if (listen_fd_ < 0)
     throw std::runtime_error("serve: socket() failed: " +
                              std::string(std::strerror(errno)));
   const int one = 1;
   // A daemon restarted onto the same port must not lose to TIME_WAIT.
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof addr) != 0 ||
+  if (domain == AF_INET)
+    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+  // Clear a stale socket file left by a crashed daemon.
+  if (!unlink_path_.empty()) ::unlink(unlink_path_.c_str());
+  if (::bind(listen_fd_, static_cast<const sockaddr*>(addr),
+             static_cast<socklen_t>(addr_len)) != 0 ||
       ::listen(listen_fd_, 64) != 0) {
     const std::string err = std::strerror(errno);
     ::close(listen_fd_);
     listen_fd_ = -1;
-    throw std::runtime_error("serve: cannot listen on " + address + ": " + err);
+    throw std::runtime_error("serve: cannot listen on " + what + ": " + err);
   }
-  // Report the port the kernel actually chose (matters for port 0).
-  sockaddr_in bound{};
-  socklen_t len = sizeof bound;
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len) ==
-      0)
-    port_ = ntohs(bound.sin_port);
-  else
-    port_ = hp.port;
-  address_ = host + ":" + std::to_string(port_);
 }
 
-TcpTransport::~TcpTransport() {
+SocketTransport::~SocketTransport() {
   shutdown();
-  // Closed only here, after the accept loop has returned: a close() under
-  // a concurrent accept() would race on the fd and could let the loop's
-  // EINTR retry reach a reused fd number.
+  // Closed only here, after the accept loop has returned (file comment).
   if (listen_fd_ >= 0) ::close(listen_fd_);
 }
 
-std::unique_ptr<Connection> TcpTransport::accept() {
+std::unique_ptr<Connection> SocketTransport::accept() {
   for (;;) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd >= 0)
-      return std::make_unique<FdConnection>(
-          fd, "tcp:" + std::to_string(next_id_++));
+    if (fd >= 0) return std::make_unique<FdConnection>(fd);
     if (errno == EINTR) continue;
     return nullptr;  // listen fd shut down or gone
   }
 }
 
-void TcpTransport::shutdown() {
-  // Same trick as the unix transport: shutdown() unblocks a concurrent
-  // accept() and refuses later connects; the fd stays open (and
-  // listen_fd_ unwritten) until the destructor.
-  if (listen_fd_ >= 0 && !shut_down_.exchange(true))
+void SocketTransport::shutdown() {
+  // ::shutdown() unblocks a concurrent accept() and refuses later
+  // connects; plain close() alone leaves accept() hanging on Linux.
+  if (listen_fd_ >= 0 && !shut_down_.exchange(true)) {
     ::shutdown(listen_fd_, SHUT_RDWR);
+    if (!unlink_path_.empty()) ::unlink(unlink_path_.c_str());
+  }
+}
+
+UnixSocketTransport::UnixSocketTransport(const std::string& path)
+    : SocketTransport(path), path_(path) {
+  const sockaddr_un addr = unix_addr(path);
+  listen_on(AF_UNIX, &addr, sizeof addr, path);
+}
+
+std::unique_ptr<Connection> UnixSocketTransport::dial(const std::string& path,
+                                                      int timeout_ms) {
+  const sockaddr_un addr = unix_addr(path);
+  return std::make_unique<FdConnection>(
+      dial_fd(AF_UNIX, &addr, sizeof addr, timeout_ms, path));
+}
+
+TcpTransport::TcpTransport(const std::string& address) {
+  const HostPort hp = split_host_port(address, "listen");
+  std::string host;
+  const sockaddr_in addr = resolve(hp.host, hp.port, /*listen=*/true, &host);
+  listen_on(AF_INET, &addr, sizeof addr, address);
+  // Report the port the kernel actually chose (matters for port 0).
+  sockaddr_in bound{};
+  socklen_t len = sizeof bound;
+  port_ = ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
+                        &len) == 0
+              ? ntohs(bound.sin_port)
+              : hp.port;
+  address_ = host + ":" + std::to_string(port_);
 }
 
 std::unique_ptr<Connection> TcpTransport::dial(const std::string& address,
@@ -146,23 +175,33 @@ std::unique_ptr<Connection> TcpTransport::dial(const std::string& address,
     // Resolution failure is a dial failure: typed, countable, retryable.
     throw DialError("cannot resolve '" + address + "'");
   }
-  const int fd = dial_fd(AF_INET, &addr, sizeof addr, timeout_ms, address);
-  return std::make_unique<FdConnection>(fd, "tcp:dial:" + address);
+  return std::make_unique<FdConnection>(
+      dial_fd(AF_INET, &addr, sizeof addr, timeout_ms, address));
 }
 
-#else  // !WHISPER_HAVE_TCP
+#else  // !WHISPER_HAVE_FD_CONNECTION
 
-TcpTransport::TcpTransport(const std::string&) {
+namespace {
+[[noreturn]] void unavailable() {
   throw std::runtime_error(
-      "serve: TCP sockets unavailable on this platform; use the loopback "
+      "serve: sockets unavailable on this platform; use the loopback "
       "transport");
 }
+}  // namespace
 
-TcpTransport::~TcpTransport() = default;
-std::unique_ptr<Connection> TcpTransport::accept() { return nullptr; }
-void TcpTransport::shutdown() {}
+SocketTransport::SocketTransport(std::string unlink_path)
+    : unlink_path_(std::move(unlink_path)) {}
+SocketTransport::~SocketTransport() = default;
+std::unique_ptr<Connection> SocketTransport::accept() { return nullptr; }
+void SocketTransport::shutdown() {}
+UnixSocketTransport::UnixSocketTransport(const std::string&) { unavailable(); }
+std::unique_ptr<Connection> UnixSocketTransport::dial(const std::string&,
+                                                      int) {
+  unavailable();
+}
+TcpTransport::TcpTransport(const std::string&) { unavailable(); }
 std::unique_ptr<Connection> TcpTransport::dial(const std::string&, int) {
-  throw std::runtime_error("serve: TCP sockets unavailable");
+  unavailable();
 }
 
 #endif

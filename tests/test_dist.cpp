@@ -35,8 +35,7 @@
 #include "serve/server.h"
 #include "serve/transport.h"
 #include "serve/transport_loopback.h"
-#include "serve/transport_tcp.h"
-#include "serve/transport_unix.h"
+#include "serve/transport_socket.h"
 #include "stats/json.h"
 #include "stats/rng.h"
 
@@ -89,8 +88,8 @@ std::pair<std::unique_ptr<serve::FdConnection>,
 fd_pair() {
   int fds[2] = {-1, -1};
   EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  return {std::make_unique<serve::FdConnection>(fds[0], "a"),
-          std::make_unique<serve::FdConnection>(fds[1], "b")};
+  return {std::make_unique<serve::FdConnection>(fds[0]),
+          std::make_unique<serve::FdConnection>(fds[1])};
 }
 
 TEST(DistFdConnection, WriteToClosedPeerFailsWithoutSigpipe) {
@@ -109,7 +108,7 @@ TEST(DistFdConnection, WriteToClosedPeerFailsWithoutSigpipe) {
 TEST(DistFdConnection, DeliversFinalUnterminatedFragment) {
   int fds[2] = {-1, -1};
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  serve::FdConnection reader(fds[0], "reader");
+  serve::FdConnection reader(fds[0]);
   ASSERT_EQ(::send(fds[1], "tail", 4, 0), 4);
   ::close(fds[1]);
   std::string line;
@@ -198,7 +197,7 @@ TEST(DistFdConnection, FuzzedStreamsFrameLinesExactly) {
 
     int fds[2] = {-1, -1};
     ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-    serve::FdConnection reader(fds[0], "reader");
+    serve::FdConnection reader(fds[0]);
     const std::uint64_t writer_seed = rng.next();
     std::thread writer([&bytes, fd = fds[1], writer_seed] {
       stats::Xoshiro256 wr(writer_seed);
@@ -375,6 +374,62 @@ TEST(DistTcp, RefusesMalformedPorts) {
   EXPECT_THROW((void)serve::TcpTransport::dial("127.0.0.1:99999"),
                std::runtime_error);
 }
+
+// ---------------------------------------------------------------------------
+// The one socket listener, run for both kinds: shutdown() wakes an accept()
+// parked on another thread, a second shutdown() is harmless, later dials
+// refuse typed, and the unix kind removes its socket file.
+
+class DistListener : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(DistListener, ShutdownWakesAcceptAndRefusesDials) {
+  const bool unix_kind = GetParam() == "unix";
+  const std::string path = "/tmp/whisper_test_listener.sock";
+  std::unique_ptr<serve::SocketTransport> transport;
+  std::string address = path;
+  if (unix_kind) {
+    transport = std::make_unique<serve::UnixSocketTransport>(path);
+  } else {
+    try {
+      auto tcp = std::make_unique<serve::TcpTransport>("127.0.0.1:0");
+      address = tcp->address();
+      transport = std::move(tcp);
+    } catch (const std::exception& e) {
+      GTEST_SKIP() << "TCP unavailable: " << e.what();
+    }
+  }
+  const auto dial = [&] {
+    return unix_kind ? serve::UnixSocketTransport::dial(address, 500)
+                     : serve::TcpTransport::dial(address, 500);
+  };
+  // Live first: a dial is accepted.
+  auto client = dial();
+  ASSERT_NE(transport->accept(), nullptr);
+  client->close();
+
+  std::atomic<bool> returned{false};
+  std::unique_ptr<serve::Connection> accepted;
+  std::thread acceptor([&] {
+    accepted = transport->accept();
+    returned = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(returned.load()) << "accept() did not block";
+  transport->shutdown();
+  acceptor.join();
+  EXPECT_EQ(accepted, nullptr);
+
+  transport->shutdown();
+  EXPECT_EQ(transport->accept(), nullptr);
+  EXPECT_THROW((void)dial(), serve::DialError);
+  if (unix_kind) {
+    EXPECT_NE(::access(path.c_str(), F_OK), 0) << "socket file left behind";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kinds, DistListener,
+                         ::testing::Values("unix", "tcp"),
+                         [](const auto& info) { return info.param; });
 #endif  // WHISPER_HAVE_FD_CONNECTION
 
 // ---------------------------------------------------------------------------
@@ -410,8 +465,9 @@ TEST(DistFlaky, RejectsTrialKindsInFlakyPlans) {
   serve::Server server(transport, serve::ServerOptions{});
   server.start();
   LoopbackEndpoint endpoint(transport);
+  std::uint64_t requests = 0;
   EXPECT_THROW(FlakyConnection(endpoint.dial(-1),
-                               fault::FaultPlan::parse("throw@1")),
+                               fault::FaultPlan::parse("throw@1"), requests),
                std::invalid_argument);
   server.stop();
 }
@@ -421,14 +477,16 @@ TEST(DistFlaky, DropsExactlyTheNamedRequestOrdinal) {
   serve::Server server(transport, serve::ServerOptions{});
   server.start();
   LoopbackEndpoint endpoint(transport);
-  FlakyConnection flaky(endpoint.dial(-1), fault::FaultPlan::parse("drop@1"));
+  std::uint64_t requests = 0;
+  FlakyConnection flaky(endpoint.dial(-1), fault::FaultPlan::parse("drop@1"),
+                        requests);
   std::string line;
   ASSERT_TRUE(flaky.write_line(R"({"id":1,"verb":"ping"})"));  // request 0
   ASSERT_EQ(flaky.read_line_for(line, 5000), serve::ReadStatus::kLine);
   EXPECT_EQ(line, serve::response_pong(1, 1));
   // Request 1 is the named ordinal: the write severs instead of sending.
   EXPECT_FALSE(flaky.write_line(R"({"id":2,"verb":"ping"})"));
-  EXPECT_EQ(flaky.next_request(), 2u);
+  EXPECT_EQ(requests, 2u);
   server.stop();
 }
 
@@ -733,7 +791,9 @@ class DoneGateConnection : public serve::Connection {
                      std::atomic<int>& bound_hits)
       : inner_(std::move(inner)), bound_hits_(bound_hits) {}
 
-  bool read_line(std::string& out) override { return inner_->read_line(out); }
+  serve::ReadStatus read_line_for(std::string& out, int timeout_ms) override {
+    return inner_->read_line_for(out, timeout_ms);
+  }
   bool write_line(const std::string& line) override {
     const stats::JsonValue doc = stats::json_parse(line);
     const std::string type = doc.get("type")->string;
@@ -753,7 +813,6 @@ class DoneGateConnection : public serve::Connection {
     return inner_->write_line(line);
   }
   void close() override { inner_->close(); }
-  [[nodiscard]] std::string peer() const override { return inner_->peer(); }
 
 
  private:
@@ -819,9 +878,6 @@ class InFlightProbe : public Endpoint {
    public:
     Conn(std::unique_ptr<serve::Connection> inner, InFlightProbe& probe)
         : inner_(std::move(inner)), probe_(probe) {}
-    bool read_line(std::string& out) override {
-      return read_line_for(out, -1) == serve::ReadStatus::kLine;
-    }
     serve::ReadStatus read_line_for(std::string& out,
                                     int timeout_ms) override {
       const serve::ReadStatus st = inner_->read_line_for(out, timeout_ms);
@@ -838,7 +894,6 @@ class InFlightProbe : public Endpoint {
       return inner_->write_line(line);
     }
     void close() override { inner_->close(); }
-    std::string peer() const override { return inner_->peer(); }
 
    private:
     std::unique_ptr<serve::Connection> inner_;
