@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks: host-side cost of the simulator's core
 // operations (one probe of each gadget, one KASLR slot scan, a PMU scenario
-// pair, one machine construction, one whole trial of each registry attack
+// pair, one machine construction per CPU preset and noise profile, one
+// kernel-image build, one whole trial of each registry attack
 // with and without fast-forward, and with fast-forward under noise).
 // Useful for keeping experiment wall-clock in check as the model grows.
 #include <benchmark/benchmark.h>
@@ -13,6 +14,7 @@
 #include "core/attacks/registry.h"
 #include "core/gadgets.h"
 #include "core/pmu_toolset.h"
+#include "mem/phys_mem.h"
 #include "noise/noise.h"
 #include "os/machine.h"
 #include "runner/runner.h"
@@ -71,12 +73,29 @@ void BM_PmuScenarioMeasure(benchmark::State& state) {
 }
 
 // What every machine-pool miss pays: construction plus the snapshot() that
-// records the reset baseline and its digest.
-void BM_MachineConstruction(benchmark::State& state) {
+// records the reset baseline and its digest, per CPU preset and noise
+// profile (main() registers each pair as <cpuN>/noise, N the --cpu index;
+// the threads:4 variant constructs on four threads at once, as a runner's
+// workers do on pool misses).
+void BM_MachineConstruction(benchmark::State& state, uarch::CpuModel model,
+                            const noise::NoiseProfile& noise) {
   for (auto _ : state) {
-    os::Machine m({.model = uarch::CpuModel::KabyLakeI7_7700});
+    os::Machine m({.model = model, .noise = noise});
     m.snapshot();
     benchmark::DoNotOptimize(m.baseline_digest());
+  }
+}
+
+// What the first machine in a process pays once: the shared kernel image,
+// 4,096 frames of one word each, built the way os::KernelLayout builds it.
+void BM_FrameImage(benchmark::State& state) {
+  constexpr std::uint64_t kFrames = 4096;
+  for (auto _ : state) {
+    std::vector<mem::FrameImage::Word> words(kFrames);
+    for (std::uint64_t i = 0; i < kFrames; ++i)
+      words[i] = {i * mem::kFrameSize, 0x6b65726e656c0000ull | i};
+    const mem::FrameImage image(0x100000, kFrames, words);
+    benchmark::DoNotOptimize(image.digest());
   }
 }
 
@@ -134,7 +153,7 @@ BENCHMARK(BM_TetGadgetProbe)
 BENCHMARK(BM_RsbGadgetProbe)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_KaslrProbe)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_PmuScenarioMeasure)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_MachineConstruction)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_FrameImage)->Unit(benchmark::kMicrosecond);
 
 int main(int argc, char** argv) {
   const struct {
@@ -144,6 +163,22 @@ int main(int argc, char** argv) {
   } kModes[] = {{"fast_forward", true, noise::NoiseProfile::off()},
                 {"structural", false, noise::NoiseProfile::off()},
                 {"fast_forward_desktop", true, noise::NoiseProfile::desktop()}};
+  const struct {
+    const char* name;
+    noise::NoiseProfile profile;
+  } kNoise[] = {{"off", noise::NoiseProfile::off()},
+                {"desktop", noise::NoiseProfile::desktop()}};
+  for (const uarch::CpuModel model : uarch::all_models())
+    for (const auto& n : kNoise)
+      for (const int threads : {1, 4})
+        benchmark::RegisterBenchmark(
+            ("BM_MachineConstruction<cpu" +
+             std::to_string(static_cast<int>(model)) + ">/" + n.name)
+                .c_str(),
+            BM_MachineConstruction, model, n.profile)
+            ->Threads(threads)
+            ->UseRealTime()
+            ->Unit(benchmark::kMicrosecond);
   for (const std::string& attack : core::attack_names())
     for (const auto& mode : kModes)
       benchmark::RegisterBenchmark(

@@ -505,8 +505,8 @@ const Command kCommands[] = {
       "no-fast-forward", "fast_forward"},
      [](Options& o) { o.spec.attack = "md"; }, cmd_leak},
     {"kaslr", "sweep --trials TET-KASLR trials through the runner",
-     {"cpu", "defenses", "seed", "trials", "jobs", "json", "noise",
-      "adaptive", "retries", "trial_cycle_budget", "trial_wall_budget",
+     {"cpu", "defenses", "seed", "trials", "batches", "jobs", "json",
+      "noise", "adaptive", "retries", "trial_cycle_budget", "trial_wall_budget",
       "verify_reset", "fault_plan", "no-fast-forward", "fast_forward",
       "trace-out", "metrics-out"},
      nullptr, cmd_kaslr},
@@ -556,7 +556,8 @@ stats::Flags command_flags(const Command& c, Options& o) {
   for (const char* alias : {"kpti", "flare", "fgkaslr"})
     f.refuse(alias, std::string("was removed; use --defense ") + alias);
   f.refuse("rounds",
-           "is not a whisper_cli flag; kaslr runs its default 3 sweep rounds",
+           "is not a whisper_cli flag; kaslr takes its sweep rounds as "
+           "--batches N",
            /*takes_value=*/true);
   return f;
 }

@@ -2,10 +2,10 @@
 """Compare a base revision with this tree on one perfbench workload.
 
     python3 scripts/perf_pairs.py --base REV --pairs N --workload W \
-        [--seconds S]
+        [--seconds S] [--json PATH]
 
-Checks REV out with `git worktree` into a temporary directory, removed at
-exit. Then runs `perfbench/run.py --trace 0` once per side for each of N
+Checks REV out with `git clone` into a temporary directory, removed at
+exit; the repository's own .git is left as it was. Then runs `perfbench/run.py --trace 0` once per side for each of N
 pairs, alternating which side runs first; pair i runs seed SEED_BASE + i on
 both sides. Each tree builds perfbench into its own .bench_build/, so the
 first pair also pays two builds (outside the timed phase).
@@ -14,7 +14,11 @@ For every end-to-end metric BENCHMARK.json declares, prints each side's
 median and quartiles, the pairs the change won (ties count for neither
 side), and whether a gain claim holds: the change wins at least nine tenths
 of the pairs, and its median beats the base's by more than the base's
-interquartile range. Exits non-zero when a run fails.
+interquartile range. --json PATH also writes that summary as one JSON
+object: per metric each side's median and quartiles, the wins and the claim
+verdict, plus each side's commit (and whether the tree had uncommitted
+edits) and the host note line perfbench printed for it.
+Exits non-zero when a run fails.
 """
 import argparse
 import json
@@ -31,7 +35,8 @@ SEED_BASE = 901
 
 
 def run_side(tree, workload, seed, seconds):
-    """One perfbench run in `tree`: {metric: value}."""
+    """One perfbench run in `tree`: ({metric: value}, its first note line,
+    the host descriptor)."""
     env = dict(os.environ)
     env.pop("CARGO_TARGET_DIR", None)  # each tree builds its own binary
     cmd = [sys.executable, os.path.join(tree, "perfbench", "run.py"),
@@ -43,8 +48,9 @@ def run_side(tree, workload, seed, seconds):
         sys.stderr.write(proc.stdout)
         raise RuntimeError("%s exited %d in %s" %
                            (" ".join(cmd[1:]), proc.returncode, tree))
-    result = json.loads(proc.stdout.rstrip("\n").split("\n")[-1])
-    return {k: v["value"] for k, v in result["metrics"].items()}
+    lines = proc.stdout.rstrip("\n").split("\n")
+    result = json.loads(lines[-1])
+    return {k: v["value"] for k, v in result["metrics"].items()}, lines[0]
 
 
 def quartiles(values):
@@ -53,8 +59,8 @@ def quartiles(values):
 
 
 def summarize(metric, base, change):
-    """One report row: both sides' medians and quartiles, the change's wins
-    and whether the claim rule holds."""
+    """One metric's verdict: both sides' medians and quartiles, the
+    change's wins and whether the claim rule holds."""
     lower = metric["better"] == "lower"
     name = metric["name"]
     wins = sum(1 for b, c in zip(base[name], change[name])
@@ -62,11 +68,30 @@ def summarize(metric, base, change):
     bq1, bmed, bq3 = quartiles(base[name])
     cq1, cmed, cq3 = quartiles(change[name])
     gap = bmed - cmed if lower else cmed - bmed
-    holds = wins * 10 >= 9 * len(base[name]) and gap > bq3 - bq1
+    return {"name": name, "better": metric["better"],
+            "base": {"median": bmed, "q1": bq1, "q3": bq3},
+            "change": {"median": cmed, "q1": cq1, "q3": cq3},
+            "wins": wins, "pairs": len(base[name]),
+            "claim_holds": wins * 10 >= 9 * len(base[name]) and
+            gap > bq3 - bq1}
+
+
+def row(s):
+    """summarize()'s verdict as one report line."""
+    side = lambda q: "%.4g [%.4g, %.4g]" % (q["median"], q["q1"], q["q3"])
     return "%-14s %-6s %30s %30s %4d/%-3d %s" % (
-        name, metric["better"], "%.4g [%.4g, %.4g]" % (bmed, bq1, bq3),
-        "%.4g [%.4g, %.4g]" % (cmed, cq1, cq3), wins, len(base[name]),
-        "holds" if holds else "no")
+        s["name"], s["better"], side(s["base"]), side(s["change"]),
+        s["wins"], s["pairs"], "holds" if s["claim_holds"] else "no")
+
+
+def commit_of(tree):
+    """The commit `tree` sits on, and whether it has uncommitted edits."""
+    head = subprocess.run(["git", "-C", tree, "rev-parse", "HEAD"],
+                          capture_output=True, text=True)
+    status = subprocess.run(["git", "-C", tree, "status", "--porcelain"],
+                            capture_output=True, text=True)
+    return {"commit": head.stdout.strip() if head.returncode == 0
+            else "unknown", "uncommitted_edits": bool(status.stdout.strip())}
 
 
 def main():
@@ -75,6 +100,8 @@ def main():
     p.add_argument("--pairs", required=True, type=int)
     p.add_argument("--workload", required=True)
     p.add_argument("--seconds", type=int, default=20)
+    p.add_argument("--json", metavar="PATH",
+                   help="also write the summary to PATH as JSON")
     args = p.parse_args()
     if args.pairs < 2:
         p.error("--pairs must be at least 2 (quartiles need two runs)")
@@ -84,16 +111,21 @@ def main():
     tmp = tempfile.mkdtemp(prefix="perf_pairs-")
     base_tree = os.path.join(tmp, "base")
     try:
-        subprocess.run(["git", "-C", ROOT, "worktree", "add", "--detach",
-                        base_tree, args.base], check=True,
-                       stdout=subprocess.DEVNULL)
+        subprocess.run(["git", "clone", "--quiet", "--no-checkout", ROOT,
+                        base_tree], check=True)
+        subprocess.run(["git", "-C", base_tree, "checkout", "--quiet",
+                        "--detach", args.base], check=True)
         sides = {"base": base_tree, "change": ROOT}
+        commits = {side: commit_of(tree) for side, tree in sides.items()}
         runs = {"base": {}, "change": {}}
+        host = {}
         for i in range(args.pairs):
             seed = SEED_BASE + i
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for side in order:
-                got = run_side(sides[side], args.workload, seed, args.seconds)
+                got, note = run_side(sides[side], args.workload, seed,
+                                     args.seconds)
+                host.setdefault(side, note)
                 for name, value in got.items():
                     runs[side].setdefault(name, []).append(value)
             print("pair %d (seed %d, %s first): %s" % (
@@ -102,10 +134,6 @@ def main():
                                       runs["change"][m["name"]][-1])
                     for m in metrics)), file=sys.stderr)
     finally:
-        subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force",
-                        base_tree], stdout=subprocess.DEVNULL,
-                       stderr=subprocess.DEVNULL)
-        subprocess.run(["git", "-C", ROOT, "worktree", "prune"])
         shutil.rmtree(tmp, ignore_errors=True)
 
     print("workload %s, %d pairs, %d s, seeds %d-%d, base %s" % (
@@ -114,8 +142,20 @@ def main():
     print("%-14s %-6s %30s %30s %8s %s" % (
         "metric", "better", "base median [q1, q3]", "change median [q1, q3]",
         "wins", "claim"))
-    for metric in metrics:
-        print(summarize(metric, runs["base"], runs["change"]))
+    summary = [summarize(m, runs["base"], runs["change"]) for m in metrics]
+    for s in summary:
+        print(row(s))
+    if args.json:
+        doc = {"workload": args.workload, "pairs": args.pairs,
+               "seconds": args.seconds,
+               "seeds": [SEED_BASE, SEED_BASE + args.pairs - 1],
+               "base": dict(commits["base"], rev=args.base,
+                            host=host["base"]),
+               "change": dict(commits["change"], host=host["change"]),
+               "metrics": summary}
+        with open(args.json, "w") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
     return 0
 
 

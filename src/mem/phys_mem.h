@@ -9,35 +9,62 @@
 
 namespace whisper::mem {
 
+/// Bytes per physical frame.
+inline constexpr std::uint64_t kFrameSize = 4096;
+
 /// An immutable run of consecutive 4 KiB frames, built once and shared
 /// read-only by any number of PhysicalMemory instances as their base layer
-/// (the kernel image every machine boots with). Each frame's digest term is
-/// computed once here, so a memory reading through the image digests it in
-/// O(1) instead of rescanning its bytes.
+/// (the kernel image every machine boots with). Only the non-zero 8-byte
+/// words are stored, sorted, with a per-frame start index: the 16 MiB
+/// kernel image, one word per frame, costs about 56 KiB. A reader gets
+/// zero-fill plus the overlaid words. Each frame's digest term is computed
+/// in closed form (a run of zero words is one multiply), and their sum
+/// once here, so a memory reading through the image digests it in O(1).
 class FrameImage {
  public:
-  /// `bytes` holds the frames first_frame, first_frame + 1, ... in order;
-  /// its size must be a non-zero multiple of the frame size.
-  FrameImage(std::uint64_t first_frame, std::vector<std::uint8_t> bytes);
+  /// One little-endian 8-byte word at byte `offset` from the image's start
+  /// (a multiple of 8).
+  struct Word {
+    std::uint64_t offset;
+    std::uint64_t value;
+  };
 
-  /// The frame's bytes, or nullptr when the image does not hold it.
-  [[nodiscard]] const std::uint8_t* frame(
-      std::uint64_t frame_no) const noexcept;
-  /// PhysicalMemory::digest()'s term for a held frame.
-  [[nodiscard]] std::uint64_t term(std::uint64_t frame_no) const noexcept {
-    return terms_[frame_no - first_frame_];
+  /// `frames` frames first_frame, first_frame + 1, ..., zero except for
+  /// `words`, which must be sorted by strictly increasing offset and lie
+  /// inside the image. Zero-valued words are dropped.
+  FrameImage(std::uint64_t first_frame, std::size_t frames,
+             const std::vector<Word>& words);
+
+  /// Whether the image holds this frame.
+  [[nodiscard]] bool holds(std::uint64_t frame_no) const noexcept {
+    return frame_no - first_frame_ < frames();  // wraps below the image
   }
+  /// Bytes [off, off + out.size()) of a held frame; the range must stay
+  /// inside the frame.
+  void read_into(std::uint64_t frame_no, std::uint64_t off,
+                 std::span<std::uint8_t> out) const noexcept;
+  /// All kFrameSize bytes of a held frame into `dst`.
+  void copy_frame(std::uint64_t frame_no, std::uint8_t* dst) const noexcept {
+    read_into(frame_no, 0, {dst, kFrameSize});
+  }
+  /// PhysicalMemory::digest()'s term for a held frame.
+  [[nodiscard]] std::uint64_t term(std::uint64_t frame_no) const noexcept;
   /// Sum of every frame's term: the digest of a memory holding just this.
   [[nodiscard]] std::uint64_t digest() const noexcept { return digest_; }
   [[nodiscard]] std::uint64_t first_frame() const noexcept {
     return first_frame_;
   }
-  [[nodiscard]] std::size_t frames() const noexcept { return terms_.size(); }
+  [[nodiscard]] std::size_t frames() const noexcept {
+    return start_.size() - 1;
+  }
 
  private:
   std::uint64_t first_frame_;
-  std::vector<std::uint8_t> bytes_;
-  std::vector<std::uint64_t> terms_;
+  // Frame i's words are [start_[i], start_[i + 1]) of at_ (byte offset in
+  // the frame) and value_.
+  std::vector<std::uint32_t> start_;
+  std::vector<std::uint16_t> at_;
+  std::vector<std::uint64_t> value_;
   std::uint64_t digest_ = 0;
 };
 
@@ -45,9 +72,9 @@ class FrameImage {
 /// never-written frames return zero, as DRAM-after-scrub would.
 ///
 /// An optional shared FrameImage sits underneath as a read-only base layer:
-/// a frame lookup falls through to it when no local frame shadows that
-/// frame number, and the first write to a base frame copies it into the
-/// local arena (copy-on-write). The image's bytes are never modified.
+/// a read falls through to it when no local frame shadows that frame
+/// number, and the first write to a base frame copies it into the local
+/// arena (copy-on-write). The image is never modified.
 ///
 /// Frames live in one flat arena indexed by *slot*; a frame number → slot
 /// map plus a free list make allocation O(1) and keep every frame's storage
@@ -64,7 +91,7 @@ class FrameImage {
 /// footprint.
 class PhysicalMemory {
  public:
-  static constexpr std::uint64_t kFrameSize = 4096;
+  static constexpr std::uint64_t kFrameSize = mem::kFrameSize;
 
   [[nodiscard]] std::uint8_t read8(std::uint64_t paddr) const;
   [[nodiscard]] std::uint64_t read64(std::uint64_t paddr) const;
@@ -131,8 +158,12 @@ class PhysicalMemory {
 
  private:
   [[nodiscard]] std::uint8_t* frame_for_write(std::uint64_t paddr);
-  [[nodiscard]] const std::uint8_t* frame_if_present(
-      std::uint64_t paddr) const;
+  /// paddr's local frame, or nullptr when no local frame holds it.
+  [[nodiscard]] const std::uint8_t* local_frame(std::uint64_t paddr) const;
+  /// Whether the base image holds paddr's frame.
+  [[nodiscard]] bool in_base(std::uint64_t paddr) const noexcept {
+    return base_ && base_->holds(paddr / kFrameSize);
+  }
   /// A local slot for frame_no holding its base-image bytes (zeroes when
   /// the image lacks it). Does no undo-log bookkeeping.
   std::uint32_t alloc_slot(std::uint64_t frame_no);

@@ -15,22 +15,22 @@ constexpr std::uint64_t kImagePhysBase = 0x100000000ull;  // 4 GiB
 constexpr std::uint64_t kDummyPhysBase = 0x0ffe00000ull;  // 2 MiB aligned
 constexpr std::uint64_t kSecretImageOffset = 0x900000ull;  // in kernel .data
 
-// The kernel image's bytes: one recognisable u64 at the start of each
-// frame, so Meltdown reads return real data. Deliberately seed-independent,
-// which lets every machine share one copy and lets reseed() move the image
-// without touching physical memory. Built on first use (thread-safe static
-// initialisation) and never modified; each machine's writes land in
-// copy-on-write frames of its own PhysicalMemory.
+// The kernel image: one recognisable u64 at the start of each frame, so
+// Meltdown reads return real data, and zeroes everywhere else. It is built
+// as those 4,096 words alone (mem::FrameImage stores only non-zero words),
+// never as 16 MiB of bytes. Deliberately seed-independent, which lets every
+// machine share one copy and lets reseed() move the image without touching
+// physical memory. Built on first use (thread-safe static initialisation)
+// and never modified; each machine's writes land in copy-on-write frames of
+// its own PhysicalMemory.
 const std::shared_ptr<const mem::FrameImage>& kernel_image() {
   static const std::shared_ptr<const mem::FrameImage> image = [] {
-    std::vector<std::uint8_t> bytes(kKernelImageBytes, 0);
-    for (std::uint64_t off = 0; off < kKernelImageBytes; off += 4096) {
-      const std::uint64_t word = 0x6b65726e656c0000ull | (off >> 12);
-      for (int i = 0; i < 8; ++i)  // little-endian, as write64 stores it
-        bytes[off + i] = static_cast<std::uint8_t>(word >> (8 * i));
-    }
+    constexpr std::uint64_t kFrames = kKernelImageBytes / mem::kFrameSize;
+    std::vector<mem::FrameImage::Word> words(kFrames);
+    for (std::uint64_t i = 0; i < kFrames; ++i)
+      words[i] = {i * mem::kFrameSize, 0x6b65726e656c0000ull | i};
     return std::make_shared<const mem::FrameImage>(
-        kImagePhysBase / mem::PhysicalMemory::kFrameSize, std::move(bytes));
+        kImagePhysBase / mem::kFrameSize, kFrames, words);
   }();
   return image;
 }

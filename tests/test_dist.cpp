@@ -18,6 +18,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -918,6 +919,131 @@ TEST(DistWindow, PongWithoutWorkersKeepsOneChunkInFlight) {
     EXPECT_EQ(r.trial_lines, canonical_trial_lines(local));
     EXPECT_EQ(probe->max_in_flight, strip ? 1 : 2) << "strip " << strip;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Invariant 13's guards: a daemon whose bytes differ is caught, never merged.
+
+/// Server side of a loopback daemon that rewrites its response lines
+/// through `lie` on the way out, and calls `after_lie` once a rewritten
+/// line is written.
+class LyingConnection : public serve::Connection {
+ public:
+  using Lie = std::function<std::string(std::string)>;
+
+  LyingConnection(std::unique_ptr<serve::Connection> inner, Lie lie,
+                  std::function<void()> after_lie)
+      : inner_(std::move(inner)),
+        lie_(std::move(lie)),
+        after_lie_(std::move(after_lie)) {}
+
+  serve::ReadStatus read_line_for(std::string& out, int timeout_ms) override {
+    return inner_->read_line_for(out, timeout_ms);
+  }
+  bool write_line(const std::string& line) override {
+    const std::string told = lie_(line);
+    const bool written = inner_->write_line(told);
+    if (told != line && after_lie_) after_lie_();
+    return written;
+  }
+  void close() override { inner_->close(); }
+
+ private:
+  std::unique_ptr<serve::Connection> inner_;
+  Lie lie_;
+  std::function<void()> after_lie_;
+};
+
+class LyingTransport : public serve::Transport {
+ public:
+  explicit LyingTransport(LyingConnection::Lie lie) : lie_(std::move(lie)) {}
+
+  std::unique_ptr<serve::Connection> accept() override {
+    std::unique_ptr<serve::Connection> conn = inner.accept();
+    if (!conn) return nullptr;
+    return std::make_unique<LyingConnection>(std::move(conn), lie_,
+                                             after_lie);
+  }
+  void shutdown() override { inner.shutdown(); }
+
+  serve::LoopbackTransport inner;
+  /// Set before the first connection is accepted.
+  std::function<void()> after_lie;
+
+ private:
+  LyingConnection::Lie lie_;
+};
+
+/// Rewrites trial 0's line: a field no honest daemon writes, or (with
+/// `index_to` set) an index of its choosing.
+LyingConnection::Lie lie_about_trial_0(
+    const std::string& index_to = "") {
+  return [index_to](std::string line) {
+    const std::string index0 = R"("type":"trial","index":0,)";
+    const std::size_t at = line.find(index0);
+    if (at == std::string::npos) return line;
+    if (index_to.empty())
+      line.insert(line.size() - 1, R"(,"lie":1)");
+    else
+      line.replace(at, index0.size(),
+                   R"("type":"trial","index":)" + index_to + ",");
+    return line;
+  };
+}
+
+TEST(DistLie, TrialThatDiffersBetweenEndpointsEndsTheSweepUnmerged) {
+  const runner::RunSpec spec = cheap_spec(2);
+  LyingTransport liar(lie_about_trial_0());
+  serve::Server lying_server(liar, serve::ServerOptions{.jobs = 1});
+  lying_server.start();
+  LoopbackCluster honest(1);
+  auto lever = std::make_shared<KillSwitchEndpoint>(
+      std::make_unique<LoopbackEndpoint>(liar.inner, "loopback:liar"));
+  const std::vector<std::shared_ptr<Endpoint>> endpoints = {
+      lever, honest.endpoints[0]};
+
+  // Kill the liar right after it wrote its rewritten trial 0, before its
+  // done line: the client reads the lie, then a closed connection, and the
+  // chunk goes to the honest daemon, whose trial 0 arrives as a duplicate.
+  liar.after_lie = [lever] { lever->kill(); };
+
+  SweepOptions opts = fast_opts();
+  opts.chunk_trials = 1;  // the liar owns chunk 0 (trial 0), honest chunk 1
+  opts.endpoint_failures = 0;
+  SweepClient sweeper(opts);
+  const SweepResult r = sweeper.sweep(spec, endpoints);
+  lying_server.stop();
+
+  EXPECT_TRUE(lever->killed());
+  EXPECT_FALSE(r.complete);
+  EXPECT_NE(r.error.find("client: trial 0 differs between endpoints"),
+            std::string::npos)
+      << r.error;
+  EXPECT_NE(r.error.find("(invariant 13)"), std::string::npos) << r.error;
+  EXPECT_EQ(r.stats.duplicate_trials, 1u);
+  EXPECT_TRUE(r.done_line.empty()) << "a breached sweep was merged";
+  EXPECT_NE(r.trial_lines[0].find(R"("lie":1)"), std::string::npos)
+      << "the first copy stored was not the liar's";
+}
+
+TEST(DistLie, TrialIndexPastTheEndEndsTheSweepUnmerged) {
+  const runner::RunSpec spec = cheap_spec(2);
+  LyingTransport liar(lie_about_trial_0("2"));  // one past the last trial
+  serve::Server lying_server(liar, serve::ServerOptions{.jobs = 1});
+  lying_server.start();
+  const std::vector<std::shared_ptr<Endpoint>> endpoints = {
+      std::make_shared<LoopbackEndpoint>(liar.inner, "loopback:liar")};
+
+  SweepOptions opts = fast_opts();
+  opts.chunk_trials = 2;
+  SweepClient sweeper(opts);
+  const SweepResult r = sweeper.sweep(spec, endpoints);
+  lying_server.stop();
+
+  EXPECT_FALSE(r.complete);
+  EXPECT_EQ(r.error, "client: trial line without an in-range index");
+  EXPECT_TRUE(r.trial_lines[0].empty());
+  EXPECT_TRUE(r.done_line.empty()) << "a breached sweep was merged";
 }
 
 #if WHISPER_HAVE_FD_CONNECTION

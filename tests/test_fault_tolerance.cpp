@@ -454,17 +454,19 @@ TEST(ResetDigest, CorruptingAnImageFrameSurvivesReset) {
   // Nothing local yet: the lowest live frame is the image's first frame.
   ASSERT_EQ(phys.allocated_frames(), 0u);
   const mem::FrameImage& image = *phys.base();
-  const std::uint8_t* shared = image.frame(image.first_frame());
-  const std::vector<std::uint8_t> pristine(
-      shared, shared + mem::PhysicalMemory::kFrameSize);
+  const auto shared = [&image] {
+    std::vector<std::uint8_t> bytes(mem::PhysicalMemory::kFrameSize);
+    image.copy_frame(image.first_frame(), bytes.data());
+    return bytes;
+  };
+  const std::vector<std::uint8_t> pristine = shared();
 
   phys.corrupt_frame_for_test();
   EXPECT_NE(m.state_digest(), baseline);
   m.reset(seed);
   EXPECT_NE(m.state_digest(), baseline) << "reset() healed the corruption";
 
-  EXPECT_TRUE(std::equal(pristine.begin(), pristine.end(), shared))
-      << "the hook flipped the shared image";
+  EXPECT_EQ(shared(), pristine) << "the hook flipped the shared image";
   os::Machine other(machine_options(spec, seed));
   other.snapshot();
   EXPECT_EQ(other.baseline_digest(), baseline);

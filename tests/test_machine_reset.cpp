@@ -128,27 +128,53 @@ TEST(PhysMemPool, ReSnapshotMovesTheBaseline) {
 }
 
 // The read-only base layer: a shared FrameImage under the local frames, as
-// every Machine has for its kernel image.
+// every Machine has for its kernel image. The test image is dense (no zero
+// byte), built from bytes kept beside it as the expected values.
 
-std::shared_ptr<const mem::FrameImage> three_frame_image() {
-  std::vector<std::uint8_t> bytes(3 * kFrame);
-  for (std::size_t i = 0; i < bytes.size(); ++i)
-    bytes[i] = static_cast<std::uint8_t>(i * 7 + 1);
-  return std::make_shared<const mem::FrameImage>(16, std::move(bytes));
+struct DenseImage {
+  std::vector<std::uint8_t> bytes;  // frames 16, 17 and 18
+  std::shared_ptr<const mem::FrameImage> image;
+
+  [[nodiscard]] const std::uint8_t* frame(std::uint64_t frame_no) const {
+    return bytes.data() + (frame_no - 16) * kFrame;
+  }
+};
+
+DenseImage three_frame_image() {
+  DenseImage d;
+  d.bytes.resize(3 * kFrame);
+  for (std::size_t i = 0; i < d.bytes.size(); ++i)
+    d.bytes[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  std::vector<mem::FrameImage::Word> words;
+  for (std::uint64_t off = 0; off < d.bytes.size(); off += 8) {
+    std::uint64_t word = 0;
+    for (int i = 7; i >= 0; --i) word = (word << 8) | d.bytes[off + i];
+    words.push_back({off, word});
+  }
+  d.image = std::make_shared<const mem::FrameImage>(16, 3, words);
+  return d;
+}
+
+/// Every frame of `image`, read back through the image itself.
+std::vector<std::uint8_t> image_bytes(const mem::FrameImage& image) {
+  std::vector<std::uint8_t> out(image.frames() * kFrame);
+  for (std::size_t i = 0; i < image.frames(); ++i)
+    image.copy_frame(image.first_frame() + i, out.data() + i * kFrame);
+  return out;
 }
 
 TEST(PhysMemPool, ImageReadsGoThroughWithoutAllocating) {
-  const auto image = three_frame_image();
+  const DenseImage image = three_frame_image();
   mem::PhysicalMemory pm;
-  pm.set_base(image);
-  EXPECT_EQ(pm.read8(16 * kFrame + 3), image->frame(16)[3]);
+  pm.set_base(image.image);
+  EXPECT_EQ(pm.read8(16 * kFrame + 3), image.frame(16)[3]);
   std::uint64_t word = 0;
-  for (int i = 7; i >= 0; --i) word = (word << 8) | image->frame(18)[8 + i];
+  for (int i = 7; i >= 0; --i) word = (word << 8) | image.frame(18)[8 + i];
   EXPECT_EQ(pm.read64(18 * kFrame + 8), word);
   const std::vector<std::uint8_t> straddle = pm.read_bytes(17 * kFrame - 4, 8);
   for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(straddle[i], image->frame(16)[kFrame - 4 + i]);
-    EXPECT_EQ(straddle[4 + i], image->frame(17)[i]);
+    EXPECT_EQ(straddle[i], image.frame(16)[kFrame - 4 + i]);
+    EXPECT_EQ(straddle[4 + i], image.frame(17)[i]);
   }
   EXPECT_EQ(pm.read8(16 * kFrame - 1), 0u);  // just below the image
   EXPECT_EQ(pm.read8(19 * kFrame), 0u);      // just past it
@@ -156,28 +182,28 @@ TEST(PhysMemPool, ImageReadsGoThroughWithoutAllocating) {
 }
 
 TEST(PhysMemPool, ImageWritesAreCopyOnWriteAndPrivate) {
-  const auto image = three_frame_image();
-  const std::vector<std::uint8_t> pristine(image->frame(16),
-                                           image->frame(16) + 3 * kFrame);
+  const DenseImage image = three_frame_image();
+  const std::vector<std::uint8_t> pristine = image_bytes(*image.image);
+  ASSERT_EQ(pristine, image.bytes);
   mem::PhysicalMemory a;
   mem::PhysicalMemory b;
-  a.set_base(image);
-  b.set_base(image);
+  a.set_base(image.image);
+  b.set_base(image.image);
   a.write8(17 * kFrame + 5, 0xee);
   EXPECT_EQ(a.read8(17 * kFrame + 5), 0xeeu);
-  EXPECT_EQ(a.read8(17 * kFrame + 6), image->frame(17)[6])
+  EXPECT_EQ(a.read8(17 * kFrame + 6), image.frame(17)[6])
       << "the copy keeps the rest of the image frame";
   EXPECT_EQ(a.allocated_frames(), 1u);
-  EXPECT_EQ(b.read8(17 * kFrame + 5), image->frame(17)[5]);
+  EXPECT_EQ(b.read8(17 * kFrame + 5), image.frame(17)[5]);
   EXPECT_EQ(b.allocated_frames(), 0u);
-  EXPECT_TRUE(std::equal(pristine.begin(), pristine.end(), image->frame(16)))
+  EXPECT_EQ(image_bytes(*image.image), pristine)
       << "the shared image was written";
 }
 
 TEST(PhysMemPool, ResetDropsTheCopyOnWriteFrame) {
-  const auto image = three_frame_image();
+  const DenseImage image = three_frame_image();
   mem::PhysicalMemory pm;
-  pm.set_base(image);
+  pm.set_base(image.image);
   pm.write8(16 * kFrame, 0x11);  // before the snapshot: part of the baseline
   pm.snapshot();
   pm.write8(16 * kFrame, 0x22);
@@ -187,23 +213,23 @@ TEST(PhysMemPool, ResetDropsTheCopyOnWriteFrame) {
 
   pm.reset();
   EXPECT_EQ(pm.read8(16 * kFrame), 0x11u);
-  EXPECT_EQ(pm.read8(17 * kFrame + 5), image->frame(17)[5]);
+  EXPECT_EQ(pm.read8(17 * kFrame + 5), image.frame(17)[5]);
   EXPECT_EQ(pm.allocated_frames(), 1u);
   EXPECT_EQ(pm.dirty_frames(), 0u);
 }
 
 TEST(PhysMemPool, ImageBackedDigestMatchesPlainMemory) {
-  const auto image = three_frame_image();
+  const DenseImage image = three_frame_image();
   mem::PhysicalMemory backed;
-  backed.set_base(image);
-  EXPECT_EQ(backed.digest(), image->digest());
+  backed.set_base(image.image);
+  EXPECT_EQ(backed.digest(), image.image->digest());
 
   // The same bytes written into a memory with no base layer.
   mem::PhysicalMemory plain;
   for (std::uint64_t off = 0; off < 3 * kFrame; off += 8) {
     std::uint64_t word = 0;
     for (int i = 7; i >= 0; --i)
-      word = (word << 8) | image->frame(16)[off + i];
+      word = (word << 8) | image.frame(16)[off + i];
     plain.write64(16 * kFrame + off, word);
   }
   EXPECT_EQ(backed.digest(), plain.digest());
@@ -214,13 +240,13 @@ TEST(PhysMemPool, ImageBackedDigestMatchesPlainMemory) {
     pm->write64(40 * kFrame, 0xfeedull);
   }
   EXPECT_EQ(backed.digest(), plain.digest());
-  EXPECT_NE(backed.digest(), image->digest());
+  EXPECT_NE(backed.digest(), image.image->digest());
 }
 
 TEST(PhysMemPool, SetBaseAfterSnapshotThrows) {
   mem::PhysicalMemory pm;
   pm.snapshot();
-  EXPECT_THROW(pm.set_base(three_frame_image()), std::logic_error);
+  EXPECT_THROW(pm.set_base(three_frame_image().image), std::logic_error);
 }
 
 TEST(PhysMemPool, MachinesShareOneKernelImage) {
@@ -240,10 +266,11 @@ TEST(PhysMemPool, MachinesShareOneKernelImage) {
   const std::uint64_t secret_pa =
       image_pa + (a.plant_kernel_secret(secret) - a.kernel().kernel_base());
   EXPECT_EQ(pa.read_bytes(secret_pa, secret.size()), secret);
-  const std::uint8_t* image_bytes = pb.base()->frame(secret_pa / kFrame);
+  std::vector<std::uint8_t> image_frame(kFrame);
+  pb.base()->copy_frame(secret_pa / kFrame, image_frame.data());
   EXPECT_EQ(pb.read_bytes(secret_pa, secret.size()),
-            std::vector<std::uint8_t>(image_bytes,
-                                      image_bytes + secret.size()));
+            std::vector<std::uint8_t>(image_frame.begin(),
+                                      image_frame.begin() + secret.size()));
 }
 
 // ---------------------------------------------------------------------------
