@@ -78,7 +78,9 @@ class KillSwitchEndpoint : public Endpoint {
   explicit KillSwitchEndpoint(std::unique_ptr<Endpoint> inner);
 
   /// From any thread: refuse all future dials and sever the currently
-  /// live connection (its next read reports closed, its writes fail).
+  /// live connection. Its writes fail at once, but its reads first hand
+  /// out every line it had already buffered, and only then report closed:
+  /// a kill does not stop a line the daemon wrote before it.
   void kill();
   [[nodiscard]] bool killed() const;
 

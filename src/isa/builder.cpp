@@ -72,17 +72,11 @@ ProgramBuilder& ProgramBuilder::sub(Reg dst, Reg src) {
 ProgramBuilder& ProgramBuilder::and_(Reg dst, std::int64_t imm) {
   return emit({.op = Opcode::AndRI, .dst = dst, .imm = imm});
 }
-ProgramBuilder& ProgramBuilder::or_(Reg dst, std::int64_t imm) {
-  return emit({.op = Opcode::OrRI, .dst = dst, .imm = imm});
-}
 ProgramBuilder& ProgramBuilder::xor_(Reg dst, Reg src) {
   return emit({.op = Opcode::XorRR, .dst = dst, .src = src});
 }
 ProgramBuilder& ProgramBuilder::shl(Reg dst, std::int64_t imm) {
   return emit({.op = Opcode::ShlRI, .dst = dst, .imm = imm});
-}
-ProgramBuilder& ProgramBuilder::shr(Reg dst, std::int64_t imm) {
-  return emit({.op = Opcode::ShrRI, .dst = dst, .imm = imm});
 }
 ProgramBuilder& ProgramBuilder::imul(Reg dst, Reg src) {
   return emit({.op = Opcode::ImulRR, .dst = dst, .src = src});
@@ -96,9 +90,6 @@ ProgramBuilder& ProgramBuilder::neg(Reg dst) {
 ProgramBuilder& ProgramBuilder::not_(Reg dst) {
   return emit({.op = Opcode::Not, .dst = dst});
 }
-ProgramBuilder& ProgramBuilder::lea(Reg dst, Reg base, std::int64_t disp) {
-  return emit({.op = Opcode::Lea, .dst = dst, .base = base, .disp = disp});
-}
 ProgramBuilder& ProgramBuilder::cmov(Cond c, Reg dst, Reg src) {
   return emit({.op = Opcode::Cmov, .dst = dst, .src = src, .cond = c});
 }
@@ -107,9 +98,6 @@ ProgramBuilder& ProgramBuilder::cmp(Reg dst, std::int64_t imm) {
 }
 ProgramBuilder& ProgramBuilder::cmp(Reg dst, Reg src) {
   return emit({.op = Opcode::CmpRR, .dst = dst, .src = src});
-}
-ProgramBuilder& ProgramBuilder::test(Reg dst, Reg src) {
-  return emit({.op = Opcode::TestRR, .dst = dst, .src = src});
 }
 ProgramBuilder& ProgramBuilder::jcc(Cond c, const std::string& target) {
   return emit_branch({.op = Opcode::Jcc, .cond = c}, target);
@@ -143,9 +131,6 @@ ProgramBuilder& ProgramBuilder::rdtsc(Reg dst) {
 ProgramBuilder& ProgramBuilder::rdtscp(Reg dst) {
   return emit({.op = Opcode::Rdtscp, .dst = dst});
 }
-ProgramBuilder& ProgramBuilder::pause() {
-  return emit({.op = Opcode::Pause});
-}
 ProgramBuilder& ProgramBuilder::tsx_begin(const std::string& abort_target) {
   return emit_branch({.op = Opcode::TsxBegin}, abort_target);
 }
@@ -153,8 +138,6 @@ ProgramBuilder& ProgramBuilder::tsx_end() {
   return emit({.op = Opcode::TsxEnd});
 }
 ProgramBuilder& ProgramBuilder::halt() { return emit({.op = Opcode::Halt}); }
-
-ProgramBuilder& ProgramBuilder::raw(Instruction in) { return emit(in); }
 
 Program ProgramBuilder::build() {
   for (const auto& [index, name] : fixups_) {

@@ -48,19 +48,15 @@ class ProgramBuilder {
   ProgramBuilder& sub(Reg dst, std::int64_t imm);
   ProgramBuilder& sub(Reg dst, Reg src);
   ProgramBuilder& and_(Reg dst, std::int64_t imm);
-  ProgramBuilder& or_(Reg dst, std::int64_t imm);
   ProgramBuilder& xor_(Reg dst, Reg src);
   ProgramBuilder& shl(Reg dst, std::int64_t imm);
-  ProgramBuilder& shr(Reg dst, std::int64_t imm);
   ProgramBuilder& imul(Reg dst, Reg src);
   ProgramBuilder& fdiv(Reg dst, Reg src);
   ProgramBuilder& neg(Reg dst);
   ProgramBuilder& not_(Reg dst);
-  ProgramBuilder& lea(Reg dst, Reg base, std::int64_t disp);
   ProgramBuilder& cmov(Cond c, Reg dst, Reg src);
   ProgramBuilder& cmp(Reg dst, std::int64_t imm);
   ProgramBuilder& cmp(Reg dst, Reg src);
-  ProgramBuilder& test(Reg dst, Reg src);
   ProgramBuilder& jcc(Cond c, const std::string& target);
   ProgramBuilder& jmp(const std::string& target);
   ProgramBuilder& call(const std::string& target);
@@ -72,13 +68,9 @@ class ProgramBuilder {
   ProgramBuilder& avx(Reg dep = Reg::None);
   ProgramBuilder& rdtsc(Reg dst);
   ProgramBuilder& rdtscp(Reg dst);
-  ProgramBuilder& pause();
   ProgramBuilder& tsx_begin(const std::string& abort_target);
   ProgramBuilder& tsx_end();
   ProgramBuilder& halt();
-
-  /// Append a raw instruction (targets must already be resolved).
-  ProgramBuilder& raw(Instruction in);
 
   /// Number of instructions emitted so far (== index of the next one).
   [[nodiscard]] int here() const noexcept {

@@ -52,7 +52,6 @@ InterpreterResult interpret(const Program& prog,
     switch (in.op) {
       case Opcode::Nop:
       case Opcode::AvxOp:
-      case Opcode::Pause:
       case Opcode::Mfence:
       case Opcode::Lfence:
       case Opcode::Clflush:
@@ -130,20 +129,12 @@ InterpreterResult interpret(const Program& prog,
         R(in.dst) &= static_cast<std::uint64_t>(in.imm);
         r.flags = alu_flags(R(in.dst), false, false);
         break;
-      case Opcode::OrRI:
-        R(in.dst) |= static_cast<std::uint64_t>(in.imm);
-        r.flags = alu_flags(R(in.dst), false, false);
-        break;
       case Opcode::XorRR:
         R(in.dst) ^= R(in.src);
         r.flags = alu_flags(R(in.dst), false, false);
         break;
       case Opcode::ShlRI:
         R(in.dst) <<= (in.imm & 63);
-        r.flags = alu_flags(R(in.dst), false, false);
-        break;
-      case Opcode::ShrRI:
-        R(in.dst) >>= (in.imm & 63);
         r.flags = alu_flags(R(in.dst), false, false);
         break;
       case Opcode::ImulRR:
@@ -165,17 +156,9 @@ InterpreterResult interpret(const Program& prog,
       case Opcode::Not:
         R(in.dst) = ~R(in.dst);
         break;
-      case Opcode::Lea:
-        R(in.dst) = addr_of();
-        break;
       case Opcode::Cmov:
         if (eval_cond(in.cond, r.flags)) R(in.dst) = R(in.src);
         break;
-      case Opcode::TestRR: {
-        const std::uint64_t res = R(in.dst) & R(in.src);
-        r.flags = alu_flags(res, false, false);
-        break;
-      }
       case Opcode::Jcc:
         if (eval_cond(in.cond, r.flags)) next = in.target;
         break;

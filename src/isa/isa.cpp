@@ -27,161 +27,29 @@ std::string to_string(Cond c) {
   return "?";
 }
 
-std::string to_string(Opcode op) {
-  switch (op) {
-    case Opcode::Nop:       return "nop";
-    case Opcode::MovRI:     return "mov";
-    case Opcode::MovRR:     return "mov";
-    case Opcode::Load:      return "mov(load)";
-    case Opcode::LoadByte:  return "movzx(load8)";
-    case Opcode::Store:     return "mov(store)";
-    case Opcode::StoreByte: return "mov(store8)";
-    case Opcode::AddRI:     return "add";
-    case Opcode::AddRR:     return "add";
-    case Opcode::SubRI:     return "sub";
-    case Opcode::SubRR:     return "sub";
-    case Opcode::AndRI:     return "and";
-    case Opcode::OrRI:      return "or";
-    case Opcode::XorRR:     return "xor";
-    case Opcode::ShlRI:     return "shl";
-    case Opcode::ShrRI:     return "shr";
-    case Opcode::ImulRR:    return "imul";
-    case Opcode::FdivRR:    return "fdiv";
-    case Opcode::Neg:       return "neg";
-    case Opcode::Not:       return "not";
-    case Opcode::Lea:       return "lea";
-    case Opcode::Cmov:      return "cmov";
-    case Opcode::CmpRI:     return "cmp";
-    case Opcode::CmpRR:     return "cmp";
-    case Opcode::TestRR:    return "test";
-    case Opcode::Jcc:       return "j";
-    case Opcode::Jmp:       return "jmp";
-    case Opcode::Call:      return "call";
-    case Opcode::Ret:       return "ret";
-    case Opcode::Clflush:   return "clflush";
-    case Opcode::Prefetch:  return "prefetcht0";
-    case Opcode::Mfence:    return "mfence";
-    case Opcode::Lfence:    return "lfence";
-    case Opcode::AvxOp:     return "vaddps";
-    case Opcode::Rdtsc:     return "rdtsc";
-    case Opcode::Rdtscp:    return "rdtscp";
-    case Opcode::Pause:     return "pause";
-    case Opcode::TsxBegin:  return "xbegin";
-    case Opcode::TsxEnd:    return "xend";
-    case Opcode::Halt:      return "hlt";
-  }
-  return "?";
-}
-
-bool Instruction::writes_flags() const noexcept {
-  switch (op) {
-    case Opcode::AddRI: case Opcode::AddRR:
-    case Opcode::SubRI: case Opcode::SubRR:
-    case Opcode::AndRI: case Opcode::OrRI: case Opcode::XorRR:
-    case Opcode::ShlRI: case Opcode::ShrRI:
-    case Opcode::CmpRI: case Opcode::CmpRR: case Opcode::TestRR:
-    case Opcode::ImulRR: case Opcode::FdivRR: case Opcode::Neg:
-      return true;
-    default:
-      return false;
-  }
-}
-
-int Instruction::uops() const noexcept {
-  switch (op) {
-    case Opcode::Call:
-    case Opcode::Ret:
-      return 2;  // branch + stack memory access
-    case Opcode::Mfence:
-      return 3;  // fence µop + drain bookkeeping, as measured on Intel
-    case Opcode::Clflush:
-      return 2;
-    case Opcode::Rdtsc:
-    case Opcode::Rdtscp:
-      return 2;
-    case Opcode::TsxBegin:
-    case Opcode::TsxEnd:
-      return 2;
-    default:
-      return 1;
-  }
-}
+std::string to_string(Opcode op) { return info(op).name; }
 
 std::string Instruction::to_string() const {
   std::ostringstream s;
-  auto mem = [&] {
-    std::ostringstream m;
-    m << '[' << isa::to_string(base);
-    if (disp > 0) m << "+0x" << std::hex << disp;
-    if (disp < 0) m << "-0x" << std::hex << -disp;
-    m << ']';
-    return m.str();
-  };
-  switch (op) {
-    case Opcode::Nop:      s << "nop"; break;
-    case Opcode::MovRI:    s << "mov " << isa::to_string(dst) << ", 0x"
-                             << std::hex << imm; break;
-    case Opcode::MovRR:    s << "mov " << isa::to_string(dst) << ", "
-                             << isa::to_string(src); break;
-    case Opcode::Load:     s << "mov " << isa::to_string(dst) << ", qword "
-                             << mem(); break;
-    case Opcode::LoadByte: s << "movzx " << isa::to_string(dst) << ", byte "
-                             << mem(); break;
-    case Opcode::Store:    s << "mov qword " << mem() << ", "
-                             << isa::to_string(src); break;
-    case Opcode::StoreByte: s << "mov byte " << mem() << ", "
-                              << isa::to_string(src); break;
-    case Opcode::AddRI:    s << "add " << isa::to_string(dst) << ", " << imm;
-                           break;
-    case Opcode::AddRR:    s << "add " << isa::to_string(dst) << ", "
-                             << isa::to_string(src); break;
-    case Opcode::SubRI:    s << "sub " << isa::to_string(dst) << ", " << imm;
-                           break;
-    case Opcode::SubRR:    s << "sub " << isa::to_string(dst) << ", "
-                             << isa::to_string(src); break;
-    case Opcode::AndRI:    s << "and " << isa::to_string(dst) << ", " << imm;
-                           break;
-    case Opcode::OrRI:     s << "or " << isa::to_string(dst) << ", " << imm;
-                           break;
-    case Opcode::XorRR:    s << "xor " << isa::to_string(dst) << ", "
-                             << isa::to_string(src); break;
-    case Opcode::ShlRI:    s << "shl " << isa::to_string(dst) << ", " << imm;
-                           break;
-    case Opcode::ShrRI:    s << "shr " << isa::to_string(dst) << ", " << imm;
-                           break;
-    case Opcode::CmpRI:    s << "cmp " << isa::to_string(dst) << ", " << imm;
-                           break;
-    case Opcode::CmpRR:    s << "cmp " << isa::to_string(dst) << ", "
-                             << isa::to_string(src); break;
-    case Opcode::TestRR:   s << "test " << isa::to_string(dst) << ", "
-                             << isa::to_string(src); break;
-    case Opcode::Jcc:      s << 'j' << isa::to_string(cond) << ' ' << target;
-                           break;
-    case Opcode::Jmp:      s << "jmp " << target; break;
-    case Opcode::Call:     s << "call " << target; break;
-    case Opcode::Ret:      s << "ret"; break;
-    case Opcode::Clflush:  s << "clflush " << mem(); break;
-    case Opcode::Prefetch: s << "prefetcht0 " << mem(); break;
-    case Opcode::Mfence:   s << "mfence"; break;
-    case Opcode::Lfence:   s << "lfence"; break;
-    case Opcode::AvxOp:    s << "vaddps ymm0, ymm0, ymm0"; break;
-    case Opcode::Rdtsc:    s << "rdtsc -> " << isa::to_string(dst); break;
-    case Opcode::Rdtscp:   s << "rdtscp -> " << isa::to_string(dst); break;
-    case Opcode::Pause:    s << "pause"; break;
-    case Opcode::ImulRR:   s << "imul " << isa::to_string(dst) << ", "
-                             << isa::to_string(src); break;
-    case Opcode::FdivRR:   s << "fdiv " << isa::to_string(dst) << ", "
-                             << isa::to_string(src); break;
-    case Opcode::Neg:      s << "neg " << isa::to_string(dst); break;
-    case Opcode::Not:      s << "not " << isa::to_string(dst); break;
-    case Opcode::Lea:      s << "lea " << isa::to_string(dst) << ", "
-                             << mem(); break;
-    case Opcode::Cmov:     s << "cmov" << isa::to_string(cond) << ' '
-                             << isa::to_string(dst) << ", "
-                             << isa::to_string(src); break;
-    case Opcode::TsxBegin: s << "xbegin " << target; break;
-    case Opcode::TsxEnd:   s << "xend"; break;
-    case Opcode::Halt:     s << "hlt"; break;
+  for (const char* f = info(op).form; *f != '\0'; ++f) {
+    if (*f != '%') {
+      s << *f;
+      continue;
+    }
+    switch (*++f) {
+      case 'd': s << isa::to_string(dst); break;
+      case 's': s << isa::to_string(src); break;
+      case 'i': s << imm; break;
+      case 'x': s << std::hex << imm << std::dec; break;
+      case 'c': s << isa::to_string(cond); break;
+      case 't': s << target; break;
+      case 'm':
+        s << '[' << isa::to_string(base);
+        if (disp > 0) s << "+0x" << std::hex << disp << std::dec;
+        if (disp < 0) s << "-0x" << std::hex << -disp << std::dec;
+        s << ']';
+        break;
+    }
   }
   return s.str();
 }

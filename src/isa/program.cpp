@@ -54,17 +54,13 @@ bool Program::has_label(const std::string& name) const {
 void Program::validate() const {
   for (std::size_t i = 0; i < code_.size(); ++i) {
     const Instruction& in = code_[i];
-    const bool needs_target = in.op == Opcode::Jcc || in.op == Opcode::Jmp ||
-                              in.op == Opcode::Call ||
-                              in.op == Opcode::TsxBegin;
-    if (needs_target) {
-      if (in.target < 0 ||
-          static_cast<std::size_t>(in.target) >= code_.size()) {
-        std::ostringstream msg;
-        msg << "Program: instruction " << i << " (" << in.to_string()
-            << ") has out-of-range target " << in.target;
-        throw std::invalid_argument(msg.str());
-      }
+    if (in.has_target() &&
+        (in.target < 0 ||
+         static_cast<std::size_t>(in.target) >= code_.size())) {
+      std::ostringstream msg;
+      msg << "Program: instruction " << i << " (" << in.to_string()
+          << ") has out-of-range target " << in.target;
+      throw std::invalid_argument(msg.str());
     }
   }
   for (const auto& [name, idx] : labels_) {

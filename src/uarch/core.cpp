@@ -14,74 +14,6 @@ using isa::Instruction;
 using isa::Opcode;
 using isa::Reg;
 
-/// First source register read by an instruction (Reg::None if none).
-Reg reg_a(const Instruction& in) {
-  switch (in.op) {
-    case Opcode::MovRR: return in.src;
-    case Opcode::AvxOp: return in.src;  // optional data dependency
-    case Opcode::Load:
-    case Opcode::LoadByte:
-    case Opcode::Store:
-    case Opcode::StoreByte:
-    case Opcode::Clflush:
-    case Opcode::Prefetch:
-      return in.base;
-    case Opcode::AddRI: case Opcode::SubRI: case Opcode::AndRI:
-    case Opcode::OrRI: case Opcode::ShlRI: case Opcode::ShrRI:
-    case Opcode::CmpRI:
-    case Opcode::AddRR: case Opcode::SubRR: case Opcode::XorRR:
-    case Opcode::CmpRR: case Opcode::TestRR:
-    case Opcode::ImulRR: case Opcode::FdivRR:
-    case Opcode::Neg: case Opcode::Not:
-    case Opcode::Cmov:
-      return in.dst;
-    case Opcode::Lea:
-      return in.base;
-    case Opcode::Call:
-    case Opcode::Ret:
-      return Reg::RSP;
-    default:
-      return Reg::None;
-  }
-}
-
-/// Second source register (Reg::None if none).
-Reg reg_b(const Instruction& in) {
-  switch (in.op) {
-    case Opcode::Store:
-    case Opcode::StoreByte:
-      return in.src;
-    case Opcode::AddRR: case Opcode::SubRR: case Opcode::XorRR:
-    case Opcode::CmpRR: case Opcode::TestRR:
-    case Opcode::ImulRR: case Opcode::FdivRR: case Opcode::Cmov:
-      return in.src;
-    default:
-      return Reg::None;
-  }
-}
-
-/// Register architecturally written (Reg::None if none).
-Reg reg_written(const Instruction& in) {
-  switch (in.op) {
-    case Opcode::MovRI: case Opcode::MovRR:
-    case Opcode::Load: case Opcode::LoadByte:
-    case Opcode::AddRI: case Opcode::AddRR:
-    case Opcode::SubRI: case Opcode::SubRR:
-    case Opcode::AndRI: case Opcode::OrRI: case Opcode::XorRR:
-    case Opcode::ShlRI: case Opcode::ShrRI:
-    case Opcode::ImulRR: case Opcode::FdivRR:
-    case Opcode::Neg: case Opcode::Not:
-    case Opcode::Lea: case Opcode::Cmov:
-    case Opcode::Rdtsc: case Opcode::Rdtscp:
-      return in.dst;
-    case Opcode::Call:
-    case Opcode::Ret:
-      return Reg::RSP;  // stack pointer adjustment
-    default:
-      return Reg::None;
-  }
-}
-
 isa::Flags alu_flags(std::uint64_t result, bool carry, bool overflow) {
   isa::Flags f;
   f.zf = result == 0;
@@ -316,9 +248,9 @@ std::shared_ptr<const Core::DecodedProgram> Core::decoded_for(
   dp->insts.reserve(prog.code().size());
   for (const Instruction& in : prog.code()) {
     DecodedInst di;
-    di.src_a = reg_a(in);
-    di.src_b = reg_b(in);
-    di.dst = reg_written(in);
+    di.src_a = in.read_a();
+    di.src_b = in.read_b();
+    di.dst = in.written();
     di.uops = static_cast<std::int8_t>(in.uops());
     di.writes_flags = in.writes_flags();
     dp->insts.push_back(di);
@@ -1169,10 +1101,6 @@ void Core::execute_entry(ThreadCtx& ctx, RobEntry& e) {
       e.result = a & static_cast<std::uint64_t>(in.imm);
       e.flags_out = alu_flags(e.result, false, false);
       break;
-    case Opcode::OrRI:
-      e.result = a | static_cast<std::uint64_t>(in.imm);
-      e.flags_out = alu_flags(e.result, false, false);
-      break;
     case Opcode::XorRR:
       e.result = a ^ b;
       e.flags_out = alu_flags(e.result, false, false);
@@ -1181,16 +1109,6 @@ void Core::execute_entry(ThreadCtx& ctx, RobEntry& e) {
       e.result = a << (in.imm & 63);
       e.flags_out = alu_flags(e.result, false, false);
       break;
-    case Opcode::ShrRI:
-      e.result = a >> (in.imm & 63);
-      e.flags_out = alu_flags(e.result, false, false);
-      break;
-    case Opcode::TestRR: {
-      const std::uint64_t r = a & b;
-      e.flags_out = alu_flags(r, false, false);
-      e.result = a;
-      break;
-    }
     case Opcode::ImulRR:
       e.result = a * b;
       e.flags_out = alu_flags(e.result, false, false);
@@ -1215,9 +1133,6 @@ void Core::execute_entry(ThreadCtx& ctx, RobEntry& e) {
     case Opcode::Not:
       e.result = ~a;
       break;
-    case Opcode::Lea:
-      e.result = a + static_cast<std::uint64_t>(in.disp);
-      break;
     case Opcode::Cmov: {
       // Branchless select: resolves in the data path, never touches the
       // BPU — the §6.2-style rewrite that silences the TET channel.
@@ -1225,9 +1140,6 @@ void Core::execute_entry(ThreadCtx& ctx, RobEntry& e) {
       latency = 2;
       break;
     }
-    case Opcode::Pause:
-      latency = 8;
-      break;
     case Opcode::AvxOp: {
       // Power-up is a persistent side effect of *execution* — transient
       // AVX ops warm the unit even when later squashed (the AVX-timing

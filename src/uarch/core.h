@@ -484,9 +484,10 @@ class Core {
   };
 
   /// Pre-decoded per-instruction fields the pipeline consults on every
-  /// fetch/alloc/execute/retire — the out-of-line Instruction::uops()/
-  /// writes_flags() calls and the operand-register switch tables, resolved
-  /// once per program and shared across trials via the decode cache.
+  /// fetch/alloc/execute/retire — the opcode row's operand registers
+  /// (isa::OpInfo) resolved against the instruction's own fields, its µop
+  /// count and flag effect — built once per program and shared across
+  /// trials via the decode cache.
   struct DecodedInst {
     isa::Reg src_a = isa::Reg::None;
     isa::Reg src_b = isa::Reg::None;

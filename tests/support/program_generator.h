@@ -1,8 +1,8 @@
-// Shared test support: the seeded random-program generator used by the
-// differential suite (tests/test_differential.cpp) and the machine
-// snapshot/reset identity suite (tests/test_machine_reset.cpp). Programs
-// are terminating by construction; memory traffic stays inside the mapped
-// attacker data window.
+// Shared test support: the seeded random-program generator behind the
+// differential suites in tests/test_differential.cpp (core against the
+// reference interpreter, rerun after reset, fast-forward against
+// structural stepping). Programs are terminating by construction; memory
+// traffic stays inside the mapped attacker data window and the stack.
 #pragma once
 
 #include <array>
@@ -31,25 +31,37 @@ class ProgramGenerator {
   explicit ProgramGenerator(std::uint64_t seed) : rng_(seed) {}
 
   /// Generate a terminating program: straight-line blocks with forward
-  /// branches, bounded counted backward loops (R15 is the loop counter),
-  /// TSX begin/end pairs, cache-line flushes, and memory traffic confined
-  /// to the data window. Control-flow units are emitted atomically, so
-  /// forward branches always land on unit boundaries — never inside a loop
-  /// body or a TSX region — and every program halts.
+  /// branches and jumps, bounded counted backward loops (R15 is the loop
+  /// counter), TSX begin/end pairs, fences, prefetches, AVX ops,
+  /// cache-line flushes, memory traffic confined to the data window, and
+  /// calls into out-of-line subroutine chains placed after the final halt.
+  /// Control-flow units are emitted atomically, so forward branches always
+  /// land on unit boundaries — never inside a loop body or a TSX region —
+  /// and every program halts.
+  ///
+  /// Every opcode runs here except Rdtsc/Rdtscp: the reference interpreter
+  /// returns its step count for them, not a cycle count, so the engines
+  /// differ by design.
   isa::Program generate(int length) {
     isa::ProgramBuilder b;
     int label_id = 0;
     std::vector<std::string> pending;  // forward labels not yet placed
+    chains_.clear();
 
     // Pin the memory base so loads/stores stay in the mapped data region.
     b.mov(isa::Reg::R14, static_cast<std::int64_t>(os::Machine::kDataBase));
 
+    // One call chain per program nests deeper than the RSB, so returns
+    // both overflow it (oldest entries overwritten) and underflow it.
+    const int deep_at = static_cast<int>(rng_.next_below(
+        static_cast<std::uint64_t>(length)));
     for (int i = 0; i < length; ++i) {
       // Place a pending forward label with some probability.
       if (!pending.empty() && rng_.next_bool(0.35)) {
         b.label(pending.back());
         pending.pop_back();
       }
+      if (i == deep_at) emit_call(b, label_id, kDeepCallChain);
       emit_random(b, pending, label_id);
     }
     // Close all remaining forward labels, then stop.
@@ -58,12 +70,26 @@ class ProgramGenerator {
       pending.pop_back();
     }
     b.halt();
+    // Subroutine k of a chain runs a flag-safe body, calls k+1 (the last
+    // one calls nothing) and returns.
+    for (const auto& [name, depth] : chains_) {
+      for (int k = 0; k < depth; ++k) {
+        b.label(name + "_" + std::to_string(k));
+        emit_alu_body(b);
+        if (k + 1 < depth) b.call(name + "_" + std::to_string(k + 1));
+        b.ret();
+      }
+    }
     return b.build();
   }
 
+  /// Random pool registers; RSP holds the stack top the Machine gives its
+  /// thread, so the interpreter's Call/Ret traffic lands where the core's
+  /// does.
   std::array<std::uint64_t, isa::kNumRegs> random_regs() {
     std::array<std::uint64_t, isa::kNumRegs> regs{};
     for (isa::Reg r : kPool) regs[static_cast<std::size_t>(r)] = rng_.next();
+    regs[static_cast<std::size_t>(isa::Reg::RSP)] = os::Machine::kStackTop;
     return regs;
   }
 
@@ -93,11 +119,18 @@ class ProgramGenerator {
     }
   }
 
+  /// Call the head of a new chain of `depth` nested subroutines.
+  void emit_call(isa::ProgramBuilder& b, int& label_id, int depth) {
+    std::string name = "S" + std::to_string(label_id++);
+    b.call(name + "_0");
+    chains_.emplace_back(std::move(name), depth);
+  }
+
   void emit_random(isa::ProgramBuilder& b, std::vector<std::string>& pending,
                    int& label_id) {
     using isa::Cond;
     using isa::Reg;
-    switch (rng_.next_below(23)) {
+    switch (rng_.next_below(29)) {
       case 0: b.mov(pick(), small_imm()); break;
       case 1: b.mov(pick(), pick()); break;
       case 2: b.add(pick(), small_imm()); break;
@@ -160,10 +193,28 @@ class ProgramGenerator {
         b.fdiv(pick(), pick());
         break;
       }
+      case 23: {  // forward jump over whatever lands before its label
+        std::string l = "J" + std::to_string(label_id++);
+        b.jmp(l);
+        pending.push_back(std::move(l));
+        break;
+      }
+      case 24: b.prefetch(Reg::R14, mem_disp()); break;
+      case 25: b.mfence(); break;
+      case 26: b.lfence(); break;
+      case 27: b.avx(rng_.next_bool(0.5) ? pick() : Reg::None); break;
+      case 28:  // a shallow chain: the RSB predicts every return
+        emit_call(b, label_id, static_cast<int>(rng_.next_below(3)) + 1);
+        break;
     }
   }
 
+  // Deeper than the 16-entry return stack buffer every CPU preset models
+  // (uarch::CpuConfig::rsb_entries).
+  static constexpr int kDeepCallChain = 20;
+
   stats::Xoshiro256 rng_;
+  std::vector<std::pair<std::string, int>> chains_;  // name, depth
 };
 
 }  // namespace whisper::test_support

@@ -1046,6 +1046,32 @@ TEST(DistLie, TrialIndexPastTheEndEndsTheSweepUnmerged) {
   EXPECT_TRUE(r.done_line.empty()) << "a breached sweep was merged";
 }
 
+TEST(DistLie, ErrorResponseEndsTheSweepWithTheDaemonsMessage) {
+  const runner::RunSpec spec = cheap_spec(2);
+  // Trial 0's line becomes a refusal under the same id.
+  LyingTransport liar([](std::string line) {
+    const std::size_t at = line.find(R"("type":"trial","index":0,)");
+    if (at == std::string::npos) return line;
+    return line.substr(0, at) +
+           R"("type":"error","error":"daemon: spec refused"})";
+  });
+  serve::Server lying_server(liar, serve::ServerOptions{.jobs = 1});
+  lying_server.start();
+  const std::vector<std::shared_ptr<Endpoint>> endpoints = {
+      std::make_shared<LoopbackEndpoint>(liar.inner, "loopback:liar")};
+
+  SweepOptions opts = fast_opts();
+  opts.chunk_trials = 2;
+  SweepClient sweeper(opts);
+  const SweepResult r = sweeper.sweep(spec, endpoints);
+  lying_server.stop();
+
+  EXPECT_FALSE(r.complete);
+  EXPECT_EQ(r.error, "daemon: spec refused");
+  EXPECT_TRUE(r.trial_lines[0].empty());
+  EXPECT_TRUE(r.done_line.empty()) << "a refused sweep was merged";
+}
+
 #if WHISPER_HAVE_FD_CONNECTION
 TEST(DistWindow, TcpEndpointsAtTwoWorkersAreByteIdentical) {
   const runner::RunSpec spec = cheap_spec(6);

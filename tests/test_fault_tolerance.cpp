@@ -500,6 +500,35 @@ TEST(ExecutorFaults, CapturesEscapedExceptionsIntoSlots) {
   }
 }
 
+TEST(ExecutorFaults, ThrowingTrialBodyLeavesItsSlotAsRecordedData) {
+  for (int jobs : {1, 4}) {
+    Executor ex(jobs);
+    const auto out = ex.map(4, [](std::size_t i) -> ScheduledTrial {
+      if (i == 2) throw std::runtime_error("harness bug");
+      ScheduledTrial t;
+      t.outcome.ok = true;
+      t.outcome.attempts = 1;
+      return t;
+    });
+    ASSERT_EQ(out.size(), 4u);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      const TrialOutcome& o = out[i].outcome;
+      if (i != 2) {
+        EXPECT_TRUE(o.ok) << "jobs " << jobs << " slot " << i;
+        EXPECT_TRUE(o.errors.empty());
+        continue;
+      }
+      EXPECT_FALSE(o.ok) << "jobs " << jobs;
+      EXPECT_EQ(o.attempts, 1);
+      ASSERT_EQ(o.errors.size(), 1u);
+      EXPECT_EQ(o.errors[0].kind, TrialErrorKind::kException);
+      EXPECT_EQ(o.errors[0].attempt, 0);
+      EXPECT_EQ(o.errors[0].what,
+                "runner: escaped trial wrapper: harness bug");
+    }
+  }
+}
+
 TEST(ExecutorFaults, NonCapturableResultsRunAllItemsThenRethrowOnce) {
   for (int jobs : {1, 4}) {
     Executor ex(jobs);

@@ -2,6 +2,8 @@
 // label resolution, validation, and disassembly.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "isa/builder.h"
 #include "isa/isa.h"
 #include "isa/program.h"
@@ -30,21 +32,20 @@ TEST(Isa, CondEvaluation) {
 TEST(Isa, InstructionClassPredicates) {
   Instruction jcc{.op = Opcode::Jcc};
   EXPECT_TRUE(jcc.is_branch());
-  EXPECT_TRUE(jcc.is_cond_branch());
   EXPECT_TRUE(jcc.reads_flags());
   EXPECT_FALSE(jcc.writes_flags());
 
   Instruction ret{.op = Opcode::Ret};
   EXPECT_TRUE(ret.is_branch());
   EXPECT_TRUE(ret.is_load());   // pops the return address
-  EXPECT_TRUE(ret.is_mem());
 
   Instruction call{.op = Opcode::Call};
   EXPECT_TRUE(call.is_store());  // pushes the return address
 
   Instruction cmp{.op = Opcode::CmpRI};
   EXPECT_TRUE(cmp.writes_flags());
-  EXPECT_FALSE(cmp.is_mem());
+  EXPECT_FALSE(cmp.is_load());
+  EXPECT_FALSE(cmp.is_store());
 
   Instruction lf{.op = Opcode::Lfence};
   EXPECT_TRUE(lf.is_fence());
@@ -140,6 +141,87 @@ TEST(ProgramTest, DisassemblyContainsLabelsAndMnemonics) {
   EXPECT_NE(d.find("mfence"), std::string::npos);
   EXPECT_NE(d.find("rdtsc"), std::string::npos);
   EXPECT_NE(d.find("hlt"), std::string::npos);
+}
+
+// One instance of every opcode with its exact trace name and disassembly:
+// traces and listings print these bytes, so a change to an opcode's row
+// shows here first.
+struct DisassemblyPin {
+  Instruction in;
+  const char* trace;
+  const char* text;
+};
+
+const DisassemblyPin kDisassemblyPins[] = {
+    {{.op = Opcode::Nop}, "nop", "nop"},
+    {{.op = Opcode::MovRI, .dst = Reg::RAX, .imm = 0x2a}, "mov",
+     "mov rax, 0x2a"},
+    {{.op = Opcode::MovRI, .dst = Reg::RBX, .imm = -1}, "mov",
+     "mov rbx, 0xffffffffffffffff"},
+    {{.op = Opcode::MovRR, .dst = Reg::RAX, .src = Reg::RBX}, "mov",
+     "mov rax, rbx"},
+    {{.op = Opcode::Load, .dst = Reg::RAX, .base = Reg::RCX, .disp = 8},
+     "mov(load)", "mov rax, qword [rcx+0x8]"},
+    {{.op = Opcode::LoadByte, .dst = Reg::RDX, .base = Reg::RSI,
+      .disp = -16},
+     "movzx(load8)", "movzx rdx, byte [rsi-0x10]"},
+    {{.op = Opcode::Store, .src = Reg::R8, .base = Reg::RDI}, "mov(store)",
+     "mov qword [rdi], r8"},
+    {{.op = Opcode::StoreByte, .src = Reg::R9, .base = Reg::R14,
+      .disp = 0x100},
+     "mov(store8)", "mov byte [r14+0x100], r9"},
+    {{.op = Opcode::AddRI, .dst = Reg::RAX, .imm = -5}, "add", "add rax, -5"},
+    {{.op = Opcode::AddRR, .dst = Reg::RAX, .src = Reg::RBX}, "add",
+     "add rax, rbx"},
+    {{.op = Opcode::SubRI, .dst = Reg::R10, .imm = 3}, "sub", "sub r10, 3"},
+    {{.op = Opcode::SubRR, .dst = Reg::R11, .src = Reg::R12}, "sub",
+     "sub r11, r12"},
+    {{.op = Opcode::AndRI, .dst = Reg::RCX, .imm = 255}, "and",
+     "and rcx, 255"},
+    {{.op = Opcode::XorRR, .dst = Reg::RCX, .src = Reg::RCX}, "xor",
+     "xor rcx, rcx"},
+    {{.op = Opcode::ShlRI, .dst = Reg::RDX, .imm = 12}, "shl", "shl rdx, 12"},
+    {{.op = Opcode::ImulRR, .dst = Reg::RAX, .src = Reg::RBX}, "imul",
+     "imul rax, rbx"},
+    {{.op = Opcode::FdivRR, .dst = Reg::R13, .src = Reg::R15}, "fdiv",
+     "fdiv r13, r15"},
+    {{.op = Opcode::Neg, .dst = Reg::RSI}, "neg", "neg rsi"},
+    {{.op = Opcode::Not, .dst = Reg::RDI}, "not", "not rdi"},
+    {{.op = Opcode::Cmov, .dst = Reg::RAX, .src = Reg::RBX, .cond = Cond::NZ},
+     "cmov", "cmovnz rax, rbx"},
+    {{.op = Opcode::CmpRI, .dst = Reg::RBX, .imm = 83}, "cmp", "cmp rbx, 83"},
+    {{.op = Opcode::CmpRR, .dst = Reg::RAX, .src = Reg::RSP}, "cmp",
+     "cmp rax, rsp"},
+    {{.op = Opcode::Jcc, .cond = Cond::C, .target = 7}, "j", "jc 7"},
+    {{.op = Opcode::Jmp, .target = 3}, "jmp", "jmp 3"},
+    {{.op = Opcode::Call, .target = 12}, "call", "call 12"},
+    {{.op = Opcode::Ret}, "ret", "ret"},
+    {{.op = Opcode::Clflush, .base = Reg::RAX, .disp = 0x40}, "clflush",
+     "clflush [rax+0x40]"},
+    {{.op = Opcode::Prefetch, .base = Reg::RBP}, "prefetcht0",
+     "prefetcht0 [rbp]"},
+    {{.op = Opcode::Mfence}, "mfence", "mfence"},
+    {{.op = Opcode::Lfence}, "lfence", "lfence"},
+    {{.op = Opcode::AvxOp, .src = Reg::RAX}, "vaddps",
+     "vaddps ymm0, ymm0, ymm0"},
+    {{.op = Opcode::Rdtsc, .dst = Reg::R8}, "rdtsc", "rdtsc -> r8"},
+    {{.op = Opcode::Rdtscp, .dst = Reg::R9}, "rdtscp", "rdtscp -> r9"},
+    {{.op = Opcode::TsxBegin, .target = 9}, "xbegin", "xbegin 9"},
+    {{.op = Opcode::TsxEnd}, "xend", "xend"},
+    {{.op = Opcode::Halt}, "hlt", "hlt"},
+};
+
+TEST(ProgramTest, DisassemblyOfEveryOpcodeIsPinned) {
+  for (const DisassemblyPin& pin : kDisassemblyPins) {
+    EXPECT_EQ(to_string(pin.in.op), pin.trace);
+    EXPECT_EQ(pin.in.to_string(), pin.text);
+  }
+}
+
+TEST(ProgramTest, DisassemblyPinsCoverEveryOpcode) {
+  std::set<Opcode> pinned;
+  for (const DisassemblyPin& pin : kDisassemblyPins) pinned.insert(pin.in.op);
+  EXPECT_EQ(pinned.size(), kNumOpcodes);
 }
 
 TEST(ProgramTest, ToStringCoversEveryOpcode) {

