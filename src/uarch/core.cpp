@@ -100,15 +100,17 @@ std::uint64_t Core::CompletionWheel::next(std::uint64_t now) const noexcept {
   return kNever;
 }
 
-void Core::CompletionWheel::due(RobRing& rob, std::uint64_t now,
-                                std::vector<Ref>& out) const {
+std::size_t Core::CompletionWheel::due(RobRing& rob, std::uint64_t now,
+                                       Ref* out) const {
   const std::size_t b = now & (kBuckets - 1);
-  if (!(occupied_[b >> 6] & (std::uint64_t{1} << (b & 63)))) return;
+  std::size_t n = 0;
+  if (!(occupied_[b >> 6] & (std::uint64_t{1} << (b & 63)))) return n;
   for (std::uint16_t s = head_[b]; s != kNoSlot;) {
     RobEntry& e = rob.at_slot(s);
-    if (e.complete_at <= now) out.push_back(rob.ref(e));
+    if (e.complete_at <= now) out[n++] = rob.ref(e);
     s = e.wheel_next;
   }
+  return n;
 }
 
 // ---------------------------------------------------------------------------
@@ -268,6 +270,7 @@ Core::Core(const CpuConfig& cfg, mem::MemorySystem& mem)
     ctx.rob.init(static_cast<std::size_t>(std::max(cfg_.rob_size, 1)));
     ctx.completions.init();
   }
+  due_scratch_.resize(static_cast<std::size_t>(std::max(cfg_.rob_size, 1)));
 }
 
 void Core::recycle(ThreadCtx& ctx) {
@@ -736,7 +739,8 @@ void Core::charge_alloc_stall(std::uint64_t cycles) {
 
 bool Core::alloc_blocked(const ThreadCtx& ctx) const {
   return ctx.rob.size() >= static_cast<std::size_t>(cfg_.rob_size) ||
-         ctx.waiting_count >= cfg_.rs_size || alloc_window_clamped(ctx);
+         ctx.waiting_count >= cfg_.rs_size ||
+         (cfg_.speculation_window_limit > 0 && alloc_window_clamped(ctx));
 }
 
 Core::AllocGate Core::alloc_next(const ThreadCtx& ctx) const {
@@ -833,8 +837,8 @@ bool Core::alloc_window_clamped(const ThreadCtx& ctx) const {
   // "window" defense (defense::registry()): allocation stops once
   // speculation_window_limit uops sit younger than the oldest unresolved
   // window opener — the same opener set older_window_exists() asks about:
-  // a deferred fault, or a Jcc/Ret not yet Done.
-  if (cfg_.speculation_window_limit <= 0) return false;
+  // a deferred fault, or a Jcc/Ret not yet Done. Only alloc_blocked asks,
+  // and only under that defense, so this stays out of line.
   const Ring<Ref>* lists[] = {&ctx.pending[kJccPending],
                               &ctx.pending[kRetPending]};
   const Ref* opener = ctx.oldest_fault.seq() != 0 ? &ctx.oldest_fault : nullptr;
@@ -900,12 +904,12 @@ bool Core::IssueGates::admits(const RobEntry& e) const {
   }
 }
 
-std::size_t Core::first_issuable(ThreadCtx& ctx, std::size_t from) {
+std::size_t Core::first_issuable(ThreadCtx& ctx, const IssueGates& gates,
+                                 std::size_t from) {
   // The ready set holds exactly the Waiting entries whose operands have
   // forwarded; walk it oldest-first. Everything younger than the
   // serialising seq is held, so the walk stops there.
   if (ctx.rob.none_marked()) return ctx.rob.size();
-  const IssueGates gates = issue_gates(ctx);
   for (std::size_t i = ctx.rob.next_marked(from); i < ctx.rob.size();
        i = ctx.rob.next_marked(i + 1)) {
     const RobEntry& e = ctx.rob[i];
@@ -980,7 +984,8 @@ void Core::retime(ThreadCtx& ctx, RobEntry& o, std::uint64_t at) {
 
 std::uint64_t Core::issue_next(ThreadCtx& ctx) {
   promote_wakeups(ctx);
-  if (first_issuable(ctx, 0) < ctx.rob.size()) return cycle_;
+  if (first_issuable(ctx, issue_gates(ctx), 0) < ctx.rob.size())
+    return cycle_;
   // Nothing ready can pass its gates. The gates held by older entries open
   // at their completions (the completion wheel); what remains is the next
   // operand wakeup and, while a divide waits, the divider's release.
@@ -1007,11 +1012,15 @@ void Core::step_issue() {
     // Select oldest-first from the ready set. Issuing can squash younger
     // entries (a mispredict shrinks the ROB under the cursor) and can wake
     // younger ones for this same cycle (a zero-latency forward); the walk
-    // picks up both because it resumes from the ring position.
-    for (std::size_t i = first_issuable(ctx, 0);
+    // picks up both because it resumes from the ring position. Only an
+    // issued divide moves a gate within the walk (IssueGates).
+    IssueGates gates = issue_gates(ctx);
+    for (std::size_t i = first_issuable(ctx, gates, 0);
          i < ctx.rob.size() && issued < cfg_.issue_width;
-         i = first_issuable(ctx, i + 1))
+         i = first_issuable(ctx, gates, i + 1)) {
       try_issue_entry(ctx, ctx.rob[i], loads, stores, branches, issued);
+      gates.divider_busy = cycle_ < divider_busy_until_;
+    }
   }
   issued_uops_this_cycle_ = issued;
 }
@@ -1261,8 +1270,6 @@ void Core::execute_entry(ThreadCtx& ctx, RobEntry& e) {
       e.fault = r.fault;
       e.result = a + 8;        // new RSP
       e.flags_out = ctx.flags;  // unused
-      // Loaded return target stashed for resolution at completion.
-      e.predicted_target = e.predicted_target;  // set at fetch
       e.store_old = r.data;  // reuse field: actual return target
       break;
     }
@@ -1400,13 +1407,13 @@ void Core::step_complete() {
     ThreadCtx& ctx = ctx_[t];
     if (!ctx.active || ctx.halted) continue;
     // Everything due, completed in seq order.
-    due_scratch_.clear();
-    ctx.completions.due(ctx.rob, cycle_, due_scratch_);
-    if (due_scratch_.size() > 1)
-      std::sort(due_scratch_.begin(), due_scratch_.end(),
+    Ref* const first = due_scratch_.data();
+    Ref* const last = first + ctx.completions.due(ctx.rob, cycle_, first);
+    if (last - first > 1)
+      std::sort(first, last,
                 [](const Ref& a, const Ref& b) { return a.bits < b.bits; });
-    for (const Ref& due : due_scratch_) {
-      RobEntry* done = ctx.rob.live(due);
+    for (const Ref* due = first; due != last; ++due) {
+      RobEntry* done = ctx.rob.live(*due);
       if (!done) continue;  // squashed by an older Ret's resteer just now
       RobEntry& e = *done;
       ctx.completions.remove(ctx.rob, e);

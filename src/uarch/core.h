@@ -328,7 +328,7 @@ class Core {
     }
 
     /// Append a default entry; returns the slot it occupies.
-    std::uint32_t emplace_back();
+    inline std::uint32_t emplace_back();
     void pop_front() noexcept {
       head_ = (head_ + 1) & mask_;
       --size_;
@@ -407,13 +407,14 @@ class Core {
     void init() { head_.assign(kBuckets, kNoSlot); }
     void clear() noexcept { occupied_.fill(0); }
     /// File an entry just issued or re-timed on cycle `now`.
-    void insert(RobRing& rob, RobEntry& e, std::uint64_t now);
-    void remove(RobRing& rob, const RobEntry& e);
+    inline void insert(RobRing& rob, RobEntry& e, std::uint64_t now);
+    inline void remove(RobRing& rob, const RobEntry& e);
     /// The first cycle from `now` on whose bucket is occupied: the next
     /// completion, or whole laps early (kNever if the wheel is empty).
-    [[nodiscard]] std::uint64_t next(std::uint64_t now) const noexcept;
-    /// Append the entries of now's bucket that are due (complete_at <= now).
-    void due(RobRing& rob, std::uint64_t now, std::vector<Ref>& out) const;
+    [[nodiscard]] inline std::uint64_t next(std::uint64_t now) const noexcept;
+    /// Write the entries of now's bucket that are due (complete_at <= now)
+    /// to `out`, which has room for a full ROB; returns how many.
+    inline std::size_t due(RobRing& rob, std::uint64_t now, Ref* out) const;
 
    private:
     std::vector<std::uint16_t> head_;  // meaningful where occupied
@@ -576,12 +577,14 @@ class Core {
 
   RunResult run_internal(std::uint64_t cycle_limit);
 
+  // Helpers declared `inline` here run every stepped cycle or per
+  // instruction; core.cpp's definitions fold into their callers.
   void step_fetch(int t);
   void step_alloc(int t);
   void step_issue();
   void step_complete();
   void step_retire(int t);
-  void per_cycle_pmu();
+  inline void per_cycle_pmu();
 
   // Next-event queries. Each answers, without changing simulated state,
   // whether its stage can act on the current cycle (a return value of
@@ -595,8 +598,8 @@ class Core {
     std::uint64_t next = kNever;
     bool stalls = false;  // a blocked cycle charges the resource stalls
   };
-  [[nodiscard]] AllocGate alloc_next(const ThreadCtx& ctx) const;
-  [[nodiscard]] std::uint64_t fetch_next(const ThreadCtx& ctx) const;
+  [[nodiscard]] inline AllocGate alloc_next(const ThreadCtx& ctx) const;
+  [[nodiscard]] inline std::uint64_t fetch_next(const ThreadCtx& ctx) const;
 
   /// If the coming cycle is provably inert (single-thread mode only),
   /// advance cycle/PMU state to the exact horizon where the pipeline next
@@ -611,29 +614,33 @@ class Core {
   /// readiness (the ready set) and port capacity (try_issue_entry), read
   /// once per select walk from the pending-seq lists: each bound is "an
   /// older entry of this kind is pending", so admitting an entry is a few
-  /// comparisons. Issuing a divide changes divider_busy, so the gates are
-  /// re-read after every issue.
+  /// comparisons. Within a walk only an issued divide moves a gate (the
+  /// pending lists and the oldest unfinished entry move at allocation,
+  /// completion, or a squash younger than the walk's cursor), so step_issue
+  /// refreshes divider_busy alone after each issue.
   struct IssueGates {
     std::uint64_t serialise = 0;   // younger entries wait (fences, lfence)
     std::uint64_t unfinished = 0;  // oldest non-Done entry
     std::uint64_t store = 0;       // oldest pending store
     std::uint64_t clflush = 0;     // oldest pending CLFLUSH
     bool divider_busy = false;
-    [[nodiscard]] bool admits(const RobEntry& e) const;
+    [[nodiscard]] inline bool admits(const RobEntry& e) const;
   };
-  [[nodiscard]] IssueGates issue_gates(const ThreadCtx& ctx) const;
-  /// Index of the oldest ready-set entry at or after `from` that the issue
-  /// gates admit, or rob.size(): the select step of step_issue and of the
-  /// issue query.
-  [[nodiscard]] std::size_t first_issuable(ThreadCtx& ctx, std::size_t from);
+  [[nodiscard]] inline IssueGates issue_gates(const ThreadCtx& ctx) const;
+  /// Index of the oldest ready-set entry at or after `from` that `gates`
+  /// admit, or rob.size(): the select step of step_issue and of the issue
+  /// query.
+  [[nodiscard]] std::size_t first_issuable(ThreadCtx& ctx,
+                                           const IssueGates& gates,
+                                           std::size_t from);
   /// Move operand wakeups due by now into the ready set.
-  void promote_wakeups(ThreadCtx& ctx);
+  inline void promote_wakeups(ThreadCtx& ctx);
   /// When the last of `c`'s (issued) producers forwards.
-  [[nodiscard]] std::uint64_t operands_forward_at(ThreadCtx& ctx,
-                                                  const RobEntry& c);
+  [[nodiscard]] inline std::uint64_t operands_forward_at(ThreadCtx& ctx,
+                                                         const RobEntry& c);
   /// All of `c`'s producers have issued and its operands forward at `at`:
   /// mark it ready, or queue it for that cycle.
-  void schedule_wakeup(ThreadCtx& ctx, RobEntry& c, std::uint64_t at);
+  inline void schedule_wakeup(ThreadCtx& ctx, RobEntry& c, std::uint64_t at);
   /// Walk `p`'s consumers after it executed (`issued`) or after a shortcut
   /// pulled its forward_at earlier.
   void wake_consumers(ThreadCtx& ctx, RobEntry& p, bool issued);
@@ -641,8 +648,8 @@ class Core {
   void retime(ThreadCtx& ctx, RobEntry& o, std::uint64_t at);
 
   /// Port capacity, then issue and execute. False if a port was full.
-  bool try_issue_entry(ThreadCtx& ctx, RobEntry& e, int& loads, int& stores,
-                       int& branches, int& issued_uops);
+  inline bool try_issue_entry(ThreadCtx& ctx, RobEntry& e, int& loads,
+                              int& stores, int& branches, int& issued_uops);
   void execute_entry(ThreadCtx& ctx, RobEntry& e);
   void resolve_branch(ThreadCtx& ctx, RobEntry& e, bool actual_taken,
                       std::int32_t actual_target);
@@ -662,11 +669,11 @@ class Core {
   /// The pending-seq list an instruction joins (kNumPendingKinds: none).
   static int pending_kind(const isa::Instruction& in);
   // Census/rename bookkeeping choke points (see ThreadCtx).
-  static void account_alloc(ThreadCtx& ctx, RobEntry& e);
-  static void account_issue(ThreadCtx& ctx, const RobEntry& e);
-  static void account_done(ThreadCtx& ctx, const RobEntry& e);
-  static void account_remove(ThreadCtx& ctx, const RobEntry& e);
-  static void unrename(ThreadCtx& ctx, const RobEntry& e);
+  static inline void account_alloc(ThreadCtx& ctx, RobEntry& e);
+  static inline void account_issue(ThreadCtx& ctx, const RobEntry& e);
+  static inline void account_done(ThreadCtx& ctx, const RobEntry& e);
+  static inline void account_remove(ThreadCtx& ctx, const RobEntry& e);
+  static inline void unrename(ThreadCtx& ctx, const RobEntry& e);
 
   /// Decoded form of `prog`, via the content-hash-keyed decode cache.
   [[nodiscard]] std::shared_ptr<const DecodedProgram> decoded_for(
@@ -674,11 +681,11 @@ class Core {
 
   [[nodiscard]] bool older_window_exists(const ThreadCtx& ctx,
                                          std::uint64_t seq) const;
-  /// "window" defense gate: allocation blocked because the configured
-  /// transient-depth clamp is full.
+  /// "window" defense gate (speculation_window_limit > 0): allocation
+  /// blocked because the configured transient-depth clamp is full.
   [[nodiscard]] bool alloc_window_clamped(const ThreadCtx& ctx) const;
   /// ROB, reservation station or window clamp full: allocation blocked.
-  [[nodiscard]] bool alloc_blocked(const ThreadCtx& ctx) const;
+  [[nodiscard]] inline bool alloc_blocked(const ThreadCtx& ctx) const;
   /// RESOURCE_STALLS.ANY (and AMD's token stall) for `cycles` blocked
   /// allocation cycles.
   void charge_alloc_stall(std::uint64_t cycles);
@@ -732,7 +739,7 @@ class Core {
   // Per-cycle scratch used by per_cycle_pmu().
   int issued_uops_this_cycle_ = 0;
   int alloc_uops_this_cycle_ = 0;
-  // Due completions of one thread, sorted into seq order (step_complete).
+  // Due completions of one thread in seq order (step_complete), ROB-sized.
   std::vector<Ref> due_scratch_;
 };
 

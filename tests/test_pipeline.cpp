@@ -5,11 +5,13 @@
 
 #include "isa/builder.h"
 #include "os/machine.h"
+#include "uarch/trace.h"
 
 namespace whisper {
 namespace {
 
 using isa::Cond;
+using isa::Opcode;
 using isa::ProgramBuilder;
 using isa::Reg;
 
@@ -249,6 +251,109 @@ TEST_F(PipelineTest, RetiredInstructionCountsAreSane) {
   b.nop(10).halt();
   const auto r = m_.run_user(b.build());
   EXPECT_EQ(r.t0().instructions_retired, 11u);
+}
+
+// ---------------------------------------------------------------------------
+// Issue select: the gates one select walk must keep
+// ---------------------------------------------------------------------------
+
+/// The trace of one run with fast-forward `ff`, from registers R8 = 1 (the
+/// imul multiplier) and RBX, RCX (the dividends).
+std::vector<uarch::TraceRecord> traced_run(os::Machine& m,
+                                           const isa::Program& prog,
+                                           bool ff) {
+  uarch::EventLog log;
+  m.core().set_fast_forward(ff);
+  m.core().set_trace(&log);
+  std::array<std::uint64_t, isa::kNumRegs> regs{};
+  regs[static_cast<std::size_t>(Reg::R8)] = 1;
+  regs[static_cast<std::size_t>(Reg::RBX)] = 0x7fffffffll;
+  regs[static_cast<std::size_t>(Reg::RCX)] = 0x7ffffff1ll;
+  const auto r = m.run_user(prog, regs);
+  m.core().set_trace(nullptr);
+  EXPECT_TRUE(r.t0().halted);
+  return log.records();
+}
+
+/// Cycles of every `event` of instruction `op`, in trace order.
+std::vector<std::uint64_t> cycles_of(
+    const std::vector<uarch::TraceRecord>& log, uarch::TraceEvent event,
+    Opcode op) {
+  std::vector<std::uint64_t> out;
+  for (const uarch::TraceRecord& r : log)
+    if (r.event == event && r.op == op) out.push_back(r.cycle);
+  return out;
+}
+
+TEST(IssueSelect, TwoDividesReadyInOneCycleIssueDivLatencyApart) {
+  // Both divides take their divisor from one slow producer (an imul), so
+  // its forward makes both ready on the same cycle and one select walk
+  // sees the two: the divide issued first must hold the other back.
+  ProgramBuilder b;
+  b.mov(Reg::RAX, 7).imul(Reg::RAX, Reg::R8);
+  b.fdiv(Reg::RBX, Reg::RAX);
+  b.fdiv(Reg::RCX, Reg::RAX);
+  b.halt();
+  const isa::Program prog = b.build();
+  for (const bool ff : {true, false}) {
+    SCOPED_TRACE(ff ? "fast-forward" : "structural");
+    os::Machine m({.model = uarch::CpuModel::KabyLakeI7_7700});
+    const auto log = traced_run(m, prog, ff);
+    const auto mul_done =
+        cycles_of(log, uarch::TraceEvent::Complete, Opcode::ImulRR);
+    const auto div_alloc =
+        cycles_of(log, uarch::TraceEvent::Alloc, Opcode::FdivRR);
+    const auto div_issue =
+        cycles_of(log, uarch::TraceEvent::Issue, Opcode::FdivRR);
+    ASSERT_EQ(mul_done.size(), 1u);
+    ASSERT_EQ(div_alloc.size(), 2u);
+    ASSERT_EQ(div_issue.size(), 2u);
+    // Both were waiting on the imul, so both wake when it forwards.
+    EXPECT_LT(div_alloc[1], mul_done[0]);
+    EXPECT_GE(div_issue[1] - div_issue[0],
+              static_cast<std::uint64_t>(m.config().div_latency))
+        << "the second divide issued while the divider was busy";
+  }
+}
+
+TEST(IssueSelect, NothingYoungerThanAnUnfinishedLfenceIssues) {
+  // Independent moves behind the fence are ready from allocation on, long
+  // before the fence's older imul chain finishes; none may issue in the
+  // fence's own walk or later until the fence completes.
+  ProgramBuilder b;
+  b.mov(Reg::RAX, 7)
+      .imul(Reg::RAX, Reg::R8)
+      .imul(Reg::RAX, Reg::R8)
+      .imul(Reg::RAX, Reg::R8)
+      .lfence()
+      .mov(Reg::RDX, 1)
+      .mov(Reg::RSI, 2)
+      .mov(Reg::RDI, 3)
+      .halt();
+  const isa::Program prog = b.build();
+  for (const bool ff : {true, false}) {
+    SCOPED_TRACE(ff ? "fast-forward" : "structural");
+    os::Machine m({.model = uarch::CpuModel::KabyLakeI7_7700});
+    const auto log = traced_run(m, prog, ff);
+    const auto fence_issue =
+        cycles_of(log, uarch::TraceEvent::Issue, Opcode::Lfence);
+    const auto fence_done =
+        cycles_of(log, uarch::TraceEvent::Complete, Opcode::Lfence);
+    const auto mov_alloc =
+        cycles_of(log, uarch::TraceEvent::Alloc, Opcode::MovRI);
+    const auto mov_issue =
+        cycles_of(log, uarch::TraceEvent::Issue, Opcode::MovRI);
+    ASSERT_EQ(fence_issue.size(), 1u);
+    ASSERT_EQ(fence_done.size(), 1u);
+    ASSERT_EQ(mov_alloc.size(), 4u);
+    ASSERT_EQ(mov_issue.size(), 4u);
+    ASSERT_GT(fence_done[0], fence_issue[0]);
+    for (std::size_t i = 1; i < 4; ++i) {
+      EXPECT_LT(mov_alloc[i], fence_issue[0]);  // ready in the fence's walk
+      EXPECT_GE(mov_issue[i], fence_done[0])
+          << "mov " << i << " issued before the older lfence completed";
+    }
+  }
 }
 
 }  // namespace
